@@ -422,6 +422,26 @@ def cmd_ood(args) -> int:
     return 0
 
 
+def _unscored(record, model, role: str):
+    """The error for a weighed specimen a model returned no prediction for.
+
+    Models skip such specimens for one reason only: a multi-view model needs
+    frames from both cameras, any other model a sinking speed.
+    """
+    from .errors import MissingSecondView, MissingSpeed
+    from .neural.model import Architecture
+
+    config = getattr(model, "config", None)
+    if config is not None and config.architecture is Architecture.MULTI_VIEW:
+        return MissingSecondView(
+            f"specimen {record.specimen_id!r}: the {role} needs frames from both cameras"
+        )
+    return MissingSpeed(
+        f"specimen {record.specimen_id!r}: the {role} needs a sinking speed, "
+        "which needs at least two frames from one camera"
+    )
+
+
 def cmd_pipeline(args) -> int:
     from . import experiments
     from .errors import ModelMissing
@@ -446,6 +466,8 @@ def cmd_pipeline(args) -> int:
     prediction_cache: dict[tuple[str, str], float] = {}
 
     def classify_fn(record):
+        if record.specimen_id not in predicted:
+            raise _unscored(record, classifier, "classifier")
         return predicted[record.specimen_id]
 
     def predict_fn(record, taxon):
@@ -457,6 +479,8 @@ def cmd_pipeline(args) -> int:
             result = _predict_with(
                 kind, model, dataset, [record.specimen_id], features, args.trim
             )
+            if not result.entries:
+                raise _unscored(record, model, f"mass model for taxon {taxon!r}")
             prediction_cache[key] = result.entries[0].predicted_mass_ug
         return prediction_cache[key]
 
@@ -584,12 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_thread_cap(argv) -> None:
     # must happen before numpy is imported anywhere in this process
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            n = argv[idx + 1]
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = n
+    n = None
+    for i, arg in enumerate(argv):
+        if arg == "--threads" and i + 1 < len(argv):
+            n = argv[i + 1]
+        elif arg.startswith("--threads="):
+            n = arg.partition("=")[2]
+    if n is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = n
 
 
 def main(argv=None) -> int:

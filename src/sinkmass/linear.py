@@ -141,7 +141,7 @@ def trimmed_median(values, trim_fraction: float = 0.05) -> float:
     half = m // 2
     if m % 2 == 1:
         return float(kept[half])
-    return (kept[half - 1] + kept[half]) / 2.0
+    return float((kept[half - 1] + kept[half]) / 2.0)
 
 
 def predict_specimen(

@@ -19,6 +19,12 @@ from ..errors import NonSquareRaster
 from ..ingest import Raster
 
 
+def _dihedral_view(pixels: np.ndarray, element: int) -> np.ndarray:
+    """The dihedral element acting on the last two axes, as a view."""
+    out = np.rot90(pixels, k=element % 4, axes=(-2, -1))
+    return out[..., ::-1] if element >= 4 else out
+
+
 def dihedral(pixels: np.ndarray, element: int) -> np.ndarray:
     """Element 0..7 of the square's symmetry group: rotations by 0/90/180/270
     degrees, optionally composed with a horizontal flip."""
@@ -26,10 +32,7 @@ def dihedral(pixels: np.ndarray, element: int) -> np.ndarray:
         raise NonSquareRaster(f"dihedral action needs a square raster, got {pixels.shape}")
     if not 0 <= element < 8:
         raise ValueError(f"dihedral element must be 0..7, got {element}")
-    out = np.rot90(pixels, k=element % 4)
-    if element >= 4:
-        out = out[:, ::-1]
-    return np.ascontiguousarray(out)
+    return np.ascontiguousarray(_dihedral_view(pixels, element))
 
 
 def rotate_bilinear(pixels: np.ndarray, angle_deg: float, fill: float | None = None) -> np.ndarray:
@@ -88,23 +91,44 @@ def photometric_jitter(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return np.clip(out, 0.0, 255.0)
 
 
+_POLICIES = ("none", "flips90", "continuous_rotation", "photometric_lite")
+
+
 def augment_array(pixels: np.ndarray, policy: str, rng: np.random.Generator) -> np.ndarray:
-    """Apply one random draw of ``policy`` to a square 2D array.
+    """Apply one random draw of ``policy`` to a square 2D array, or one
+    independent draw per image to an (N, S, S) stack.
 
     Policies: ``none``, ``flips90`` (uniform dihedral element),
     ``continuous_rotation`` (uniform angle, bilinear), ``photometric_lite``.
+    A stack consumes ``rng`` exactly as N calls on its images in order would,
+    so both give the same output. For ``flips90`` a stack draws its N
+    elements in one call and applies each element once, to all the images
+    that drew it.
     """
-    if pixels.ndim != 2 or pixels.shape[0] != pixels.shape[1]:
-        raise NonSquareRaster(f"augmentation needs a square raster, got {pixels.shape}")
+    if pixels.ndim not in (2, 3) or pixels.shape[-2] != pixels.shape[-1]:
+        raise NonSquareRaster(f"augmentation needs square rasters, got {pixels.shape}")
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown augmentation policy {policy!r}")
     if policy == "none":
         return pixels
+    if pixels.ndim == 3:
+        if policy == "flips90":
+            elements = rng.integers(0, 8, size=len(pixels))
+            out = np.empty_like(pixels)
+            for element in range(8):
+                group = np.flatnonzero(elements == element)
+                if group.size:
+                    out[group] = _dihedral_view(pixels[group], element)
+            return out
+        out = np.empty(pixels.shape)
+        for j, image in enumerate(pixels):
+            out[j] = augment_array(image, policy, rng)
+        return out
     if policy == "flips90":
         return dihedral(pixels, int(rng.integers(0, 8)))
     if policy == "continuous_rotation":
         return rotate_bilinear(pixels, float(rng.uniform(0.0, 360.0)))
-    if policy == "photometric_lite":
-        return photometric_jitter(pixels, rng)
-    raise ValueError(f"unknown augmentation policy {policy!r}")
+    return photometric_jitter(pixels, rng)
 
 
 def augment(raster: Raster, policy: str, rng: np.random.Generator) -> Raster:

@@ -4,6 +4,13 @@ Everything works on float64 arrays in NCHW layout and returns exact analytic
 gradients. Convolutions are 3x3, stride 1, zero-padded to preserve the
 spatial size; pooling is 2x2 max with stride 2; the encoder ends with global
 average pooling.
+
+Each encoder block runs conv -> max-pool -> ReLU. ReLU is monotone, so it
+commutes with the max: pooling first gives the same activations and, with
+ties resolved to the first window element, the same gradients as ReLU first,
+while ReLU and its mask only touch the quarter-size pooled maps. The first
+block's input is the image itself, so its backward pass skips the input
+gradient (``input_grad=False``) and never builds the col2im buffer.
 """
 
 from __future__ import annotations
@@ -35,12 +42,17 @@ def conv3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, cache
 
 
-def conv3_backward(dout: np.ndarray, cache):
+def conv3_backward(dout: np.ndarray, cache, *, input_grad: bool = True):
+    """Gradients (dx, dw, db) of a conv3_forward call; dx is None when
+    ``input_grad`` is false."""
     (batch, c_in, h, width), cols, wmat = cache
     c_out = dout.shape[1]
     dflat = dout.reshape(batch, c_out, h * width)
-    dw = np.tensordot(dflat, cols, axes=([0, 2], [0, 2])).reshape(c_out, c_in, 3, 3)
+    # a transposed view of cols goes to BLAS as is; tensordot would copy it
+    dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, 3, 3)
     db = dout.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, dw, db
     dcols = np.matmul(wmat.T[None, :, :], dflat)  # (B, C_in*9, H*W)
     dcols = dcols.reshape(batch, c_in, 9, h, width)
     dxp = np.zeros((batch, c_in, h + 2, width + 2), dtype=dout.dtype)
@@ -74,11 +86,13 @@ def maxpool2_forward(x: np.ndarray):
 def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
     x, out = cache
     dx = np.empty_like(x)
-    claimed = np.zeros(out.shape, dtype=bool)
+    unclaimed = np.ones(out.shape, dtype=bool)
+    winner = np.empty(out.shape, dtype=bool)
     for view, dview in zip(_pool_views(x), _pool_views(dx)):
-        winner = (view == out) & ~claimed
-        dview[...] = dout * winner
-        claimed |= winner
+        np.equal(view, out, out=winner)
+        winner &= unclaimed
+        np.multiply(dout, winner, out=dview)
+        unclaimed ^= winner
     return dx
 
 

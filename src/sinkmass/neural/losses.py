@@ -54,10 +54,6 @@ def regression_loss(
     return float(np.mean(np.abs(diff) / denom)), np.sign(diff) / (denom * n)
 
 
-def loss_value(kind: LossKind, space: LossSpace, y: np.ndarray, yhat: np.ndarray) -> float:
-    return regression_loss(kind, space, y, yhat)[0]
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)

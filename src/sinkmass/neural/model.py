@@ -200,9 +200,9 @@ class NeuralNet:
             x, conv_cache = layers.conv3_forward(
                 x, self.params[f"{prefix}.{i}.w"], self.params[f"{prefix}.{i}.b"]
             )
-            x, mask = layers.relu_forward(x)
             x, pool_cache = layers.maxpool2_forward(x)
-            blocks.append((conv_cache, mask, pool_cache))
+            x, mask = layers.relu_forward(x)
+            blocks.append((conv_cache, pool_cache, mask))
         z, gap_shape = layers.gap_forward(x)
         return z, (blocks, gap_shape)
 
@@ -210,10 +210,10 @@ class NeuralNet:
         blocks, gap_shape = cache
         dx = layers.gap_backward(dz, gap_shape)
         for i in reversed(range(len(blocks))):
-            conv_cache, mask, pool_cache = blocks[i]
-            dx = layers.maxpool2_backward(dx, pool_cache)
+            conv_cache, pool_cache, mask = blocks[i]
             dx = layers.relu_backward(dx, mask)
-            dx, dw, db = layers.conv3_backward(dx, conv_cache)
+            dx = layers.maxpool2_backward(dx, pool_cache)
+            dx, dw, db = layers.conv3_backward(dx, conv_cache, input_grad=i > 0)
             grads[f"{prefix}.{i}.w"] = dw
             grads[f"{prefix}.{i}.b"] = db
 

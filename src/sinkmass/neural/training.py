@@ -209,13 +209,9 @@ def _make_batch(
     images = samples.images[idx]
     images2 = samples.images2[idx] if samples.images2 is not None else None
     if policy is not AugmentPolicy.NONE:
-        images = images.copy()
-        for j in range(images.shape[0]):
-            images[j, 0] = augment_array(images[j, 0], policy.value, rng)
+        images = augment_array(images[:, 0], policy.value, rng)[:, None]
         if images2 is not None:
-            images2 = images2.copy()
-            for j in range(images2.shape[0]):
-                images2[j, 0] = augment_array(images2[j, 0], policy.value, rng)
+            images2 = augment_array(images2[:, 0], policy.value, rng)[:, None]
     metadata = None
     if samples.metadata is not None:
         metadata = (samples.metadata[idx] - mean) / std
@@ -389,34 +385,6 @@ def fine_tune(
         initial_params=base.params,
         metadata_stats=stats,
     )
-
-
-def predict_per_image_masses(
-    model: TrainedModel,
-    dataset: Dataset,
-    specimen_id: str,
-    feature_table: dict[str, SpecimenFeatures] | None = None,
-) -> list[float]:
-    """Mass-space predictions for every frame (or frame pair) of a specimen."""
-    samples = build_samples(
-        dataset, [specimen_id], model.config, feature_table, require_mass=False
-    )
-    if len(samples) == 0:
-        raise EmptySplit(f"specimen {specimen_id!r} yields no samples for this model")
-    net = model.net()
-    out = net.forward(
-        _make_batch(
-            samples,
-            np.arange(len(samples)),
-            model.metadata_mean,
-            model.metadata_std,
-        )
-    )
-    if model.config.target_space is TargetSpace.LOG:
-        masses = np.exp(out)
-    else:
-        masses = np.maximum(out, MASS_FLOOR_UG)
-    return [float(v) for v in masses]
 
 
 def predict_specimen_masses(

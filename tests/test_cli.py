@@ -1,8 +1,15 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
-from sinkmass.cli import main
+from sinkmass.cli import _apply_thread_cap, main
+from sinkmass.ingest import Raster, save_raster, serialize_frame_csv
+from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, init_params
+from sinkmass.neural.training import TrainedModel, save_checkpoint
+
+from conftest import make_frame
 
 SYNTH_CONFIG = {
     "groups": [
@@ -445,6 +452,7 @@ class TestNeuralFlow:
         )
         metrics = json.loads((eval_dir / "metrics.json").read_text())
         assert metrics["report"]["n"] == 24
+        assert "np.float64(" not in (eval_dir / "predictions.csv").read_text()
 
     def test_pipeline_without_mass_model_fails(self, raster_dir, tmp_path, capsys):
         config = tmp_path / "cls.json"
@@ -520,3 +528,84 @@ class TestOodCommand:
         )
         assert code == 2
         assert json.loads(capsys.readouterr().err.strip())["error"] == "UnknownTaxon"
+
+
+def _write_specimen(base, sid, taxon, tops, rng):
+    """One weighed two-camera specimen with a frame CSV and 8x8 rasters."""
+    frames = [make_frame(camera, i, top, box=4) for camera in "AB" for i, top in enumerate(tops)]
+    (base / "frames").mkdir(exist_ok=True)
+    (base / "frames" / f"{sid}.csv").write_bytes(serialize_frame_csv(frames))
+    rdir = base / "rasters" / sid
+    rdir.mkdir(parents=True)
+    for f in frames:
+        pixels = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
+        (rdir / f"{f.camera_id}_{f.frame_index}.pgm").write_bytes(save_raster(Raster(8, 8, pixels)))
+    return {"specimen_id": sid, "taxon": taxon, "dry_mass_ug": 40.0,
+            "metadata_csv": f"frames/{sid}.csv", "raster_dir": f"rasters/{sid}"}
+
+
+def _untrained_checkpoint(path, taxa=None, **config_fields):
+    """A small randomly initialized checkpoint for 8x8 rasters."""
+    config = ModelConfig(
+        encoder_channels=(2,), head=HeadKind.ONE_LAYER, input_size=8, **config_fields
+    )
+    n_meta = len(config.metadata_inputs)
+    stats = (np.zeros(n_meta), np.ones(n_meta)) if n_meta else (None, None)
+    params = init_params(config, np.random.default_rng(0))
+    save_checkpoint(TrainedModel(config, params, 0, [1.0], *stats, taxa), path)
+    return path
+
+
+class TestPipelineUnscorableSpecimen:
+    @pytest.mark.parametrize("needs_speed", ["classifier", "mass_model"])
+    def test_model_needing_speed_exits_2_naming_the_specimen(
+        self, tmp_path, capsys, needs_speed
+    ):
+        rng = np.random.default_rng(3)
+        manifest = [
+            _write_specimen(tmp_path, f"s{i}", "ab"[i % 2], (300, 220, 140), rng) for i in range(4)
+        ]
+        manifest.append(_write_specimen(tmp_path, "one_frame", "a", (300,), rng))
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        speed = {
+            "architecture": Architecture.METADATA_AWARE,
+            "metadata_inputs": (MetadataInput.SINKING_SPEED,),
+        }
+        classifier = _untrained_checkpoint(
+            tmp_path / "cls.json",
+            taxa=("a", "b"),
+            n_classes=2,
+            **(speed if needs_speed == "classifier" else {}),
+        )
+        mass = _untrained_checkpoint(
+            tmp_path / "mass.json", **(speed if needs_speed == "mass_model" else {})
+        )
+        code = run(
+            "pipeline",
+            "--manifest",
+            tmp_path / "manifest.json",
+            "--classifier",
+            classifier,
+            "--mass-model",
+            mass,
+            "--out",
+            tmp_path / "pipe",
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])
+        assert error["error"] == "MissingSpeed"
+        assert "one_frame" in error["message"]
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("spelling", [["--threads", "3"], ["--threads=3"]])
+def test_thread_cap_accepts_both_spellings(monkeypatch, spelling):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "unset")  # restored after the test
+        monkeypatch.delenv(var)
+    _apply_thread_cap(["train", *spelling, "--seed", "1"])
+    assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "3")

@@ -142,6 +142,10 @@ class TestTrimmedMedian:
     def test_singleton(self):
         assert trimmed_median([5], 0.05) == 5
 
+    def test_even_count_of_numpy_values_gives_python_float(self):
+        result = trimmed_median(list(np.array([1.0, 2.0, 4.0, 8.0])))
+        assert type(result) is float and result == 3.0
+
     def test_five_values_no_trim_at_five_percent(self):
         assert trimmed_median([1, 1, 1, 1, 1000], 0.05) == 1
 
