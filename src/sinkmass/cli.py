@@ -29,15 +29,19 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _read_json(path, what: str):
+    from .errors import InputError
+
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
+
+
 def _load_config(args) -> dict:
     if getattr(args, "config", None) is None:
         return {}
-    try:
-        return json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        from .errors import InputError
-
-        raise InputError(f"cannot read config {args.config}: {exc}") from None
+    return _read_json(args.config, "config")
 
 
 def _require_seed(args) -> int:
@@ -127,81 +131,73 @@ def _predictions_csv(predictions) -> str:
 # --- model loading helpers -------------------------------------------------
 
 
-def _load_any_model(path: Path):
-    """Dispatch on file content: linear model JSON vs neural checkpoint."""
+def _read_model_json(path):
     from .errors import ModelMissing
 
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         raise ModelMissing(f"model file {path} does not exist")
-    payload = json.loads(path.read_text())
-    if "feature_spec" in payload:
-        from .linear import load_linear_model
+    return _read_json(path, "model file")
 
-        return "linear", load_linear_model(path)
+
+def _load_any_model(path):
+    """A linear model JSON or a neural checkpoint, told apart by content."""
+    from .errors import InputError
+    from .linear import load_linear_model
     from .neural.training import load_checkpoint
 
-    return "neural", load_checkpoint(path)
+    payload = _read_model_json(path)
+    if not isinstance(payload, dict):
+        raise InputError(f"model file {path} does not hold a JSON object")
+    return load_linear_model(path) if "feature_spec" in payload else load_checkpoint(path)
 
 
-def _predict_with(kind, model, dataset, ids, features, trim):
-    from . import experiments
+def _model_configs_from(config: dict, dataset, seed: int):
+    """(ModelConfig, TrainConfig, taxa) from the --config JSON sections.
 
-    if kind == "linear":
-        return experiments.predict_linear(model, dataset, ids, features, trim)
-    return experiments.predict_neural(model, dataset, ids, features, trim)
-
-
-def _model_configs_from(config: dict, dataset=None, seed=None):
-    """Build (ModelConfig, TrainConfig) from the --config JSON sections."""
-    from .neural.losses import LossKind, LossSpace
-    from .neural.model import Architecture, HeadKind, MetadataInput, ModelConfig
-    from .neural.training import AugmentPolicy, FreezeMode, TrainConfig
-    from .linear import TargetSpace
+    Missing keys take the config dataclasses' defaults; the command's seed
+    overrides any seed in the config.
+    """
+    from .neural.model import ModelConfig
+    from .neural.training import TrainConfig
 
     m = dict(config.get("model", {}))
     taxa = None
-    n_classes = None
     if m.pop("task", "regression") == "classification":
         taxa = tuple(sorted(dataset.taxon_set))
-        n_classes = len(taxa)
-    model_config = ModelConfig(
-        architecture=Architecture(m.get("architecture", "single_view")),
-        encoder_channels=tuple(m.get("encoder_channels", (8, 16))),
-        head=HeadKind(m.get("head", "two_layer")),
-        head_hidden=int(m.get("head_hidden", 64)),
-        metadata_inputs=tuple(MetadataInput(v) for v in m.get("metadata_inputs", ())),
-        metadata_hidden=m.get("metadata_hidden"),
-        target_space=TargetSpace(m.get("target_space", "log")),
-        input_size=int(m.get("input_size", 32)),
-        n_classes=n_classes,
+    m["n_classes"] = None if taxa is None else len(taxa)
+    train_config = TrainConfig.from_dict({**config.get("train", {}), "seed": seed})
+    return ModelConfig.from_dict(m), train_config, taxa
+
+
+def _estimator(args, config: dict, dataset, seed: int):
+    """The estimator ``--model`` names, and its default method label."""
+    from . import experiments
+    from .linear import FeatureSpec, TargetSpace
+
+    if args.model == "neural":
+        model_config, train_config, _ = _model_configs_from(config, dataset, seed)
+        estimator = experiments.NeuralEstimator(model_config, train_config)
+        return estimator, f"neural-{model_config.architecture.value}"
+    feature_spec = (
+        FeatureSpec.AREA_ONLY if args.model == "linear-area" else FeatureSpec.AREA_PLUS_SPEED
     )
-    t = dict(config.get("train", {}))
-    train_config = TrainConfig(
-        loss=LossKind(t.get("loss", "l1")),
-        loss_space=LossSpace(t.get("loss_space", "log")),
-        epochs=int(t.get("epochs", 50)),
-        batch_size=int(t.get("batch_size", 128)),
-        lr_max=float(t.get("lr_max", 3e-3)),
-        lr_min=float(t.get("lr_min", 1e-5)),
-        seed=seed if seed is not None else int(t.get("seed", 0)),
-        augmentation=AugmentPolicy(t.get("augmentation", "none")),
-        freeze=FreezeMode(t.get("freeze", "none")),
-        weight_decay=float(t.get("weight_decay", 1e-4)),
+    estimator = experiments.LinearEstimator(
+        feature_spec, TargetSpace(args.target), per_image=not args.per_specimen
     )
-    return model_config, train_config, taxa
+    return estimator, args.model
 
 
 # --- command handlers ------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    from .synth import generate, synth_config_from_dict, write_synth_output
+    from .config import config_from_dict
+    from .synth import SynthConfig, generate, write_synth_output
 
     seed = _require_seed(args)
     config_dict = _load_config(args)
     config_dict.setdefault("seed", seed)
-    config = synth_config_from_dict(config_dict)
+    config = config_from_dict(SynthConfig, config_dict)
     out = _out_dir(args)
     dataset, truth = generate(config, name=out.name)
     manifest_path = write_synth_output(dataset, truth, out)
@@ -266,12 +262,10 @@ def cmd_fit_linear(args) -> int:
     from .linear import FeatureSpec, TargetSpace, save_linear_model
 
     dataset = _load_dataset(args)
-    feature_spec = FeatureSpec.AREA_ONLY if args.features == "area" else FeatureSpec.AREA_PLUS_SPEED
-    target = TargetSpace(args.target)
-    ids = [s.specimen_id for s in dataset.specimens]
-    model = experiments.fit_linear(
-        dataset, ids, feature_spec, target, per_image=not args.per_specimen
+    estimator = experiments.LinearEstimator(
+        FeatureSpec(args.features), TargetSpace(args.target), per_image=not args.per_specimen
     )
+    model = estimator.fit(dataset, [s.specimen_id for s in dataset.specimens])
     out = _out_dir(args)
     save_linear_model(model, out / "linear_model.json")
     print(json.dumps({"model": str(out / "linear_model.json")}))
@@ -283,15 +277,14 @@ def cmd_evaluate(args) -> int:
     from .evaluation import attach_bootstrap, compute_metrics
 
     dataset = _load_dataset(args)
-    kind, model = _load_any_model(Path(args.model))
-    features = experiments.feature_table(dataset)
+    model = _load_any_model(args.model)
     ids = [s.specimen_id for s in dataset.specimens]
-    predictions = _predict_with(kind, model, dataset, ids, features, args.trim)
+    predictions = experiments.predict(model, dataset, ids, trim_fraction=args.trim)
     report = compute_metrics(predictions)
     if args.bootstrap > 0:
         seed = _require_seed(args)
         report = attach_bootstrap(report, predictions, args.bootstrap, args.level, seed)
-    method = args.method or f"{kind}"
+    method = args.method or experiments.model_family(model)
     payload = {"dataset": dataset.name, "method": method, "report": report.to_dict()}
     out = _out_dir(args)
     _write_json(out / "metrics.json", payload)
@@ -303,32 +296,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_crossval(args) -> int:
     from . import experiments
-    from .linear import FeatureSpec, TargetSpace
 
     seed = _require_seed(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
-    if args.model in ("linear-area", "linear-area-speed"):
-        feature_spec = (
-            FeatureSpec.AREA_ONLY if args.model == "linear-area" else FeatureSpec.AREA_PLUS_SPEED
-        )
-        result = experiments.crossval_linear(
-            dataset,
-            feature_spec,
-            TargetSpace(args.target),
-            k=args.folds,
-            seed=seed,
-            trim_fraction=args.trim,
-            per_image=not args.per_specimen,
-        )
-        method = args.method or args.model
-    else:
-        model_config, train_config, taxa = _model_configs_from(config, dataset, seed=None)
-        result = experiments.crossval_neural(
-            dataset, model_config, train_config, k=args.folds, seed=seed,
-            trim_fraction=args.trim,
-        )
-        method = args.method or f"neural-{model_config.architecture.value}"
+    estimator, label = _estimator(args, config, dataset, seed)
+    result = experiments.crossval(
+        dataset, estimator, k=args.folds, seed=seed, trim_fraction=args.trim
+    )
+    method = args.method or label
     out = _out_dir(args)
     _write_json(out / "splits.json", result.plan.to_dict())
     payload = {
@@ -370,12 +346,12 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     from .evaluation import make_cv_splits
-    from .neural.training import fine_tune, load_checkpoint, save_checkpoint
+    from .neural.training import fine_tune, save_checkpoint
 
     seed = _require_seed(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
-    base = load_checkpoint(args.base)
+    base = _load_any_model(args.base)
     _, train_config, _ = _model_configs_from(config, dataset, seed=seed)
     plan = make_cv_splits(dataset, k=args.folds, seed=seed)
     fold = plan.folds[args.fold]
@@ -388,27 +364,15 @@ def cmd_finetune(args) -> int:
 
 def cmd_ood(args) -> int:
     from . import experiments
-    from .linear import FeatureSpec, TargetSpace
 
     seed = _require_seed(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
-    if args.model in ("linear-area", "linear-area-speed"):
-        feature_spec = (
-            FeatureSpec.AREA_ONLY if args.model == "linear-area" else FeatureSpec.AREA_PLUS_SPEED
-        )
-        report, predictions = experiments.ood_linear(
-            dataset, args.holdout, feature_spec, TargetSpace(args.target), args.trim,
-            per_image=not args.per_specimen,
-        )
-        method = args.method or f"ood-{args.model}"
-    else:
-        model_config, train_config, _ = _model_configs_from(config, dataset, seed=seed)
-        report, predictions = experiments.ood_neural(
-            dataset, args.holdout, model_config, train_config, seed=seed,
-            trim_fraction=args.trim,
-        )
-        method = args.method or f"ood-neural-{model_config.architecture.value}"
+    estimator, label = _estimator(args, config, dataset, seed)
+    report, predictions = experiments.ood(
+        dataset, args.holdout, estimator, seed=seed, trim_fraction=args.trim
+    )
+    method = args.method or f"ood-{label}"
     out = _out_dir(args)
     payload = {
         "dataset": dataset.name,
@@ -444,26 +408,37 @@ def _unscored(record, model, role: str):
 
 def cmd_pipeline(args) -> int:
     from . import experiments
-    from .errors import ModelMissing
-    from .neural.training import load_checkpoint, predict_taxa
+    from .errors import InputError, ModelMissing
+    from .neural.training import predict_taxa
 
     dataset = _load_dataset(args)
     features = experiments.feature_table(dataset)
-    classifier = load_checkpoint(args.classifier)
+    classifier = _load_any_model(args.classifier)
     ids = [s.specimen_id for s in dataset.specimens]
     predicted = predict_taxa(classifier, dataset, ids, features)
 
-    mass_models = {}
     if args.mass_model:
-        shared = _load_any_model(Path(args.mass_model))
-        mass_models = {taxon: shared for taxon in classifier.taxa}
+        models = [_load_any_model(args.mass_model)]
+        slot = dict.fromkeys(classifier.taxa, 0)
     elif args.mass_models:
-        mapping = json.loads(Path(args.mass_models).read_text())
-        mass_models = {taxon: _load_any_model(Path(p)) for taxon, p in mapping.items()}
+        mapping = _read_model_json(args.mass_models)
+        if not isinstance(mapping, dict) or not all(isinstance(p, str) for p in mapping.values()):
+            raise InputError(f"{args.mass_models} must map taxa to model paths")
+        models = [_load_any_model(path) for path in mapping.values()]
+        slot = {taxon: i for i, taxon in enumerate(mapping)}
     else:
         raise ModelMissing("pipeline needs --mass-model or --mass-models")
 
-    prediction_cache: dict[tuple[str, str], float] = {}
+    # one predict call per model over the weighed specimens routed to it
+    routed = [[] for _ in models]
+    for record in dataset.specimens:
+        taxon = predicted.get(record.specimen_id)
+        if record.dry_mass_ug is not None and taxon in slot:
+            routed[slot[taxon]].append(record.specimen_id)
+    masses = {}
+    for model, model_ids in zip(models, routed):
+        for e in experiments.predict(model, dataset, model_ids, features, args.trim).entries:
+            masses[e.specimen_id] = e.predicted_mass_ug
 
     def classify_fn(record):
         if record.specimen_id not in predicted:
@@ -471,18 +446,11 @@ def cmd_pipeline(args) -> int:
         return predicted[record.specimen_id]
 
     def predict_fn(record, taxon):
-        key = (record.specimen_id, taxon)
-        if key not in prediction_cache:
-            if taxon not in mass_models:
-                raise ModelMissing(f"no mass model for predicted taxon {taxon!r}")
-            kind, model = mass_models[taxon]
-            result = _predict_with(
-                kind, model, dataset, [record.specimen_id], features, args.trim
-            )
-            if not result.entries:
-                raise _unscored(record, model, f"mass model for taxon {taxon!r}")
-            prediction_cache[key] = result.entries[0].predicted_mass_ug
-        return prediction_cache[key]
+        if taxon not in slot:
+            raise ModelMissing(f"no mass model for predicted taxon {taxon!r}")
+        if record.specimen_id not in masses:
+            raise _unscored(record, models[slot[taxon]], f"mass model for taxon {taxon!r}")
+        return masses[record.specimen_id]
 
     report = experiments.run_pipeline(
         dataset, classify_fn, predict_fn, taxa=classifier.taxa

@@ -13,7 +13,7 @@ statistics for even counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     DuplicateSpecimenAcrossFolds,
     EmptyInput,
     EmptyPredictions,
+    InvalidConfig,
     LabelMismatch,
     NonPositiveMass,
     TaxonTooSmall,
@@ -105,12 +106,7 @@ def compute_metrics(predictions: PredictionSet) -> MetricReport:
     if np.any(y <= 0) or np.any(yhat <= 0):
         raise NonPositiveMass("metrics need positive true and predicted masses")
     return MetricReport(
-        mape=mape(y, yhat),
-        mdape=mdape(y, yhat),
-        mae=mae(y, yhat),
-        rmse=rmse(y, yhat),
-        r2_log=r2_log(y, yhat),
-        n=len(predictions),
+        **{name: fn(y, yhat) for name, fn in METRIC_FUNCS.items()}, n=len(predictions)
     )
 
 
@@ -172,6 +168,32 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     return d, _kolmogorov_sf(lam)
 
 
+def _bootstrap_intervals(
+    metric_fns, predictions: PredictionSet, n_draws: int, level: float, seed: int
+) -> list[BootstrapInterval]:
+    """``bootstrap`` for each metric function, all over the same draws."""
+    n = len(predictions)
+    if n < 2:
+        raise TooFewEntries(f"bootstrap needs at least 2 entries, got {n}")
+    if not 0 < level < 1:
+        raise InvalidConfig(f"bootstrap level must lie in (0, 1), got {level}")
+    y = predictions.true_masses()
+    yhat = predictions.predicted_masses()
+    rng = substream(seed, "bootstrap")
+    stats = np.empty((len(metric_fns), n_draws), dtype=float)
+    for i in range(n_draws):
+        idx = rng.integers(0, n, size=n)
+        yi, yhi = y[idx], yhat[idx]
+        for j, metric_fn in enumerate(metric_fns):
+            stats[j, i] = metric_fn(yi, yhi)
+    alpha = (1.0 - level) / 2.0
+    intervals = []
+    for row in stats:
+        low, high = np.percentile(row, [100 * alpha, 100 * (1 - alpha)])
+        intervals.append(BootstrapInterval(float(low), float(high), float(np.std(row))))
+    return intervals
+
+
 def bootstrap(
     metric_fn,
     predictions: PredictionSet,
@@ -185,21 +207,7 @@ def bootstrap(
     defined over per-specimen aggregates. ``metric_fn`` maps (y, yhat)
     arrays to a scalar. Deterministic given the seed.
     """
-    n = len(predictions)
-    if n < 2:
-        raise TooFewEntries(f"bootstrap needs at least 2 entries, got {n}")
-    if not 0 < level < 1:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    y = predictions.true_masses()
-    yhat = predictions.predicted_masses()
-    rng = substream(seed, "bootstrap")
-    stats = np.empty(n_draws, dtype=float)
-    for i in range(n_draws):
-        idx = rng.integers(0, n, size=n)
-        stats[i] = metric_fn(y[idx], yhat[idx])
-    alpha = (1.0 - level) / 2.0
-    low, high = np.percentile(stats, [100 * alpha, 100 * (1 - alpha)])
-    return BootstrapInterval(low=float(low), high=float(high), std=float(np.std(stats)))
+    return _bootstrap_intervals([metric_fn], predictions, n_draws, level, seed)[0]
 
 
 def attach_bootstrap(
@@ -213,32 +221,10 @@ def attach_bootstrap(
 
     All metrics are computed from the same resampling draws.
     """
-    n = len(predictions)
-    if n < 2:
-        raise TooFewEntries(f"bootstrap needs at least 2 entries, got {n}")
-    y = predictions.true_masses()
-    yhat = predictions.predicted_masses()
-    rng = substream(seed, "bootstrap")
-    draws = {name: np.empty(n_draws) for name in METRIC_NAMES}
-    for i in range(n_draws):
-        idx = rng.integers(0, n, size=n)
-        yi, yhi = y[idx], yhat[idx]
-        for name in METRIC_NAMES:
-            draws[name][i] = METRIC_FUNCS[name](yi, yhi)
-    alpha = (1.0 - level) / 2.0
-    intervals = {}
-    for name in METRIC_NAMES:
-        low, high = np.percentile(draws[name], [100 * alpha, 100 * (1 - alpha)])
-        intervals[name] = BootstrapInterval(float(low), float(high), float(np.std(draws[name])))
-    return MetricReport(
-        mape=report.mape,
-        mdape=report.mdape,
-        mae=report.mae,
-        rmse=report.rmse,
-        r2_log=report.r2_log,
-        n=report.n,
-        intervals=intervals,
+    intervals = _bootstrap_intervals(
+        [METRIC_FUNCS[name] for name in METRIC_NAMES], predictions, n_draws, level, seed
     )
+    return replace(report, intervals=dict(zip(METRIC_NAMES, intervals)))
 
 
 @dataclass(frozen=True)

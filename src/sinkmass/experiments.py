@@ -32,23 +32,91 @@ from .records import Dataset, PredictionEntry, PredictionSet
 from .rng import derive_seed, substream
 
 
+VAL_FRACTION = 0.2  # of each taxon, when a neural fit is given no validation split
+
+
 def feature_table(dataset: Dataset) -> dict[str, SpecimenFeatures]:
     return {s.specimen_id: compute_features(s) for s in dataset.specimens}
 
 
-def fit_linear(
-    dataset: Dataset,
-    specimen_ids,
-    feature_spec: FeatureSpec,
-    target_space: TargetSpace = TargetSpace.RAW,
-    per_image: bool = True,
-    features: dict[str, SpecimenFeatures] | None = None,
-) -> LinearModel:
-    features = features or feature_table(dataset)
-    rows = build_rows(
-        dataset.subset(specimen_ids), features, feature_spec, target_space, per_image
+@dataclass(frozen=True)
+class LinearEstimator:
+    """OLS on area, or on area and sinking speed (see ``linear``)."""
+
+    feature_spec: FeatureSpec
+    target_space: TargetSpace = TargetSpace.RAW
+    per_image: bool = True
+
+    def fit(
+        self,
+        dataset: Dataset,
+        train_ids,
+        val_ids=None,
+        seed: int = 0,
+        features: dict[str, SpecimenFeatures] | None = None,
+    ) -> LinearModel:
+        """Fit on ``train_ids`` alone; OLS needs neither a validation split
+        nor a seed."""
+        features = features or feature_table(dataset)
+        rows = build_rows(
+            dataset.subset(train_ids), features, self.feature_spec, self.target_space,
+            self.per_image,
+        )
+        return fit_ols(rows, self.target_space, self.feature_spec)
+
+
+@dataclass(frozen=True)
+class NeuralEstimator:
+    """A CNN of ``model_config`` trained under ``train_config``."""
+
+    model_config: ModelConfig
+    train_config: TrainConfig
+
+    def fit(
+        self,
+        dataset: Dataset,
+        train_ids,
+        val_ids=None,
+        seed: int = 0,
+        features: dict[str, SpecimenFeatures] | None = None,
+    ) -> TrainedModel:
+        """Train with ``seed`` in place of the config's seed and keep the
+        min-validation-loss epoch. Without ``val_ids``, a stratified
+        VAL_FRACTION of each taxon in ``train_ids`` validates instead."""
+        if val_ids is None:
+            train_ids, val_ids = _stratified_val_split(dataset, train_ids, seed)
+        return train(
+            dataset, train_ids, val_ids, self.model_config,
+            replace(self.train_config, seed=seed), features,
+        )
+
+
+def _stratified_val_split(dataset: Dataset, specimen_ids, seed: int):
+    """(train, val) ids with VAL_FRACTION of each taxon, at least one, in val."""
+    rng = substream(seed, "ood_val")
+    by_taxon: dict[str, list[str]] = {}
+    for record in dataset.subset(specimen_ids):
+        by_taxon.setdefault(record.taxon, []).append(record.specimen_id)
+    train_ids: list[str] = []
+    val_ids: list[str] = []
+    for taxon in sorted(by_taxon):
+        ids = sorted(by_taxon[taxon])
+        rng.shuffle(ids)
+        n_val = max(1, int(round(VAL_FRACTION * len(ids))))
+        val_ids.extend(ids[:n_val])
+        train_ids.extend(ids[n_val:])
+    return train_ids, val_ids
+
+
+def _prediction_set(records, masses: dict[str, float]) -> PredictionSet:
+    """Entries for the weighed records that were given a mass."""
+    return PredictionSet(
+        tuple(
+            PredictionEntry(r.specimen_id, r.taxon, r.dry_mass_ug, masses[r.specimen_id])
+            for r in records
+            if r.dry_mass_ug is not None and r.specimen_id in masses
+        )
     )
-    return fit_ols(rows, target_space, feature_spec)
 
 
 def predict_linear(
@@ -58,20 +126,16 @@ def predict_linear(
     features: dict[str, SpecimenFeatures] | None = None,
     trim_fraction: float = 0.05,
 ) -> PredictionSet:
-    """Per-specimen predictions for every weighed, scorable specimen."""
     features = features or feature_table(dataset)
-    entries = []
-    for record in dataset.subset(specimen_ids):
-        if record.dry_mass_ug is None:
-            continue
-        feats = features[record.specimen_id]
-        if model.feature_spec is FeatureSpec.AREA_PLUS_SPEED and feats.sinking_speed is None:
-            continue
-        mass = predict_specimen(model, record, feats, trim_fraction)
-        entries.append(
-            PredictionEntry(record.specimen_id, record.taxon, record.dry_mass_ug, mass)
-        )
-    return PredictionSet(tuple(entries))
+    records = dataset.subset(specimen_ids)
+    needs_speed = model.feature_spec is FeatureSpec.AREA_PLUS_SPEED
+    masses = {
+        r.specimen_id: predict_specimen(model, r, features[r.specimen_id], trim_fraction)
+        for r in records
+        if r.dry_mass_ug is not None
+        and not (needs_speed and features[r.specimen_id].sinking_speed is None)
+    }
+    return _prediction_set(records, masses)
 
 
 def predict_neural(
@@ -81,18 +145,28 @@ def predict_neural(
     features: dict[str, SpecimenFeatures] | None = None,
     trim_fraction: float = 0.05,
 ) -> PredictionSet:
-    features = features or feature_table(dataset)
     masses = predict_specimen_masses(model, dataset, specimen_ids, features, trim_fraction)
-    entries = []
-    for record in dataset.subset(specimen_ids):
-        if record.dry_mass_ug is None or record.specimen_id not in masses:
-            continue
-        entries.append(
-            PredictionEntry(
-                record.specimen_id, record.taxon, record.dry_mass_ug, masses[record.specimen_id]
-            )
-        )
-    return PredictionSet(tuple(entries))
+    return _prediction_set(dataset.subset(specimen_ids), masses)
+
+
+def model_family(model: LinearModel | TrainedModel) -> str:
+    """"linear" or "neural": which estimator fitted ``model``."""
+    return "linear" if isinstance(model, LinearModel) else "neural"
+
+
+def predict(
+    model: LinearModel | TrainedModel,
+    dataset: Dataset,
+    specimen_ids,
+    features: dict[str, SpecimenFeatures] | None = None,
+    trim_fraction: float = 0.05,
+) -> PredictionSet:
+    """Per-specimen predictions for every weighed specimen among
+    ``specimen_ids`` that the model can score: a speed-consuming model skips
+    specimens without a sinking speed, a multi-view model those without
+    frames from both cameras."""
+    predict_fn = predict_linear if model_family(model) == "linear" else predict_neural
+    return predict_fn(model, dataset, specimen_ids, features, trim_fraction)
 
 
 @dataclass(frozen=True)
@@ -104,6 +178,35 @@ class CrossvalResult:
     fold_val_histories: tuple[tuple[float, ...], ...] = ()
 
 
+def crossval(
+    dataset: Dataset,
+    estimator: LinearEstimator | NeuralEstimator,
+    k: int = 5,
+    seed: int = 0,
+    trim_fraction: float = 0.05,
+) -> CrossvalResult:
+    """k-fold protocol: fit on each fold's train split (and validation split)
+    with a fold-derived seed, score its test fold, then pool the test
+    predictions. Neural folds keep their validation-loss histories."""
+    features = feature_table(dataset)
+    plan = make_cv_splits(dataset, k=k, seed=seed)
+    fold_sets = []
+    histories = []
+    for f, fold in enumerate(plan.folds):
+        model = estimator.fit(dataset, fold.train, fold.val, derive_seed(seed, "fold", f), features)
+        if hasattr(model, "val_loss_history"):
+            histories.append(tuple(model.val_loss_history))
+        fold_sets.append(predict(model, dataset, fold.test, features, trim_fraction))
+    pooled = pool_folds(fold_sets)
+    return CrossvalResult(
+        plan=plan,
+        fold_reports=tuple(compute_metrics(s) for s in fold_sets),
+        pooled_report=compute_metrics(pooled),
+        pooled_predictions=pooled,
+        fold_val_histories=tuple(histories),
+    )
+
+
 def crossval_linear(
     dataset: Dataset,
     feature_spec: FeatureSpec,
@@ -113,23 +216,8 @@ def crossval_linear(
     trim_fraction: float = 0.05,
     per_image: bool = True,
 ) -> CrossvalResult:
-    """Five-fold protocol for a linear model: fit on each fold's train split,
-    score its test fold, then pool the test predictions."""
-    features = feature_table(dataset)
-    plan = make_cv_splits(dataset, k=k, seed=seed)
-    fold_sets = []
-    for fold in plan.folds:
-        model = fit_linear(dataset, fold.train, feature_spec, target_space, per_image, features)
-        fold_sets.append(
-            predict_linear(model, dataset, fold.test, features, trim_fraction)
-        )
-    pooled = pool_folds(fold_sets)
-    return CrossvalResult(
-        plan=plan,
-        fold_reports=tuple(compute_metrics(s) for s in fold_sets),
-        pooled_report=compute_metrics(pooled),
-        pooled_predictions=pooled,
-    )
+    estimator = LinearEstimator(feature_spec, target_space, per_image)
+    return crossval(dataset, estimator, k, seed, trim_fraction)
 
 
 def crossval_neural(
@@ -140,27 +228,8 @@ def crossval_neural(
     seed: int = 0,
     trim_fraction: float = 0.05,
 ) -> CrossvalResult:
-    """Five-fold protocol for a neural model: one training per fold with a
-    fold-derived seed, scored on that fold's test specimens."""
-    features = feature_table(dataset)
-    plan = make_cv_splits(dataset, k=k, seed=seed)
-    fold_sets = []
-    histories = []
-    for f, fold in enumerate(plan.folds):
-        fold_tc = replace(train_config, seed=derive_seed(seed, "fold", f))
-        model = train(dataset, fold.train, fold.val, model_config, fold_tc, features)
-        histories.append(tuple(model.val_loss_history))
-        fold_sets.append(
-            predict_neural(model, dataset, fold.test, features, trim_fraction)
-        )
-    pooled = pool_folds(fold_sets)
-    return CrossvalResult(
-        plan=plan,
-        fold_reports=tuple(compute_metrics(s) for s in fold_sets),
-        pooled_report=compute_metrics(pooled),
-        pooled_predictions=pooled,
-        fold_val_histories=tuple(histories),
-    )
+    estimator = NeuralEstimator(model_config, train_config)
+    return crossval(dataset, estimator, k, seed, trim_fraction)
 
 
 def ood_split(dataset: Dataset, holdout_taxon: str) -> tuple[list[str], list[str]]:
@@ -173,48 +242,19 @@ def ood_split(dataset: Dataset, holdout_taxon: str) -> tuple[list[str], list[str
     return rest, held
 
 
-def ood_linear(
+def ood(
     dataset: Dataset,
     holdout_taxon: str,
-    feature_spec: FeatureSpec,
-    target_space: TargetSpace = TargetSpace.RAW,
-    trim_fraction: float = 0.05,
-    per_image: bool = True,
-) -> tuple[MetricReport, PredictionSet]:
-    rest, held = ood_split(dataset, holdout_taxon)
-    features = feature_table(dataset)
-    model = fit_linear(dataset, rest, feature_spec, target_space, per_image, features)
-    predictions = predict_linear(model, dataset, held, features, trim_fraction)
-    return compute_metrics(predictions), predictions
-
-
-def ood_neural(
-    dataset: Dataset,
-    holdout_taxon: str,
-    model_config: ModelConfig,
-    train_config: TrainConfig,
+    estimator: LinearEstimator | NeuralEstimator,
     seed: int = 0,
-    val_fraction: float = 0.2,
     trim_fraction: float = 0.05,
 ) -> tuple[MetricReport, PredictionSet]:
-    """Train on every other taxon (with an internal stratified train/val
-    split) and evaluate only on the held-out taxon."""
+    """Fit on every other taxon (``seed`` drives both a neural model's
+    validation split and its training) and score only the held-out taxon."""
     rest, held = ood_split(dataset, holdout_taxon)
     features = feature_table(dataset)
-    rng = substream(seed, "ood_val")
-    by_taxon: dict[str, list[str]] = {}
-    for sid in rest:
-        by_taxon.setdefault(dataset.specimen(sid).taxon, []).append(sid)
-    train_ids: list[str] = []
-    val_ids: list[str] = []
-    for taxon in sorted(by_taxon):
-        ids = sorted(by_taxon[taxon])
-        rng.shuffle(ids)
-        n_val = max(1, int(round(val_fraction * len(ids))))
-        val_ids.extend(ids[:n_val])
-        train_ids.extend(ids[n_val:])
-    model = train(dataset, train_ids, val_ids, model_config, train_config, features)
-    predictions = predict_neural(model, dataset, held, features, trim_fraction)
+    model = estimator.fit(dataset, rest, None, seed, features)
+    predictions = predict(model, dataset, held, features, trim_fraction)
     return compute_metrics(predictions), predictions
 
 

@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from ..config import config_from_dict
 from ..errors import MissingMetadata, MissingSecondView, ShapeMismatch
 from ..linear import TargetSpace
 from . import layers
@@ -96,17 +97,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(
-            architecture=Architecture(obj["architecture"]),
-            encoder_channels=tuple(obj["encoder_channels"]),
-            head=HeadKind(obj["head"]),
-            head_hidden=int(obj["head_hidden"]),
-            metadata_inputs=tuple(MetadataInput(m) for m in obj["metadata_inputs"]),
-            metadata_hidden=obj["metadata_hidden"],
-            target_space=TargetSpace(obj["target_space"]),
-            input_size=int(obj["input_size"]),
-            n_classes=obj.get("n_classes"),
-        )
+        return config_from_dict(cls, obj)
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

@@ -17,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+from ..config import config_from_dict
 from ..errors import (
     EmptySplit,
     IncompatibleArchitecture,
     InputError,
     InvalidConfig,
     NonFiniteLoss,
+    ShapeMismatch,
 )
 from ..features import SpecimenFeatures, compute_features
 from ..linear import TargetSpace, trimmed_median
@@ -78,6 +80,10 @@ class TrainConfig:
         if self.lr_min > self.lr_max:
             raise InvalidConfig(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "TrainConfig":
+        return config_from_dict(cls, obj)
+
 
 @dataclass
 class TrainedModel:
@@ -91,9 +97,6 @@ class TrainedModel:
 
     def net(self) -> NeuralNet:
         return NeuralNet(self.config, self.params)
-
-    def standardize(self, metadata: np.ndarray) -> np.ndarray:
-        return (metadata - self.metadata_mean) / self.metadata_std
 
 
 @dataclass
@@ -132,6 +135,12 @@ def build_samples(
     multi-view, missing sinking speed for a speed-consuming metadata model)
     are skipped rather than failing the whole set.
     """
+    side = config.input_size
+    if dataset.raster_dims is not None and tuple(dataset.raster_dims) != (side, side):
+        raise ShapeMismatch(
+            f"model input_size {side} does not match the dataset's "
+            f"raster_dims {tuple(dataset.raster_dims)}"
+        )
     id_set = set(specimen_ids)
     wanted = [s for s in dataset.specimens if s.specimen_id in id_set]
     if feature_table is None:
@@ -364,6 +373,8 @@ def fine_tune(
     frozen metadata encoders keep seeing inputs on the scale they were
     trained with.
     """
+    if not isinstance(base, TrainedModel):
+        raise IncompatibleArchitecture("fine-tuning needs a neural checkpoint as its base")
     if dataset.rasters is None:
         raise IncompatibleArchitecture("fine-tuning needs a dataset with rasters")
     if base.config.architecture is Architecture.MULTI_VIEW:
@@ -387,6 +398,18 @@ def fine_tune(
     )
 
 
+def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids, feature_table):
+    """(specimen_id, network outputs over its samples) for every specimen the
+    model can score, one forward pass per specimen."""
+    samples = build_samples(
+        dataset, specimen_ids, model.config, feature_table, require_mass=False
+    )
+    net = model.net()
+    for sid, indices in samples.sample_slices.items():
+        batch = _make_batch(samples, np.asarray(indices), model.metadata_mean, model.metadata_std)
+        yield sid, net.forward(batch)
+
+
 def predict_specimen_masses(
     model: TrainedModel,
     dataset: Dataset,
@@ -399,17 +422,8 @@ def predict_specimen_masses(
     Specimens the model cannot score (e.g. missing speed) are omitted from
     the result.
     """
-    samples = build_samples(
-        dataset, specimen_ids, model.config, feature_table, require_mass=False
-    )
-    net = model.net()
     results: dict[str, float] = {}
-    for sid, indices in samples.sample_slices.items():
-        out = net.forward(
-            _make_batch(
-                samples, np.asarray(indices), model.metadata_mean, model.metadata_std
-            )
-        )
+    for sid, out in _specimen_outputs(model, dataset, specimen_ids, feature_table):
         if model.config.target_space is TargetSpace.LOG:
             masses = np.exp(out)
         else:
@@ -433,19 +447,10 @@ def predict_taxa(
     feature_table: dict[str, SpecimenFeatures] | None = None,
 ) -> dict[str, str]:
     """Per-specimen taxon: argmax of the mean per-image class probabilities."""
-    if model.taxa is None:
+    if getattr(model, "taxa", None) is None:
         raise IncompatibleArchitecture("classifier checkpoint carries no taxa list")
-    samples = build_samples(
-        dataset, specimen_ids, model.config, feature_table, require_mass=False
-    )
-    net = model.net()
     results: dict[str, str] = {}
-    for sid, indices in samples.sample_slices.items():
-        logits = net.forward(
-            _make_batch(
-                samples, np.asarray(indices), model.metadata_mean, model.metadata_std
-            )
-        )
+    for sid, logits in _specimen_outputs(model, dataset, specimen_ids, feature_table):
         mean_probs = softmax(logits).mean(axis=0)
         results[sid] = model.taxa[int(np.argmax(mean_probs))]
     return results

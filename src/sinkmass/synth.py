@@ -253,38 +253,6 @@ def generate(config: SynthConfig, name: str = "synthetic") -> tuple[Dataset, Gro
     return dataset, GroundTruth(truths)
 
 
-def group_spec_from_dict(obj: dict) -> GroupSpec:
-    try:
-        return GroupSpec(
-            name=str(obj["name"]),
-            density_range=tuple(float(v) for v in obj["density_range"]),
-            size_lognormal=tuple(float(v) for v in obj["size_lognormal"]),
-            count=int(obj["count"]),
-            aspect_range=tuple(float(v) for v in obj.get("aspect_range", DEFAULT_ASPECT_RANGE)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad group spec: {exc}") from None
-
-
-def synth_config_from_dict(obj: dict) -> SynthConfig:
-    try:
-        dims = obj.get("raster_dims")
-        return SynthConfig(
-            groups=tuple(group_spec_from_dict(g) for g in obj["groups"]),
-            cuvette_height_px=int(obj.get("cuvette_height_px", 320)),
-            dt=float(obj.get("dt", 1.0)),
-            area_noise_cv=float(obj.get("area_noise_cv", 0.05)),
-            seed=int(obj.get("seed", 0)),
-            n_max=int(obj.get("n_max", 200)),
-            mass_coeff=float(obj.get("mass_coeff", 0.05)),
-            area_coeff=float(obj.get("area_coeff", 0.6)),
-            speed_coeff=float(obj.get("speed_coeff", 0.32)),
-            raster_dims=None if dims is None else (int(dims[0]), int(dims[1])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfig(f"bad synth config: {exc}") from None
-
-
 def write_synth_output(dataset: Dataset, truth: GroundTruth, out_dir: Path | str) -> Path:
     """Write manifest, frame CSVs, PGM rasters, and ground truth to disk in
     the exact ingest schema. Returns the manifest path."""

@@ -217,6 +217,7 @@ def _acceptance_raster_dataset():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_metadata_model_beats_image_only():
     start = time.monotonic()
     dataset, _ = generate(_acceptance_raster_dataset())

@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from sinkmass.cli import _apply_thread_cap, main
-from sinkmass.ingest import Raster, save_raster, serialize_frame_csv
+from sinkmass import experiments
+from sinkmass.cli import _apply_thread_cap, _predictions_csv, main
+from sinkmass.ingest import Raster, assemble_dataset, load_manifest, save_raster, serialize_frame_csv
+from sinkmass.linear import load_linear_model
 from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, init_params
-from sinkmass.neural.training import TrainedModel, save_checkpoint
+from sinkmass.neural.training import TrainConfig, TrainedModel, load_checkpoint, save_checkpoint
 
 from conftest import make_frame
 
@@ -68,6 +70,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def one_error(capsys) -> dict:
+    """The single JSON error line a failed command wrote to stderr."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    return json.loads(err[0])
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli_synth")
@@ -105,6 +114,22 @@ class TestSynthAndIngest:
         config = tmp_path / "c.json"
         config.write_text(json.dumps(SYNTH_CONFIG))
         assert run("synth", "--config", config, "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dtt": 8.0},
+            {"dt": "x"},
+            {"groups": [{**SYNTH_CONFIG["groups"][0], "colour": "red"}]},
+            {"groups": [{k: v for k, v in SYNTH_CONFIG["groups"][0].items() if k != "count"}]},
+        ],
+        ids=["unknown_key", "uncoercible_value", "unknown_group_key", "group_missing_count"],
+    )
+    def test_bad_synth_config_exits_2(self, tmp_path, capsys, change):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**SYNTH_CONFIG, **change}))
+        assert run("synth", "--seed", 1, "--config", config, "--out", tmp_path / "x") == 2
+        assert one_error(capsys)["error"] == "InvalidConfig"
 
     def test_ingest_validates(self, synth_dir, tmp_path):
         code = run("ingest", "--manifest", synth_dir / "manifest.json", "--out", tmp_path)
@@ -530,6 +555,163 @@ class TestOodCommand:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "UnknownTaxon"
 
 
+BAD_CONFIGS = {
+    "unknown_architecture": {"model": {**TRAIN_CONFIG["model"], "architecture": "nope"}},
+    "metadata_aware_without_inputs": {
+        "model": {**TRAIN_CONFIG["model"], "architecture": "metadata_aware"}
+    },
+    "unknown_key": {"model": {**TRAIN_CONFIG["model"], "input_sz": 16}},
+    "uncoercible_value": {"train": {**TRAIN_CONFIG["train"], "epochs": "x"}},
+}
+NEURAL_COMMANDS = {
+    "train": ("train",),
+    "crossval": ("crossval", "--model", "neural"),
+}
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize("command", sorted(NEURAL_COMMANDS))
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_exits_2(self, raster_dir, tmp_path, capsys, command, case):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(BAD_CONFIGS[case]))
+        code = run(
+            *NEURAL_COMMANDS[command], "--manifest", raster_dir / "manifest.json",
+            "--config", config, "--seed", 4, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert one_error(capsys)["error"] == "InvalidConfig"
+
+    def test_float_epochs_and_string_lr_still_train(self, raster_dir, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(
+            json.dumps({**TRAIN_CONFIG, "train": {"epochs": 2.0, "lr_max": "3e-3"}})
+        )
+        out = tmp_path / "trained"
+        assert run(
+            "train", "--manifest", raster_dir / "manifest.json", "--config", config,
+            "--seed", 4, "--out", out,
+        ) == 0
+        assert len(load_checkpoint(out / "checkpoint.json").val_loss_history) == 2
+
+    def test_input_size_must_match_rasters(self, raster_dir, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        config.write_text(
+            json.dumps({**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "input_size": 32}})
+        )
+        code = run(
+            "train", "--manifest", raster_dir / "manifest.json", "--config", config,
+            "--seed", 4, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        error = one_error(capsys)
+        assert error["error"] == "ShapeMismatch"
+        assert "input_size 32" in error["message"] and "(16, 16)" in error["message"]
+
+
+@pytest.mark.parametrize("level", [0, 1.5])
+def test_bootstrap_level_outside_unit_interval_exits_2(synth_dir, tmp_path, capsys, level):
+    manifest = synth_dir / "manifest.json"
+    assert run("fit-linear", "--manifest", manifest, "--out", tmp_path / "fit") == 0
+    capsys.readouterr()
+    code = run(
+        "evaluate", "--manifest", manifest, "--model", tmp_path / "fit" / "linear_model.json",
+        "--bootstrap", 50, "--level", level, "--seed", 1, "--out", tmp_path / "eval",
+    )
+    assert code == 2
+    assert one_error(capsys)["error"] == "InvalidConfig"
+
+
+def _library_dataset(manifest):
+    return assemble_dataset(load_manifest(manifest), name=manifest.parent.name)
+
+
+def _neural_estimator(config):
+    return experiments.NeuralEstimator(
+        ModelConfig.from_dict(config["model"]), TrainConfig.from_dict(config["train"])
+    )
+
+
+class TestNeuralProtocolCommands:
+    def test_crossval_matches_library(self, raster_dir, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(TRAIN_CONFIG))
+        out = tmp_path / "cv"
+        manifest = raster_dir / "manifest.json"
+        assert run(
+            "crossval", "--manifest", manifest, "--model", "neural", "--config", config,
+            "--seed", 8, "--out", out,
+        ) == 0
+        result = experiments.crossval(
+            _library_dataset(manifest), _neural_estimator(TRAIN_CONFIG), k=5, seed=8
+        )
+        payload = json.loads((out / "crossval_report.json").read_text())
+        assert payload["method"] == "neural-single_view"
+        assert payload["report"]["n"] == result.pooled_report.n == 24
+        assert (out / "predictions.csv").read_text() == _predictions_csv(
+            result.pooled_predictions
+        )
+
+    def test_ood_matches_library(self, raster_dir, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(TRAIN_CONFIG))
+        out = tmp_path / "ood"
+        manifest = raster_dir / "manifest.json"
+        assert run(
+            "ood", "--manifest", manifest, "--model", "neural", "--config", config,
+            "--holdout", "dense", "--seed", 2, "--out", out,
+        ) == 0
+        report, predictions = experiments.ood(
+            _library_dataset(manifest), "dense", _neural_estimator(TRAIN_CONFIG), seed=2
+        )
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["method"] == "ood-neural-single_view"
+        assert payload["report"]["n"] == report.n == 12
+        assert (out / "predictions.csv").read_text() == _predictions_csv(predictions)
+
+    def test_pipeline_with_linear_and_neural_mass_models(self, raster_dir, tmp_path):
+        manifest = raster_dir / "manifest.json"
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(TRAIN_CONFIG))
+        cls_config = tmp_path / "cls.json"
+        cls_config.write_text(
+            json.dumps({"model": {**TRAIN_CONFIG["model"], "task": "classification"},
+                        "train": {"epochs": 5, "batch_size": 32}})
+        )
+        for argv in (
+            ("train", "--config", config, "--seed", 4, "--out", tmp_path / "neural"),
+            ("train", "--config", cls_config, "--seed", 9, "--out", tmp_path / "cls"),
+            ("fit-linear", "--out", tmp_path / "linear"),
+        ):
+            assert run(*argv, "--manifest", manifest) == 0
+        paths = {
+            "light": tmp_path / "linear" / "linear_model.json",
+            "dense": tmp_path / "neural" / "checkpoint.json",
+        }
+        mapping = tmp_path / "mass_models.json"
+        mapping.write_text(json.dumps({taxon: str(path) for taxon, path in paths.items()}))
+        out = tmp_path / "pipe"
+        assert run(
+            "pipeline", "--manifest", manifest, "--classifier", tmp_path / "cls" / "checkpoint.json",
+            "--mass-models", mapping, "--out", out,
+        ) == 0
+
+        dataset = _library_dataset(manifest)
+        models = {
+            "light": load_linear_model(paths["light"]),
+            "dense": load_checkpoint(paths["dense"]),
+        }
+        rows = (out / "predictions.csv").read_text().splitlines()[1:]
+        routed = set()
+        for row in rows:
+            sid, _, _, mass, taxon = row.split(",")
+            expected = experiments.predict(models[taxon], dataset, [sid]).entries[0]
+            assert float(mass) == expected.predicted_mass_ug
+            routed.add(taxon)
+        assert len(rows) == 24
+        assert routed == {"light", "dense"}  # both model families served specimens
+
+
 def _write_specimen(base, sid, taxon, tops, rng):
     """One weighed two-camera specimen with a frame CSV and 8x8 rasters."""
     frames = [make_frame(camera, i, top, box=4) for camera in "AB" for i, top in enumerate(tops)]
@@ -597,6 +779,46 @@ class TestPipelineUnscorableSpecimen:
         error = json.loads(err[0])
         assert error["error"] == "MissingSpeed"
         assert "one_frame" in error["message"]
+
+
+def _pipeline_fixture(base):
+    """An 8x8-raster manifest and a classifier and a mass model that fit it."""
+    rng = np.random.default_rng(5)
+    manifest = [_write_specimen(base, f"s{i}", "ab"[i % 2], (300, 220, 140), rng) for i in range(4)]
+    (base / "manifest.json").write_text(json.dumps(manifest))
+    classifier = _untrained_checkpoint(base / "cls.json", taxa=("a", "b"), n_classes=2)
+    return base / "manifest.json", classifier, _untrained_checkpoint(base / "mass.json")
+
+
+MODEL_FLAG_CASES = {
+    "evaluate_model_not_json": ("InputError", lambda m, cls, mass, bad: (
+        "evaluate", "--model", bad.with_suffix(".txt"))),
+    "pipeline_classifier_missing": ("ModelMissing", lambda m, cls, mass, bad: (
+        "pipeline", "--classifier", bad, "--mass-model", mass)),
+    "pipeline_mass_model_missing": ("ModelMissing", lambda m, cls, mass, bad: (
+        "pipeline", "--classifier", cls, "--mass-model", bad)),
+    "pipeline_mass_models_map_missing": ("ModelMissing", lambda m, cls, mass, bad: (
+        "pipeline", "--classifier", cls, "--mass-models", bad)),
+    "pipeline_mass_models_entry_missing": ("ModelMissing", lambda m, cls, mass, bad: (
+        "pipeline", "--classifier", cls, "--mass-models", m.parent / "map.json")),
+    "finetune_base_missing": ("ModelMissing", lambda m, cls, mass, bad: (
+        "finetune", "--base", bad, "--seed", 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_FLAG_CASES))
+def test_model_path_flags_share_one_loader(tmp_path, capsys, case):
+    manifest, classifier, mass = _pipeline_fixture(tmp_path)
+    missing = tmp_path / "missing.json"
+    missing.with_suffix(".txt").write_text("not json\n")
+    (tmp_path / "map.json").write_text(json.dumps({"a": str(mass), "b": str(missing)}))
+    error, argv = MODEL_FLAG_CASES[case]
+    code = run(
+        *argv(manifest, classifier, mass, missing), "--manifest", manifest,
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert one_error(capsys)["error"] == error
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

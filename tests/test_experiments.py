@@ -53,8 +53,8 @@ class TestCrossvalLinear:
 
 class TestOod:
     def test_holdout_report_covers_only_holdout(self, metadata_dataset):
-        report, predictions = experiments.ood_linear(
-            metadata_dataset, "dense", FeatureSpec.AREA_PLUS_SPEED
+        report, predictions = experiments.ood(
+            metadata_dataset, "dense", experiments.LinearEstimator(FeatureSpec.AREA_PLUS_SPEED)
         )
         dense_ids = {
             s.specimen_id for s in metadata_dataset.specimens if s.taxon == "dense"
@@ -71,7 +71,9 @@ class TestOod:
 
     def test_unknown_taxon_rejected(self, metadata_dataset):
         with pytest.raises(UnknownTaxon):
-            experiments.ood_linear(metadata_dataset, "krill", FeatureSpec.AREA_ONLY)
+            experiments.ood(
+                metadata_dataset, "krill", experiments.LinearEstimator(FeatureSpec.AREA_ONLY)
+            )
 
 
 class TestPipeline:

@@ -112,6 +112,10 @@ class TestTrain:
         with pytest.raises(InvalidConfig):
             small_train_config(epochs=0)
 
+    @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
+    def test_from_dict_fills_field_defaults(self, cls):
+        assert cls.from_dict({}) == cls()
+
     def test_determinism_bit_for_bit(self, raster_dataset):
         dataset, train_ids, val_ids, _ = raster_dataset
         a = train(dataset, train_ids, val_ids, small_model(), small_train_config())
