@@ -5,8 +5,9 @@ evaluate, ood, pipeline, report. Every command that consumes randomness
 requires --seed, and identical inputs plus an identical seed produce
 byte-identical primary output files.
 
-Exit codes: 0 success, 2 input/validation error, 3 numeric failure. Errors
-are emitted as one JSON object on stderr.
+Exit codes: 0 success, 2 usage, input or validation error, 3 numeric
+failure. Errors, usage errors included, are emitted as one JSON object on
+stderr.
 
 Heavy imports happen inside command handlers so that --threads can cap the
 BLAS thread pools before numpy is loaded.
@@ -16,12 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 ABSOLUTE_METRICS = ("mae", "rmse")
 METRIC_ORDER = ("mape", "mdape", "mae", "rmse", "r2_log")
+CONFIG_SECTIONS = ("model", "train")
+TASKS = ("regression", "classification")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -39,9 +43,14 @@ def _read_json(path, what: str):
 
 
 def _load_config(args) -> dict:
+    from .errors import InvalidConfig
+
     if getattr(args, "config", None) is None:
         return {}
-    return _read_json(args.config, "config")
+    config = _read_json(args.config, "config")
+    if not isinstance(config, dict):
+        raise InvalidConfig(f"config {args.config} does not hold a JSON object")
+    return config
 
 
 def _require_seed(args) -> int:
@@ -155,17 +164,27 @@ def _model_configs_from(config: dict, dataset, seed: int):
     """(ModelConfig, TrainConfig, taxa) from the --config JSON sections.
 
     Missing keys take the config dataclasses' defaults; the command's seed
-    overrides any seed in the config.
+    overrides any seed in the config. An unknown section, a section that is
+    not a JSON object or an unknown ``task`` raises InvalidConfig.
     """
+    from .errors import InvalidConfig
     from .neural.model import ModelConfig
     from .neural.training import TrainConfig
 
-    m = dict(config.get("model", {}))
-    taxa = None
-    if m.pop("task", "regression") == "classification":
-        taxa = tuple(sorted(dataset.taxon_set))
+    unknown = sorted(set(config) - set(CONFIG_SECTIONS))
+    if unknown:
+        raise InvalidConfig(f"unknown config sections: {', '.join(unknown)}")
+    sections = {name: config.get(name, {}) for name in CONFIG_SECTIONS}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise InvalidConfig(f"config section {name!r} must be a JSON object")
+    m = dict(sections["model"])
+    task = m.pop("task", "regression")
+    if task not in TASKS:
+        raise InvalidConfig(f"task must be one of {', '.join(TASKS)}, got {task!r}")
+    taxa = tuple(sorted(dataset.taxon_set)) if task == "classification" else None
     m["n_classes"] = None if taxa is None else len(taxa)
-    train_config = TrainConfig.from_dict({**config.get("train", {}), "seed": seed})
+    train_config = TrainConfig.from_dict({**sections["train"], "seed": seed})
     return ModelConfig.from_dict(m), train_config, taxa
 
 
@@ -319,16 +338,25 @@ def cmd_crossval(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _fold(dataset, args, seed: int):
+    """The train/validation split of CV fold ``--fold`` out of ``--folds``."""
+    from .errors import InvalidConfig
     from .evaluation import make_cv_splits
+
+    plan = make_cv_splits(dataset, k=args.folds, seed=seed)
+    if not 0 <= args.fold < args.folds:
+        raise InvalidConfig(f"--fold must lie in [0, {args.folds}), got {args.fold}")
+    return plan.folds[args.fold]
+
+
+def cmd_train(args) -> int:
     from .neural.training import save_checkpoint, train
 
     seed = _require_seed(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
     model_config, train_config, taxa = _model_configs_from(config, dataset, seed=seed)
-    plan = make_cv_splits(dataset, k=args.folds, seed=seed)
-    fold = plan.folds[args.fold]
+    fold = _fold(dataset, args, seed)
     model = train(dataset, fold.train, fold.val, model_config, train_config, taxa=taxa)
     out = _out_dir(args)
     save_checkpoint(model, out / "checkpoint.json")
@@ -345,7 +373,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    from .evaluation import make_cv_splits
     from .neural.training import fine_tune, save_checkpoint
 
     seed = _require_seed(args)
@@ -353,8 +380,7 @@ def cmd_finetune(args) -> int:
     dataset = _load_dataset(args)
     base = _load_any_model(args.base)
     _, train_config, _ = _model_configs_from(config, dataset, seed=seed)
-    plan = make_cv_splits(dataset, k=args.folds, seed=seed)
-    fold = plan.folds[args.fold]
+    fold = _fold(dataset, args, seed)
     model = fine_tune(base, dataset, fold.train, fold.val, train_config)
     out = _out_dir(args)
     save_checkpoint(model, out / "checkpoint.json")
@@ -484,6 +510,25 @@ def cmd_report(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that main reports them as one JSON line."""
+
+    def error(self, message):
+        from .errors import UsageError
+
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _trim_fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < 0.5:
+        raise argparse.ArgumentTypeError(f"trim fraction must lie in [0, 0.5), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master RNG seed")
@@ -496,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--name", type=str, default=None, help="dataset name override")
 
     trim = argparse.ArgumentParser(add_help=False)
-    trim.add_argument("--trim", type=float, default=0.05, help="per-end trim fraction")
+    trim.add_argument("--trim", type=_trim_fraction, default=0.05, help="per-end trim fraction")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sinkmass",
         description="Dry-mass estimation from sinking-specimen image sequences",
     )
@@ -590,11 +635,10 @@ def _apply_thread_cap(argv) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _apply_thread_cap(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     from .errors import InputError, NumericError
 
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -158,3 +158,7 @@ class ModelMissing(InputError):
 
 class NoResults(InputError):
     pass
+
+
+class UsageError(InputError):
+    """A command line the argument parser rejects."""

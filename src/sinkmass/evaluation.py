@@ -32,6 +32,9 @@ from .records import Dataset, PredictionEntry, PredictionSet
 from .rng import substream
 
 METRIC_NAMES = ("mape", "mdape", "mae", "rmse", "r2_log")
+# Share of each fold's non-test specimens that validates; with k=5 the roles
+# come out 64/16/20 train/validation/test.
+VAL_FRACTION_WITHIN_TRAIN = 0.2
 
 
 @dataclass(frozen=True)
@@ -270,22 +273,18 @@ def _proportional_allocation(weights: list[int], total: int, caps: list[int]) ->
     return alloc
 
 
-def make_cv_splits(
-    dataset: Dataset,
-    k: int = 5,
-    val_fraction_within_train: float = 0.2,
-    seed: int = 0,
-) -> SplitPlan:
+def make_cv_splits(dataset: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
     """Specimen-level, taxon-stratified k-fold split plan.
 
-    The k test folds partition the dataset; within each fold the remaining
-    specimens are divided into train and validation, reserving
-    ``val_fraction_within_train`` of the non-test portion for validation.
-    With the defaults (k=5, 0.2) every role lands within one specimen of the
-    global 64/16/20 proportions. No specimen ever appears in two roles of
-    the same fold, and each taxon's test appearances differ by at most one
-    across folds.
+    The k >= 2 test folds partition the dataset; within each fold the
+    remaining specimens are divided into train and validation, reserving
+    VAL_FRACTION_WITHIN_TRAIN of the non-test portion for validation.
+    With k=5 every role lands within one specimen of the global 64/16/20
+    proportions. No specimen ever appears in two roles of the same fold, and
+    each taxon's test appearances differ by at most one across folds.
     """
+    if k < 2:
+        raise InvalidConfig(f"cross-validation needs at least 2 folds, got {k}")
     specimens = dataset.specimens
     taxon_of = {s.specimen_id: s.taxon for s in specimens}
     by_taxon: dict[str, list[str]] = {}
@@ -315,7 +314,7 @@ def make_cv_splits(
             fold_loads[f] += counts[f]
             pos += counts[f]
 
-    global_val = (1.0 - 1.0 / k) * val_fraction_within_train
+    global_val = (1.0 - 1.0 / k) * VAL_FRACTION_WITHIN_TRAIN
     folds: list[FoldSplit] = []
     assignments: dict[str, int] = {}
     for f in range(k):

@@ -296,7 +296,6 @@ def run_pipeline(
     classify_fn,
     predict_fn,
     taxa: tuple[str, ...] | None = None,
-    log_pearson: bool = True,
 ) -> PipelineReport:
     """Classify every weighed specimen, estimate its mass, then compare the
     per-group predicted mass distribution against the true masses.
@@ -305,8 +304,8 @@ def run_pipeline(
     stay in the group the classifier put them in. ``classify_fn`` maps a
     SpecimenRecord to a taxon; ``predict_fn`` maps (record, predicted_taxon)
     to a mass. Group statistics are the two-sample KS test between the
-    group's predicted and true masses plus Pearson's r (on log masses by
-    default); degenerate groups report None.
+    group's predicted and true masses plus Pearson's r on log masses;
+    degenerate groups report None.
     """
     records = [s for s in dataset.specimens if s.dry_mass_ug is not None]
     if not records:
@@ -340,13 +339,10 @@ def run_pipeline(
             ks_d, ks_p = ks_two_sample(true_masses, pred_masses)
             if len(members) >= 2:
                 try:
-                    if log_pearson:
-                        pearson = pearson_r(
-                            [math.log(v) for v in true_masses],
-                            [math.log(v) for v in pred_masses],
-                        )
-                    else:
-                        pearson = pearson_r(true_masses, pred_masses)
+                    pearson = pearson_r(
+                        [math.log(v) for v in true_masses],
+                        [math.log(v) for v in pred_masses],
+                    )
                 except ZeroVariance:
                     pearson = None
         groups.append(

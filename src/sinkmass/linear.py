@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, MissingSpeed, RankDeficient, TooFewRows
+from .config import config_from_dict
+from .errors import EmptyInput, InputError, MissingSpeed, RankDeficient, TooFewRows
 from .features import SpecimenFeatures
 from .records import MASS_FLOOR_UG, SpecimenRecord
 
@@ -202,10 +203,14 @@ def save_linear_model(model: LinearModel, path: Path | str) -> None:
 
 
 def load_linear_model(path: Path | str) -> LinearModel:
+    """The model ``save_linear_model`` wrote; a file of another format
+    version, or with missing, unknown or mistyped fields, raises an
+    InputError."""
     payload = json.loads(Path(path).read_text())
-    return LinearModel(
-        feature_spec=FeatureSpec(payload["feature_spec"]),
-        intercept=float(payload["intercept"]),
-        coefficients=tuple(float(c) for c in payload["coefficients"]),
-        target_space=TargetSpace(payload["target_space"]),
-    )
+    if not isinstance(payload, dict):
+        raise InputError(f"linear model file {path} does not hold a JSON object")
+    fields = dict(payload)
+    version = fields.pop("format_version", None)
+    if version != MODEL_FORMAT_VERSION:
+        raise InputError(f"unsupported linear model version {version}")
+    return config_from_dict(LinearModel, fields)

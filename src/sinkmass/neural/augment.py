@@ -12,6 +12,7 @@ approximates background.
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 import numpy as np
 
@@ -91,10 +92,16 @@ def photometric_jitter(pixels: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return np.clip(out, 0.0, 255.0)
 
 
-_POLICIES = ("none", "flips90", "continuous_rotation", "photometric_lite")
+class AugmentPolicy(str, Enum):
+    NONE = "none"
+    FLIPS90 = "flips90"
+    CONTINUOUS_ROTATION = "continuous_rotation"
+    PHOTOMETRIC_LITE = "photometric_lite"
 
 
-def augment_array(pixels: np.ndarray, policy: str, rng: np.random.Generator) -> np.ndarray:
+def augment_array(
+    pixels: np.ndarray, policy: AugmentPolicy | str, rng: np.random.Generator
+) -> np.ndarray:
     """Apply one random draw of ``policy`` to a square 2D array, or one
     independent draw per image to an (N, S, S) stack.
 
@@ -107,12 +114,11 @@ def augment_array(pixels: np.ndarray, policy: str, rng: np.random.Generator) -> 
     """
     if pixels.ndim not in (2, 3) or pixels.shape[-2] != pixels.shape[-1]:
         raise NonSquareRaster(f"augmentation needs square rasters, got {pixels.shape}")
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown augmentation policy {policy!r}")
-    if policy == "none":
+    policy = AugmentPolicy(policy)  # ValueError for an unknown policy
+    if policy is AugmentPolicy.NONE:
         return pixels
     if pixels.ndim == 3:
-        if policy == "flips90":
+        if policy is AugmentPolicy.FLIPS90:
             elements = rng.integers(0, 8, size=len(pixels))
             out = np.empty_like(pixels)
             for element in range(8):
@@ -124,9 +130,9 @@ def augment_array(pixels: np.ndarray, policy: str, rng: np.random.Generator) -> 
         for j, image in enumerate(pixels):
             out[j] = augment_array(image, policy, rng)
         return out
-    if policy == "flips90":
+    if policy is AugmentPolicy.FLIPS90:
         return dihedral(pixels, int(rng.integers(0, 8)))
-    if policy == "continuous_rotation":
+    if policy is AugmentPolicy.CONTINUOUS_ROTATION:
         return rotate_bilinear(pixels, float(rng.uniform(0.0, 360.0)))
     return photometric_jitter(pixels, rng)
 

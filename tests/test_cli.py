@@ -131,6 +131,12 @@ class TestSynthAndIngest:
         assert run("synth", "--seed", 1, "--config", config, "--out", tmp_path / "x") == 2
         assert one_error(capsys)["error"] == "InvalidConfig"
 
+    def test_synth_config_not_an_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text("[]")
+        assert run("synth", "--seed", 1, "--config", config, "--out", tmp_path / "x") == 2
+        assert one_error(capsys)["error"] == "InvalidConfig"
+
     def test_ingest_validates(self, synth_dir, tmp_path):
         code = run("ingest", "--manifest", synth_dir / "manifest.json", "--out", tmp_path)
         assert code == 0
@@ -562,6 +568,11 @@ BAD_CONFIGS = {
     },
     "unknown_key": {"model": {**TRAIN_CONFIG["model"], "input_sz": 16}},
     "uncoercible_value": {"train": {**TRAIN_CONFIG["train"], "epochs": "x"}},
+    "not_an_object": [],
+    "train_section_not_an_object": {**TRAIN_CONFIG, "train": []},
+    "model_section_not_an_object": {**TRAIN_CONFIG, "model": []},
+    "misspelt_section": {**TRAIN_CONFIG, "modle": {}},
+    "unknown_task": {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "task": "nope"}},
 }
 NEURAL_COMMANDS = {
     "train": ("train",),
@@ -620,6 +631,69 @@ def test_bootstrap_level_outside_unit_interval_exits_2(synth_dir, tmp_path, caps
     )
     assert code == 2
     assert one_error(capsys)["error"] == "InvalidConfig"
+
+
+LINEAR_MODEL = {"format_version": 1, "feature_spec": "area", "intercept": 1.0,
+                "coefficients": [0.5], "target_space": "raw"}
+MALFORMED_MODELS = {
+    "linear_fields_missing": {"feature_spec": "area"},
+    "linear_coefficient_count": {**LINEAR_MODEL, "coefficients": [0.5, 2.0]},
+    "linear_future_version": {**LINEAR_MODEL, "format_version": 99},
+    "linear_mistyped_intercept": {**LINEAR_MODEL, "intercept": "x"},
+    "checkpoint_fields_missing": {"format_version": 1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_exits_2(synth_dir, tmp_path, capsys, case):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MALFORMED_MODELS[case]))
+    code = run(
+        "evaluate", "--manifest", synth_dir / "manifest.json", "--model", model,
+        "--out", tmp_path / "eval",
+    )
+    assert code == 2
+    one_error(capsys)
+
+
+@pytest.mark.parametrize("change", ["drop_param", "transpose_param"])
+def test_checkpoint_params_must_fit_its_config(synth_dir, tmp_path, capsys, change):
+    path = _untrained_checkpoint(tmp_path / "ckpt.json")
+    payload = json.loads(path.read_text())
+    if change == "drop_param":
+        del payload["params"]["head.0.b"]
+    else:
+        payload["params"]["head.0.w"]["shape"].reverse()
+    path.write_text(json.dumps(payload))
+    code = run(
+        "evaluate", "--manifest", synth_dir / "manifest.json", "--model", path,
+        "--out", tmp_path / "eval",
+    )
+    assert code == 2
+    assert one_error(capsys)["error"] == "InputError"
+
+
+BAD_FLAGS = {
+    "folds_not_an_int": ("UsageError", ("crossval", "--model", "linear-area", "--folds", "x")),
+    "zero_folds": ("InvalidConfig", ("crossval", "--model", "linear-area", "--folds", 0)),
+    "one_fold": ("InvalidConfig", ("crossval", "--model", "linear-area", "--folds", 1)),
+    "fold_past_the_last": ("InvalidConfig", ("train", "--fold", 7)),
+    "negative_fold": ("InvalidConfig", ("train", "--fold", -1)),
+    "trim_one_half": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.5)),
+    "trim_above_one_half": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.7)),
+    "negative_trim": ("UsageError", ("evaluate", "--model", "m.json", "--trim", -0.1)),
+    "unknown_command": ("UsageError", ("estimate",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+def test_bad_flags_exit_2_with_one_json_error(synth_dir, tmp_path, capsys, case):
+    error, argv = BAD_FLAGS[case]
+    code = run(
+        *argv, "--manifest", synth_dir / "manifest.json", "--seed", 1, "--out", tmp_path / "out"
+    )
+    assert code == 2
+    assert one_error(capsys)["error"] == error
 
 
 def _library_dataset(manifest):
@@ -819,6 +893,17 @@ def test_model_path_flags_share_one_loader(tmp_path, capsys, case):
     )
     assert code == 2
     assert one_error(capsys)["error"] == error
+
+
+def test_mass_model_entry_that_receives_no_specimen(tmp_path):
+    manifest, classifier, mass = _pipeline_fixture(tmp_path)
+    # the classifier only predicts "a" or "b", so the "c" model is never routed to
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({taxon: str(mass) for taxon in "abc"}))
+    assert run(
+        "pipeline", "--manifest", manifest, "--classifier", classifier,
+        "--mass-models", mapping, "--out", tmp_path / "pipe",
+    ) == 0
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

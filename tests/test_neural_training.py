@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkmass.errors import EmptySplit, IncompatibleArchitecture, InvalidConfig
-from sinkmass.linear import TargetSpace
-from sinkmass.neural.losses import LossKind, LossSpace
+from sinkmass.linear import TargetSpace, trimmed_median
+from sinkmass.neural.losses import LossKind, LossSpace, softmax
 from sinkmass.neural.model import (
     Architecture,
     Batch,
     HeadKind,
     MetadataInput,
     ModelConfig,
+    init_params,
 )
 from sinkmass.neural.training import (
     AugmentPolicy,
     FreezeMode,
     TrainConfig,
+    TrainedModel,
     build_samples,
-    classify_proba,
     fine_tune,
     load_checkpoint,
     predict_specimen_masses,
@@ -103,7 +106,7 @@ class TestBuildSamples:
         config = small_model(Architecture.METADATA_AWARE)
         samples = build_samples(dataset, train_ids, config)
         assert samples.metadata.shape[1] == 3
-        record = dataset.specimen(samples.specimen_ids[0])
+        record = dataset.specimen(next(iter(samples.sample_slices)))
         assert samples.metadata[0, 0] == record.frames[0].area_px
 
 
@@ -198,6 +201,67 @@ class TestPredict:
         assert len(masses) == len(test_ids)
 
 
+def untrained_model(dataset, config, seed, taxa=None):
+    """A randomly initialized model with metadata statistics of the dataset."""
+    mean = std = None
+    if config.metadata_inputs:
+        ids = [s.specimen_id for s in dataset.specimens]
+        metadata = build_samples(dataset, ids, config).metadata
+        mean, std = metadata.mean(axis=0), metadata.std(axis=0)
+    params = init_params(config, np.random.default_rng(seed))
+    return TrainedModel(config, params, 0, [1.0], mean, std, taxa)
+
+
+def one_specimen_outputs(model, dataset, sid):
+    """Reference: the network over one specimen's samples in a single batch."""
+    samples = build_samples(dataset, [sid], model.config, require_mass=False)
+    metadata = None
+    if samples.metadata is not None:
+        metadata = (samples.metadata - model.metadata_mean) / model.metadata_std
+    images2 = None if samples.images2 is None else samples.images2 / 255.0
+    return model.net().forward(Batch(samples.images / 255.0, images2, metadata))
+
+
+class TestBatchedInference:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        arch=st.sampled_from(list(Architecture)),
+        head=st.sampled_from(list(HeadKind)),
+        seed=st.integers(0, 2**16),
+        picks=st.lists(st.integers(0, 23), min_size=1, max_size=24, unique=True),
+    )
+    def test_one_call_matches_single_specimen_calls(
+        self, raster_dataset, arch, head, seed, picks
+    ):
+        dataset = raster_dataset[0]
+        ids = [dataset.specimens[i].specimen_id for i in picks]
+        taxa = tuple(sorted(dataset.taxon_set))
+        regressor = untrained_model(dataset, small_model(arch, head=head), seed)
+        classifier = untrained_model(
+            dataset, small_model(arch, head=head, n_classes=len(taxa)), seed, taxa
+        )
+        masses = predict_specimen_masses(regressor, dataset, ids)
+        predicted = predict_taxa(classifier, dataset, ids)
+        assert set(masses) == set(predicted) == set(ids)
+        for sid in ids:
+            (alone,) = predict_specimen_masses(regressor, dataset, [sid]).values()
+            reference = trimmed_median(list(np.exp(one_specimen_outputs(regressor, dataset, sid))))
+            assert masses[sid] == pytest.approx(alone, rel=1e-12, abs=0)
+            assert masses[sid] == pytest.approx(reference, rel=1e-12, abs=0)
+            probs = softmax(one_specimen_outputs(classifier, dataset, sid)).mean(axis=0)
+            assert predict_taxa(classifier, dataset, [sid]) == {sid: predicted[sid]}
+            assert predicted[sid] == taxa[int(np.argmax(probs))]
+
+    @pytest.mark.parametrize("ids", [[], ["no_such_specimen"]])
+    def test_ids_without_samples_give_empty_results(self, raster_dataset, ids):
+        dataset = raster_dataset[0]
+        taxa = tuple(sorted(dataset.taxon_set))
+        regressor = untrained_model(dataset, small_model(), 0)
+        classifier = untrained_model(dataset, small_model(n_classes=len(taxa)), 0, taxa)
+        assert predict_specimen_masses(regressor, dataset, ids) == {}
+        assert predict_taxa(classifier, dataset, ids) == {}
+
+
 class TestFineTune:
     def test_frozen_encoder_bit_identical(self, raster_dataset):
         dataset, train_ids, val_ids, _ = raster_dataset
@@ -274,26 +338,11 @@ class TestClassifier:
         assert set(predicted) == set(test_ids)
         assert set(predicted.values()) <= set(taxa)
 
-    def test_classify_proba_rows_sum_to_one(self, raster_dataset):
-        dataset, train_ids, val_ids, _ = raster_dataset
-        taxa = tuple(sorted(dataset.taxon_set))
-        config = small_model(n_classes=len(taxa))
-        model = train(
-            dataset, train_ids, val_ids, config, small_train_config(), taxa=taxa
-        )
-        samples = build_samples(dataset, train_ids[:2], config, require_mass=False)
-        probs = classify_proba(
-            model,
-            Batch(images=samples.images / 255.0),
-        )
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(probs >= 0)
-
     def test_regression_model_rejects_classify(self, raster_dataset):
         dataset, train_ids, val_ids, _ = raster_dataset
         model = train(dataset, train_ids, val_ids, small_model(), small_train_config())
         with pytest.raises(IncompatibleArchitecture):
-            classify_proba(model, Batch(images=np.zeros((1, 1, 16, 16))))
+            predict_taxa(model, dataset, train_ids)
 
 
 class TestCheckpointIo:
