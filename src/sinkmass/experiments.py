@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import EmptyPredictions, UnknownTaxon, ZeroVariance
+from .errors import EmptyPredictions, InvalidConfig, UnknownTaxon, ZeroVariance
 from .evaluation import (
     MetricReport,
     SplitPlan,
@@ -33,6 +33,12 @@ from .rng import derive_seed, substream
 
 
 VAL_FRACTION = 0.2  # of each taxon, when a neural fit is given no validation split
+
+
+def _check_trim_fraction(trim_fraction: float) -> None:
+    """Reject a trim fraction before any model is fitted or run."""
+    if not 0 <= trim_fraction < 0.5:
+        raise InvalidConfig(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
 
 
 def feature_table(dataset: Dataset) -> dict[str, SpecimenFeatures]:
@@ -165,6 +171,7 @@ def predict(
     ``specimen_ids`` that the model can score: a speed-consuming model skips
     specimens without a sinking speed, a multi-view model those without
     frames from both cameras."""
+    _check_trim_fraction(trim_fraction)
     predict_fn = predict_linear if model_family(model) == "linear" else predict_neural
     return predict_fn(model, dataset, specimen_ids, features, trim_fraction)
 
@@ -188,6 +195,7 @@ def crossval(
     """k-fold protocol: fit on each fold's train split (and validation split)
     with a fold-derived seed, score its test fold, then pool the test
     predictions. Neural folds keep their validation-loss histories."""
+    _check_trim_fraction(trim_fraction)
     features = feature_table(dataset)
     plan = make_cv_splits(dataset, k=k, seed=seed)
     fold_sets = []
@@ -251,6 +259,7 @@ def ood(
 ) -> tuple[MetricReport, PredictionSet]:
     """Fit on every other taxon (``seed`` drives both a neural model's
     validation split and its training) and score only the held-out taxon."""
+    _check_trim_fraction(trim_fraction)
     rest, held = ood_split(dataset, holdout_taxon)
     features = feature_table(dataset)
     model = estimator.fit(dataset, rest, None, seed, features)

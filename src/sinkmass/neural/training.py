@@ -36,9 +36,10 @@ from .model import Architecture, Batch, ModelConfig, NeuralNet, init_params
 from .optim import AdamWState, adamw_step, cosine_lr
 
 CHECKPOINT_FORMAT_VERSION = 1
-# Samples per forward pass outside the training step: 128 measured no faster
-# than 32 on the pipeline and raised its peak memory.
-INFERENCE_BATCH = 32
+# Samples per forward pass, in training and inference alike. A pass over 32
+# samples keeps its activations, im2col buffers and pool masks near one
+# core's L2 cache; 128-sample passes moved more memory for the same work.
+FORWARD_BATCH = 32
 
 
 class FreezeMode(str, Enum):
@@ -224,13 +225,23 @@ def _make_batch(
 
 def _outputs(net: NeuralNet, samples: SampleSet, mean, std) -> np.ndarray:
     """Network outputs for every sample, in sample order, computed over
-    batches of INFERENCE_BATCH samples; ``samples`` must not be empty."""
+    batches of FORWARD_BATCH samples; ``samples`` must not be empty."""
     n = len(samples)
     return np.concatenate([
-        net.forward(_make_batch(samples, np.arange(start, min(start + INFERENCE_BATCH, n)),
+        net.forward(_make_batch(samples, np.arange(start, min(start + FORWARD_BATCH, n)),
                                 mean, std))
-        for start in range(0, n, INFERENCE_BATCH)
+        for start in range(0, n, FORWARD_BATCH)
     ])
+
+
+def _objective(samples: SampleSet, tc: TrainConfig, classify: bool):
+    """The per-sample targets of ``samples`` and the batch loss
+    ``loss(out, targets) -> (mean loss, its gradient w.r.t. out)``."""
+    if classify:
+        return samples.labels, cross_entropy
+    return samples.masses, lambda out, masses: regression_loss(
+        tc.loss, tc.loss_space, masses, out
+    )
 
 
 def _epoch_loss(
@@ -241,10 +252,47 @@ def _epoch_loss(
     std,
     classify: bool,
 ) -> float:
-    out = _outputs(net, samples, mean, std)
-    if classify:
-        return cross_entropy(out, samples.labels)[0]
-    return regression_loss(tc.loss, tc.loss_space, samples.masses, out)[0]
+    targets, loss = _objective(samples, tc, classify)
+    return loss(_outputs(net, samples, mean, std), targets)[0]
+
+
+def _batch_rows(batch: Batch, rows: slice) -> Batch:
+    return Batch(
+        images=batch.images[rows],
+        images2=None if batch.images2 is None else batch.images2[rows],
+        metadata=None if batch.metadata is None else batch.metadata[rows],
+    )
+
+
+def _step_gradients(net: NeuralNet, batch: Batch, targets: np.ndarray, loss, frozen):
+    """(loss, parameter gradients) of one optimizer batch, from back-to-back
+    forward and backward passes over slices of at most FORWARD_BATCH samples.
+
+    Every loss is a mean of per-sample terms and no layer mixes samples, so
+    scaling each slice's loss gradient by its share of the batch and summing
+    the slices' parameter gradients gives the full-batch gradient; only the
+    summation order differs. Returns at the first slice with a non-finite
+    loss, which makes the batch loss non-finite too.
+    """
+    n = len(batch)
+    value = 0.0
+    grads: dict[str, np.ndarray] = {}
+    for start in range(0, n, FORWARD_BATCH):
+        rows = slice(start, min(start + FORWARD_BATCH, n))
+        share = (rows.stop - start) / n
+        out, cache = net.forward_cached(_batch_rows(batch, rows))
+        slice_value, dout = loss(out, targets[rows])
+        value += share * slice_value
+        if not math.isfinite(value):
+            return value, grads
+        slice_grads = net.backward(cache, dout * share, frozen)
+        del cache  # free this slice's activations before the next forward
+        if grads:
+            for name, g in slice_grads.items():
+                grads[name] += g
+        else:
+            grads = slice_grads
+    return value, grads
 
 
 def _run_training(
@@ -275,6 +323,7 @@ def _run_training(
     best_loss = math.inf
     best_epoch = -1
     best_params = {k: v.copy() for k, v in params.items()}
+    targets, loss = _objective(train_samples, tc, classify)
     step = 0
     for epoch in range(tc.epochs):
         order = substream(tc.seed, "shuffle", epoch).permutation(n)
@@ -283,16 +332,9 @@ def _run_training(
             idx = order[start : start + tc.batch_size]
             batch = _make_batch(samples=train_samples, idx=idx, mean=mean, std=std,
                                 policy=tc.augmentation, rng=aug_rng)
-            out, cache = net.forward_cached(batch)
-            if classify:
-                value, dout = cross_entropy(out, train_samples.labels[idx])
-            else:
-                value, dout = regression_loss(
-                    tc.loss, tc.loss_space, train_samples.masses[idx], out
-                )
+            value, grads = _step_gradients(net, batch, targets[idx], loss, frozen)
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"training loss became {value} at step {step}")
-            grads = net.backward(cache, dout, frozen)
             lr = cosine_lr(step, total_steps, tc.lr_max, tc.lr_min)
             adamw_step(
                 params, grads, state, lr, weight_decay=tc.weight_decay, skip=frozen

@@ -744,9 +744,22 @@ class TestNeuralProtocolCommands:
         assert (out / "predictions.csv").read_text() == _predictions_csv(predictions)
 
     def test_pipeline_with_linear_and_neural_mass_models(self, raster_dir, tmp_path):
+        self.check_pipeline_mass_models(raster_dir, tmp_path, TRAIN_CONFIG)
+
+    def test_pipeline_with_wide_head_neural_mass_model(self, raster_dir, tmp_path):
+        # the last head layer is an 8-wide matrix-vector product, whose BLAS
+        # rounding depends on the rows batched around a sample
+        model = {**TRAIN_CONFIG["model"], "head": "two_layer", "head_hidden": 8}
+        self.check_pipeline_mass_models(raster_dir, tmp_path, {**TRAIN_CONFIG, "model": model})
+
+    @staticmethod
+    def check_pipeline_mass_models(raster_dir, tmp_path, train_config):
+        """A pipeline routing one taxon to a linear and one to a neural mass
+        model gives each specimen exactly the mass of one batched
+        ``experiments.predict`` call over the ids routed to that model."""
         manifest = raster_dir / "manifest.json"
         config = tmp_path / "train.json"
-        config.write_text(json.dumps(TRAIN_CONFIG))
+        config.write_text(json.dumps(train_config))
         cls_config = tmp_path / "cls.json"
         cls_config.write_text(
             json.dumps({"model": {**TRAIN_CONFIG["model"], "task": "classification"},
@@ -775,16 +788,19 @@ class TestNeuralProtocolCommands:
             "light": load_linear_model(paths["light"]),
             "dense": load_checkpoint(paths["dense"]),
         }
-        rows = (out / "predictions.csv").read_text().splitlines()[1:]
-        routed = set()
-        for row in rows:
-            sid, _, _, mass, taxon = row.split(",")
-            expected = experiments.predict(models[taxon], dataset, [sid]).entries[0]
-            assert float(mass) == expected.predicted_mass_ug
-            routed.add(taxon)
+        rows = [row.split(",") for row in (out / "predictions.csv").read_text().splitlines()[1:]]
+        routed = {}
+        for sid, _, _, _, taxon in rows:
+            routed.setdefault(taxon, []).append(sid)
+        expected = {
+            e.specimen_id: e.predicted_mass_ug
+            for taxon, ids in routed.items()
+            for e in experiments.predict(models[taxon], dataset, ids).entries
+        }
+        for sid, _, _, mass, _ in rows:
+            assert float(mass) == expected[sid]
         assert len(rows) == 24
-        assert routed == {"light", "dense"}  # both model families served specimens
-
+        assert set(routed) == {"light", "dense"}  # both model families served specimens
 
 def _write_specimen(base, sid, taxon, tops, rng):
     """One weighed two-camera specimen with a frame CSV and 8x8 rasters."""

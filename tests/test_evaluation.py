@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkmass.errors import (
     DuplicateSpecimenAcrossFolds,
@@ -161,6 +163,19 @@ class TestKsTwoSample:
         with pytest.raises(EmptyInput):
             ks_two_sample([], [1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.integers(-20, 20) | st.floats(-1e6, 1e6), min_size=1, max_size=60),
+        b=st.lists(st.integers(-20, 20) | st.floats(-1e6, 1e6), min_size=1, max_size=60),
+    )
+    def test_statistic_matches_scipy(self, a, b):
+        from scipy.stats import ks_2samp
+
+        d, _ = ks_two_sample(a, b)
+        with np.errstate(divide="ignore"):  # scipy's p-value for tiny samples
+            expected = ks_2samp(a, b, method="asymp").statistic
+        assert d == pytest.approx(expected, rel=0, abs=1e-12)
+
     def test_p_value_in_unit_interval(self, rng):
         for _ in range(50):
             a = rng.normal(size=25)
@@ -245,6 +260,26 @@ class TestMakeCvSplits:
                 counts[taxon_of[sid]] += 1
             assert abs(counts["a"] - 10) <= 1
             assert abs(counts["b"] - 10) <= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 7),
+        extra=st.lists(st.integers(0, 25), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_invariants_over_random_taxon_counts(self, k, extra, seed):
+        ds = dataset_with_taxa({f"t{i}": k + n for i, n in enumerate(extra)})
+        plan = make_cv_splits(ds, k=k, seed=seed)
+        everyone = sorted(s.specimen_id for s in ds.specimens)
+        assert len(plan.folds) == k
+        assert sorted(sid for fold in plan.folds for sid in fold.test) == everyone
+        taxon_of = {s.specimen_id: s.taxon for s in ds.specimens}
+        for fold in plan.folds:
+            roles = fold.train + fold.val + fold.test
+            assert sorted(roles) == everyone  # each specimen has exactly one role
+        for taxon in set(taxon_of.values()):
+            counts = [sum(taxon_of[sid] == taxon for sid in fold.test) for fold in plan.folds]
+            assert max(counts) - min(counts) <= 1, (taxon, counts)
 
     def test_small_taxon_rejected(self):
         ds = dataset_with_taxa({"a": 10, "b": 3})

@@ -3,18 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkmass.errors import EmptySplit, IncompatibleArchitecture, InvalidConfig
+from sinkmass.errors import EmptySplit, IncompatibleArchitecture, InvalidConfig, NonFiniteLoss
 from sinkmass.linear import TargetSpace, trimmed_median
-from sinkmass.neural.losses import LossKind, LossSpace, softmax
+from sinkmass.neural import training
+from sinkmass.neural.losses import LossKind, LossSpace, cross_entropy, regression_loss, softmax
 from sinkmass.neural.model import (
     Architecture,
     Batch,
     HeadKind,
     MetadataInput,
     ModelConfig,
+    NeuralNet,
     init_params,
 )
 from sinkmass.neural.training import (
+    FORWARD_BATCH,
     AugmentPolicy,
     FreezeMode,
     TrainConfig,
@@ -27,6 +30,7 @@ from sinkmass.neural.training import (
     save_checkpoint,
     train,
 )
+from sinkmass.rng import substream
 from sinkmass.synth import GroupSpec, SynthConfig, generate
 
 
@@ -260,6 +264,121 @@ class TestBatchedInference:
         classifier = untrained_model(dataset, small_model(n_classes=len(taxa)), 0, taxa)
         assert predict_specimen_masses(regressor, dataset, ids) == {}
         assert predict_taxa(classifier, dataset, ids) == {}
+
+
+def random_step(arch, head, loss_kind, n, seed):
+    """A randomly initialized 8x8 net, one batch of ``n`` samples, its targets
+    and the loss ``(out, targets) -> (value, dvalue/dout)``; loss_kind None
+    makes a three-class classifier with cross-entropy."""
+    rng = np.random.default_rng(seed)
+    overrides = {"input_size": 8, "head": head, "head_hidden": 5}
+    if loss_kind is None:
+        overrides["n_classes"] = 3
+    config = small_model(arch, **overrides)
+    net = NeuralNet(config, init_params(config, rng))
+    batch = Batch(
+        images=rng.random((n, 1, 8, 8)),
+        images2=rng.random((n, 1, 8, 8)) if arch is Architecture.MULTI_VIEW else None,
+        metadata=rng.normal(size=(n, 3)) if arch is Architecture.METADATA_AWARE else None,
+    )
+    if loss_kind is None:
+        return net, batch, rng.integers(0, 3, size=n), cross_entropy
+    kind, space = loss_kind
+    return (net, batch, rng.uniform(2.0, 50.0, size=n),
+            lambda out, y: regression_loss(kind, space, y, out))
+
+
+class TestSlicedTrainingStep:
+    LOSSES = [None] + [(kind, space) for kind in LossKind for space in LossSpace]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arch=st.sampled_from(list(Architecture)),
+        head=st.sampled_from(list(HeadKind)),
+        loss_kind=st.sampled_from(LOSSES),
+        n=st.sampled_from([1, 2, 31, 32, 33, 64, 77, 128]) | st.integers(1, 130),
+        freeze=st.sampled_from(list(FreezeMode)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_one_full_batch_pass(self, arch, head, loss_kind, n, freeze, seed):
+        net, batch, targets, loss = random_step(arch, head, loss_kind, n, seed)
+        frozen = freeze.prefixes
+        out, cache = net.forward_cached(batch)
+        value, dout = loss(out, targets)
+        grads = net.backward(cache, dout, frozen)
+
+        sliced_value, sliced_grads = training._step_gradients(net, batch, targets, loss, frozen)
+
+        assert sliced_grads.keys() == grads.keys() == net.params.keys()
+        if n <= FORWARD_BATCH:
+            assert sliced_value == value
+            for name, g in grads.items():
+                assert np.array_equal(sliced_grads[name], g), name
+            return
+        assert sliced_value == pytest.approx(value, rel=1e-12, abs=0)
+        for name, g in grads.items():
+            scale = np.abs(g).max()
+            assert np.abs(sliced_grads[name] - g).max() <= 1e-12 * scale, name
+            if any(name.startswith(prefix) for prefix in frozen):
+                assert not sliced_grads[name].any(), name
+
+    def test_stops_at_the_first_non_finite_slice(self, monkeypatch):
+        net, batch, masses, loss = random_step(
+            Architecture.SINGLE_VIEW, HeadKind.ONE_LAYER, (LossKind.APE, LossSpace.LOG), 77, 3
+        )
+        masses[40] = 1.0  # log(1) = 0 divides the percentage error by zero
+        backward_sizes = []
+        real_backward = NeuralNet.backward
+
+        def spy(self, cache, dout, *args):
+            backward_sizes.append(len(dout))
+            return real_backward(self, cache, dout, *args)
+
+        monkeypatch.setattr(NeuralNet, "backward", spy)
+        with np.errstate(divide="ignore"):
+            value, _ = training._step_gradients(net, batch, masses, loss, ())
+        assert value == np.inf
+        assert backward_sizes == [FORWARD_BATCH]
+
+    def test_non_finite_loss_raised_at_its_step_before_the_update(self, monkeypatch):
+        n, batch_size, seed = 160, 77, 5
+        net, batch, masses, _ = random_step(Architecture.SINGLE_VIEW, HeadKind.ONE_LAYER,
+                                            (LossKind.APE, LossSpace.LOG), n, seed)
+        order = substream(seed, "shuffle", 0).permutation(n)
+        bad_step = 1
+        bad = order[bad_step * batch_size + 50]
+        masses[bad] = 1.0
+        samples = training.SampleSet(batch.images * 255.0, None, None, masses, None,
+                                     {"s": list(range(n))})
+        updates = []
+        monkeypatch.setattr(training, "adamw_step", lambda *a, **k: updates.append(a[3]))
+        tc = small_train_config(loss=LossKind.APE, batch_size=batch_size, seed=seed)
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteLoss, match=f"at step {bad_step}$"):
+            training._run_training(net.config, tc, net.params, samples, samples, None, None, None)
+        assert len(updates) == bad_step
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    @pytest.mark.parametrize("batch_size", [31, 77, 128])
+    def test_no_forward_pass_sees_more_than_forward_batch(
+        self, raster_dataset, monkeypatch, arch, batch_size
+    ):
+        dataset, train_ids, val_ids, _ = raster_dataset
+        sizes = []
+        real_forward = NeuralNet.forward_cached
+
+        def spy(self, batch):
+            sizes.append(len(batch))
+            return real_forward(self, batch)
+
+        monkeypatch.setattr(NeuralNet, "forward_cached", spy)
+        config = small_model(arch)
+        tc = small_train_config(epochs=2, batch_size=batch_size)
+        train(dataset, train_ids, val_ids, config, tc)
+        n_train = len(build_samples(dataset, train_ids, config))
+        n_val = len(build_samples(dataset, val_ids, config))
+        assert n_train > FORWARD_BATCH
+        assert max(sizes) <= FORWARD_BATCH
+        assert sum(sizes) == tc.epochs * (n_train + n_val)
 
 
 class TestFineTune:
