@@ -4,95 +4,65 @@ The package provides linear estimators over sequence-metadata features
 (specimen area, sinking speed), a desk-scale neural family (single-view,
 multi-view, metadata-aware), the full resampling evaluation protocol, and a
 synthetic physics oracle for end-to-end validation.
+
+The names below load with their module on first use, so importing the
+package (and the CLI inside it) loads no numpy: ``--threads`` must set the
+BLAS thread caps before numpy starts.
 """
 
-from .errors import SinkmassError
-from .features import SpecimenFeatures, compute_features, exp_mass, log_mass, mean_area, sinking_speed
-from .ingest import (
-    ManifestEntry,
-    Raster,
-    assemble_dataset,
-    load_manifest,
-    load_raster,
-    pad_mirror,
-    parse_frame_csv,
-    serialize_frame_csv,
-)
-from .linear import (
-    FeatureSpec,
-    LinearModel,
-    TargetSpace,
-    fit_ols,
-    predict_per_image,
-    predict_specimen,
-    trimmed_median,
-)
-from .evaluation import (
-    MetricReport,
-    SplitPlan,
-    bootstrap,
-    classification_report,
-    compute_metrics,
-    ks_two_sample,
-    make_cv_splits,
-    pearson_r,
-    pool_folds,
-)
-from .records import (
-    Dataset,
-    FrameMeta,
-    PredictionEntry,
-    PredictionSet,
-    SpecimenRecord,
-    ValidationReport,
-    validate_dataset,
-)
-from .synth import GroundTruth, GroupSpec, SynthConfig, generate
+import importlib
+
+_EXPORTS = {
+    "errors": ("SinkmassError",),
+    "records": (
+        "FrameMeta",
+        "SpecimenRecord",
+        "Dataset",
+        "PredictionEntry",
+        "PredictionSet",
+        "ValidationReport",
+        "validate_dataset",
+    ),
+    "ingest": (
+        "ManifestEntry",
+        "parse_frame_csv",
+        "serialize_frame_csv",
+        "load_raster",
+        "pad_mirror",
+        "load_manifest",
+        "assemble_dataset",
+    ),
+    "features": ("SpecimenFeatures", "compute_features", "sinking_speed", "mean_area"),
+    "linear": (
+        "FeatureSpec",
+        "TargetSpace",
+        "LinearModel",
+        "fit_ols",
+        "predict_per_image",
+        "predict_specimen",
+        "trimmed_median",
+    ),
+    "evaluation": (
+        "MetricReport",
+        "SplitPlan",
+        "compute_metrics",
+        "pearson_r",
+        "ks_two_sample",
+        "bootstrap",
+        "make_cv_splits",
+        "pool_folds",
+        "classification_report",
+    ),
+    "synth": ("SynthConfig", "GroupSpec", "GroundTruth", "generate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SinkmassError",
-    "FrameMeta",
-    "SpecimenRecord",
-    "Dataset",
-    "PredictionEntry",
-    "PredictionSet",
-    "ValidationReport",
-    "validate_dataset",
-    "ManifestEntry",
-    "Raster",
-    "parse_frame_csv",
-    "serialize_frame_csv",
-    "load_raster",
-    "pad_mirror",
-    "load_manifest",
-    "assemble_dataset",
-    "SpecimenFeatures",
-    "compute_features",
-    "sinking_speed",
-    "mean_area",
-    "log_mass",
-    "exp_mass",
-    "FeatureSpec",
-    "TargetSpace",
-    "LinearModel",
-    "fit_ols",
-    "predict_per_image",
-    "predict_specimen",
-    "trimmed_median",
-    "MetricReport",
-    "SplitPlan",
-    "compute_metrics",
-    "pearson_r",
-    "ks_two_sample",
-    "bootstrap",
-    "make_cv_splits",
-    "pool_folds",
-    "classification_report",
-    "SynthConfig",
-    "GroupSpec",
-    "GroundTruth",
-    "generate",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -33,21 +33,13 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _read_json(path, what: str):
-    from .errors import InputError
-
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from None
-
-
 def _load_config(args) -> dict:
+    from .config import read_json
     from .errors import InvalidConfig
 
     if getattr(args, "config", None) is None:
         return {}
-    config = _read_json(args.config, "config")
+    config = read_json(args.config, "config")
     if not isinstance(config, dict):
         raise InvalidConfig(f"config {args.config} does not hold a JSON object")
     return config
@@ -141,11 +133,12 @@ def _predictions_csv(predictions) -> str:
 
 
 def _read_model_json(path):
+    from .config import read_json
     from .errors import ModelMissing
 
     if not Path(path).exists():
         raise ModelMissing(f"model file {path} does not exist")
-    return _read_json(path, "model file")
+    return read_json(path, "model file")
 
 
 def _load_any_model(path):
@@ -167,6 +160,7 @@ def _model_configs_from(config: dict, dataset, seed: int):
     overrides any seed in the config. An unknown section, a section that is
     not a JSON object or an unknown ``task`` raises InvalidConfig.
     """
+    from .config import config_from_dict
     from .errors import InvalidConfig
     from .neural.model import ModelConfig
     from .neural.training import TrainConfig
@@ -184,8 +178,8 @@ def _model_configs_from(config: dict, dataset, seed: int):
         raise InvalidConfig(f"task must be one of {', '.join(TASKS)}, got {task!r}")
     taxa = tuple(sorted(dataset.taxon_set)) if task == "classification" else None
     m["n_classes"] = None if taxa is None else len(taxa)
-    train_config = TrainConfig.from_dict({**sections["train"], "seed": seed})
-    return ModelConfig.from_dict(m), train_config, taxa
+    train_config = config_from_dict(TrainConfig, {**sections["train"], "seed": seed})
+    return config_from_dict(ModelConfig, m), train_config, taxa
 
 
 def _estimator(args, config: dict, dataset, seed: int):
@@ -466,21 +460,19 @@ def cmd_pipeline(args) -> int:
         for e in experiments.predict(model, dataset, model_ids, features, args.trim).entries:
             masses[e.specimen_id] = e.predicted_mass_ug
 
-    def classify_fn(record):
-        if record.specimen_id not in predicted:
+    # the first weighed specimen either model skipped names the error
+    for record in dataset.specimens:
+        if record.dry_mass_ug is None:
+            continue
+        taxon = predicted.get(record.specimen_id)
+        if taxon is None:
             raise _unscored(record, classifier, "classifier")
-        return predicted[record.specimen_id]
-
-    def predict_fn(record, taxon):
         if taxon not in slot:
             raise ModelMissing(f"no mass model for predicted taxon {taxon!r}")
         if record.specimen_id not in masses:
             raise _unscored(record, models[slot[taxon]], f"mass model for taxon {taxon!r}")
-        return masses[record.specimen_id]
 
-    report = experiments.run_pipeline(
-        dataset, classify_fn, predict_fn, taxa=classifier.taxa
-    )
+    report = experiments.run_pipeline(dataset, predicted, masses, taxa=classifier.taxa)
     out = _out_dir(args)
     _write_json(out / "pipeline_report.json", report.to_dict())
     (out / "predictions.csv").write_text(_predictions_csv(report.predictions))
@@ -488,15 +480,35 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _has_numbers(obj, keys) -> bool:
+    return isinstance(obj, dict) and all(isinstance(obj.get(k), (int, float)) for k in keys)
+
+
+def _metric_payload(path) -> dict:
+    """The metrics.json object at ``path``; NoResults unless it names its
+    dataset and method and its report holds every metric in METRIC_ORDER."""
+    from .config import read_json
+    from .errors import NoResults
+
+    payload = read_json(path, "metric report")
+    report = payload.get("report") if isinstance(payload, dict) else None
+    intervals = (report.get("bootstrap") or {}) if _has_numbers(report, METRIC_ORDER) else None
+    if not (
+        isinstance(intervals, dict)
+        and all(isinstance(payload.get(key), str) for key in ("dataset", "method"))
+        and all(
+            iv is None or _has_numbers(iv, ("low", "high", "std"))
+            for iv in map(intervals.get, METRIC_ORDER)
+        )
+    ):
+        raise NoResults(f"{path} does not contain a metric report")
+    return payload
+
+
 def cmd_report(args) -> int:
     from .errors import NoResults
 
-    labeled = []
-    for path in args.inputs:
-        payload = json.loads(Path(path).read_text())
-        if "report" not in payload:
-            raise NoResults(f"{path} does not contain a metric report")
-        labeled.append(payload)
+    labeled = [_metric_payload(path) for path in args.inputs]
     if not labeled:
         raise NoResults("no metric reports given")
     rows = _report_rows(labeled)
@@ -543,6 +555,18 @@ def build_parser() -> argparse.ArgumentParser:
     trim = argparse.ArgumentParser(add_help=False)
     trim.add_argument("--trim", type=_trim_fraction, default=0.05, help="per-end trim fraction")
 
+    estimator = argparse.ArgumentParser(add_help=False)
+    estimator.add_argument(
+        "--model", choices=["linear-area", "linear-area-speed", "neural"], required=True
+    )
+    estimator.add_argument("--target", choices=["raw", "log"], default="raw")
+    estimator.add_argument("--per-specimen", action="store_true")
+    estimator.add_argument("--method", type=str, default=None)
+
+    fold = argparse.ArgumentParser(add_help=False)
+    fold.add_argument("--fold", type=int, default=0, help="which CV fold supplies train/val")
+    fold.add_argument("--folds", type=int, default=5)
+
     parser = _Parser(
         prog="sinkmass",
         description="Dry-mass estimation from sinking-specimen image sequences",
@@ -560,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", parents=[common, data], help="emit per-specimen features CSV")
     p.set_defaults(fn=cmd_features)
 
-    p = sub.add_parser("fit-linear", parents=[common, data, trim], help="fit an OLS model")
+    p = sub.add_parser("fit-linear", parents=[common, data], help="fit an OLS model")
     p.add_argument("--features", choices=["area", "area_speed"], default="area")
     p.add_argument("--target", choices=["raw", "log"], default="raw")
     p.add_argument("--per-specimen", action="store_true", help="fit on specimen means")
@@ -573,35 +597,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("crossval", parents=[common, data, trim], help="k-fold protocol")
-    p.add_argument(
-        "--model", choices=["linear-area", "linear-area-speed", "neural"], required=True
+    p = sub.add_parser(
+        "crossval", parents=[common, data, trim, estimator], help="k-fold protocol"
     )
-    p.add_argument("--target", choices=["raw", "log"], default="raw")
-    p.add_argument("--per-specimen", action="store_true")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--method", type=str, default=None)
     p.set_defaults(fn=cmd_crossval)
 
-    p = sub.add_parser("train", parents=[common, data], help="train a neural model")
-    p.add_argument("--fold", type=int, default=0, help="which CV fold supplies train/val")
-    p.add_argument("--folds", type=int, default=5)
+    p = sub.add_parser("train", parents=[common, data, fold], help="train a neural model")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("finetune", parents=[common, data], help="fine-tune a checkpoint")
+    p = sub.add_parser("finetune", parents=[common, data, fold], help="fine-tune a checkpoint")
     p.add_argument("--base", type=str, required=True)
-    p.add_argument("--fold", type=int, default=0)
-    p.add_argument("--folds", type=int, default=5)
     p.set_defaults(fn=cmd_finetune)
 
-    p = sub.add_parser("ood", parents=[common, data, trim], help="hold out one taxon")
+    p = sub.add_parser("ood", parents=[common, data, trim, estimator], help="hold out one taxon")
     p.add_argument("--holdout", type=str, required=True)
-    p.add_argument(
-        "--model", choices=["linear-area", "linear-area-speed", "neural"], required=True
-    )
-    p.add_argument("--target", choices=["raw", "log"], default="raw")
-    p.add_argument("--per-specimen", action="store_true")
-    p.add_argument("--method", type=str, default=None)
     p.set_defaults(fn=cmd_ood)
 
     p = sub.add_parser(

@@ -1,11 +1,24 @@
-"""Config dataclasses from JSON objects; the defaults live on the dataclasses."""
+"""The JSON layer: files into values, objects into config dataclasses and
+back. The defaults live on the dataclasses."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import typing
+from enum import Enum
+from pathlib import Path
 
-from .errors import InvalidConfig
+from .errors import InputError, InvalidConfig
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``; a file that cannot be read,
+    is not UTF-8 or is not JSON raises InputError naming ``what``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
 
 
 def config_from_dict(cls, obj: dict):
@@ -13,8 +26,8 @@ def config_from_dict(cls, obj: dict):
 
     Missing keys take the field defaults. Values are coerced to each field's
     annotated type, so ``2.0`` serves an int field, ``"3e-3"`` a float field
-    and a nested object a dataclass field. An unknown key, a bad value or a
-    failed field check raises InvalidConfig.
+    and a nested object a dataclass field. An unknown key, a missing
+    required key, a bad value or a failed field check raises InvalidConfig.
     """
     if not isinstance(obj, dict):
         raise InvalidConfig(f"{cls.__name__} needs a JSON object, got {obj!r}")
@@ -22,10 +35,24 @@ def config_from_dict(cls, obj: dict):
     unknown = sorted(set(obj) - set(hints))
     if unknown:
         raise InvalidConfig(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    missing = [
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.name not in obj
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise InvalidConfig(f"missing {cls.__name__} keys: {', '.join(missing)}")
     try:
         return cls(**{name: _coerce(hints[name], value) for name, value in obj.items()})
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"bad {cls.__name__}: {exc}") from None
+
+
+def config_to_dict(obj) -> dict:
+    """The JSON object ``config_from_dict`` reads back into ``obj``."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 def _coerce(hint, value):
@@ -37,3 +64,13 @@ def _coerce(hint, value):
     if dataclasses.is_dataclass(hint):
         return config_from_dict(hint, value)
     return hint(value)
+
+
+def _plain(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return config_to_dict(value)
+    return value

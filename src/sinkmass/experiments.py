@@ -5,6 +5,7 @@ end-to-end classify-then-estimate pipeline."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from .errors import EmptyPredictions, InvalidConfig, UnknownTaxon, ZeroVariance
@@ -302,19 +303,19 @@ class PipelineReport:
 
 def run_pipeline(
     dataset: Dataset,
-    classify_fn,
-    predict_fn,
+    predicted_taxa: Mapping[str, str],
+    predicted_masses: Mapping[str, float],
     taxa: tuple[str, ...] | None = None,
 ) -> PipelineReport:
-    """Classify every weighed specimen, estimate its mass, then compare the
-    per-group predicted mass distribution against the true masses.
+    """Compare each group's predicted mass distribution against the true
+    masses of its weighed specimens.
 
-    Groups are formed by the *predicted* taxon, so misclassified specimens
-    stay in the group the classifier put them in. ``classify_fn`` maps a
-    SpecimenRecord to a taxon; ``predict_fn`` maps (record, predicted_taxon)
-    to a mass. Group statistics are the two-sample KS test between the
-    group's predicted and true masses plus Pearson's r on log masses;
-    degenerate groups report None.
+    ``predicted_taxa`` and ``predicted_masses`` map the id of every weighed
+    specimen to its predicted taxon and mass. Groups are formed by the
+    *predicted* taxon, so misclassified specimens stay in the group the
+    classifier put them in. Group statistics are the two-sample KS test
+    between the group's predicted and true masses plus Pearson's r on log
+    masses; degenerate groups report None.
     """
     records = [s for s in dataset.specimens if s.dry_mass_ug is not None]
     if not records:
@@ -323,15 +324,14 @@ def run_pipeline(
         taxa = tuple(sorted({r.taxon for r in records}))
     entries = []
     for record in records:
-        predicted_taxon = classify_fn(record)
-        mass = predict_fn(record, predicted_taxon)
+        sid = record.specimen_id
         entries.append(
             PredictionEntry(
-                record.specimen_id,
+                sid,
                 record.taxon,
                 record.dry_mass_ug,
-                mass,
-                predicted_taxon=predicted_taxon,
+                predicted_masses[sid],
+                predicted_taxon=predicted_taxa[sid],
             )
         )
     predictions = PredictionSet(tuple(entries))

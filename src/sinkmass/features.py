@@ -9,10 +9,9 @@ retained because they still carry density information.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveMass, TooFewFrames
+from .errors import TooFewFrames
 from .records import FrameMeta, SpecimenRecord
 
 # Camera used for the speed formula and the image-count convention. If it
@@ -61,16 +60,6 @@ def mean_area(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> float:
     if not frames:
         raise ValueError("mean_area needs at least one frame")
     return sum(f.area_px for f in frames) / len(frames)
-
-
-def log_mass(y: float) -> float:
-    if not y > 0:
-        raise NonPositiveMass(f"mass must be positive, got {y}")
-    return math.log(y)
-
-
-def exp_mass(y_log: float) -> float:
-    return math.exp(y_log)
 
 
 def _reference_frames(record: SpecimenRecord) -> tuple[FrameMeta, ...]:

@@ -14,12 +14,12 @@ export to this schema):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import read_json
 from .errors import (
     DimensionMismatch,
     EmptyFile,
@@ -42,15 +42,6 @@ class ManifestEntry:
     dry_mass_ug: float | None
     metadata_csv: Path
     raster_dir: Path | None = None
-
-
-@dataclass(frozen=True)
-class Raster:
-    """Square 8-bit grayscale image; ``pixels`` has shape (height, width)."""
-
-    height: int
-    width: int
-    pixels: np.ndarray
 
 
 def parse_frame_csv(payload: bytes) -> list[FrameMeta]:
@@ -127,12 +118,11 @@ def _pgm_tokens(payload: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i
 
 
-def load_raster(payload: bytes) -> Raster:
-    """Decode a binary PGM (P5, maxval 255) into a Raster.
+def load_raster(payload: bytes) -> np.ndarray:
+    """Decode a binary PGM (P5, maxval 255) into a (height, width) uint8 array.
 
     Non-P5 magic or a maxval other than 255 raises UnsupportedFormat;
-    non-square images raise NonSquareRaster (square inputs keep scale
-    information intact when resized downstream).
+    non-square images raise NonSquareRaster.
     """
     if len(payload) < 2 or payload[:2] != b"P5":
         raise UnsupportedFormat("not a binary PGM (P5) payload")
@@ -152,16 +142,16 @@ def load_raster(payload: bytes) -> Raster:
         raise UnsupportedFormat(
             f"payload holds {len(body)} pixels, header promises {height * width}"
         )
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width).copy()
-    return Raster(height, width, pixels)
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width).copy()
 
 
-def save_raster(raster: Raster) -> bytes:
-    header = f"P5\n{raster.width} {raster.height}\n255\n".encode("ascii")
-    return header + raster.pixels.astype(np.uint8).tobytes()
+def save_raster(pixels: np.ndarray) -> bytes:
+    height, width = pixels.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    return header + pixels.astype(np.uint8).tobytes()
 
 
-def pad_mirror(raster: Raster, pad: int) -> Raster:
+def pad_mirror(pixels: np.ndarray, pad: int) -> np.ndarray:
     """Grow a raster by ``pad`` pixels on all four sides with inclusive
     reflection (the edge row/column is duplicated).
 
@@ -171,22 +161,17 @@ def pad_mirror(raster: Raster, pad: int) -> Raster:
     if pad < 0:
         raise PadTooLarge(f"negative pad {pad}")
     if pad == 0:
-        return raster
-    if pad >= min(raster.height, raster.width):
-        raise PadTooLarge(
-            f"pad {pad} too large for {raster.height}x{raster.width} raster"
-        )
-    pixels = np.pad(raster.pixels, pad, mode="symmetric")
-    return Raster(raster.height + 2 * pad, raster.width + 2 * pad, pixels)
+        return pixels
+    height, width = pixels.shape
+    if pad >= min(height, width):
+        raise PadTooLarge(f"pad {pad} too large for {height}x{width} raster")
+    return np.pad(pixels, pad, mode="symmetric")
 
 
 def load_manifest(path: Path | str) -> list[ManifestEntry]:
     """Read a manifest JSON array; paths become absolute relative to it."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read manifest {path}: {exc}") from None
+    raw = read_json(path, "manifest")
     if not isinstance(raw, list):
         raise InputError("manifest must be a JSON array")
     base = path.parent
@@ -208,20 +193,16 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
     return entries
 
 
-def _pad_to_target(raster: Raster, target: tuple[int, int], ref: str) -> Raster:
-    th, tw = target
-    if raster.height > th or raster.width > tw:
-        raise RasterLargerThanTarget(
-            f"{ref}: raster {raster.height}x{raster.width} exceeds target {th}x{tw}"
-        )
-    if raster.height == th and raster.width == tw:
-        return raster
-    dh, dw = th - raster.height, tw - raster.width
+def _pad_to_target(pixels: np.ndarray, target: tuple[int, int], ref: str) -> np.ndarray:
+    (h, w), (th, tw) = pixels.shape, target
+    if h > th or w > tw:
+        raise RasterLargerThanTarget(f"{ref}: raster {h}x{w} exceeds target {th}x{tw}")
+    dh, dw = th - h, tw - w
     if dh != dw or dh % 2 != 0:
         raise DimensionMismatch(
-            f"{ref}: cannot mirror-pad {raster.height}x{raster.width} to {th}x{tw} symmetrically"
+            f"{ref}: cannot mirror-pad {h}x{w} to {th}x{tw} symmetrically"
         )
-    return pad_mirror(raster, dh // 2)
+    return pad_mirror(pixels, dh // 2)
 
 
 def assemble_dataset(
@@ -238,7 +219,7 @@ def assemble_dataset(
     """
     specimens: list[SpecimenRecord] = []
     raster_store: dict[str, np.ndarray] = {}
-    pending: list[tuple[str, Raster]] = []
+    pending: list[tuple[str, np.ndarray]] = []
     inferred: tuple[int, int] | None = None
 
     for entry in manifest:
@@ -264,8 +245,8 @@ def assemble_dataset(
                 ref = f"{entry.specimen_id}/{fname}"
                 ref_list.append(ref)
                 pending.append((ref, raster))
-                if inferred is None or raster.height > inferred[0]:
-                    inferred = (raster.height, raster.width)
+                if inferred is None or raster.shape[0] > inferred[0]:
+                    inferred = raster.shape
             refs = tuple(ref_list)
         specimens.append(
             SpecimenRecord(
@@ -279,8 +260,7 @@ def assemble_dataset(
 
     target = raster_dims if raster_dims is not None else inferred
     for ref, raster in pending:
-        padded = _pad_to_target(raster, target, ref)
-        raster_store[ref] = padded.pixels
+        raster_store[ref] = _pad_to_target(raster, target, ref)
     return Dataset(
         name=name,
         specimens=tuple(specimens),

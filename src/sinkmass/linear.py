@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_dict
+from .config import config_from_dict, config_to_dict, read_json
 from .errors import EmptyInput, InputError, MissingSpeed, RankDeficient, TooFewRows
 from .features import SpecimenFeatures
 from .records import MASS_FLOOR_UG, SpecimenRecord
@@ -192,13 +192,7 @@ def build_rows(
 
 
 def save_linear_model(model: LinearModel, path: Path | str) -> None:
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "feature_spec": model.feature_spec.value,
-        "intercept": model.intercept,
-        "coefficients": list(model.coefficients),
-        "target_space": model.target_space.value,
-    }
+    payload = {"format_version": MODEL_FORMAT_VERSION, **config_to_dict(model)}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -206,7 +200,7 @@ def load_linear_model(path: Path | str) -> LinearModel:
     """The model ``save_linear_model`` wrote; a file of another format
     version, or with missing, unknown or mistyped fields, raises an
     InputError."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path, "linear model file")
     if not isinstance(payload, dict):
         raise InputError(f"linear model file {path} does not hold a JSON object")
     fields = dict(payload)

@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from ..errors import NonSquareRaster
-from ..ingest import Raster
 
 
 def _dihedral_view(pixels: np.ndarray, element: int) -> np.ndarray:
@@ -135,11 +134,3 @@ def augment_array(
     if policy is AugmentPolicy.CONTINUOUS_ROTATION:
         return rotate_bilinear(pixels, float(rng.uniform(0.0, 360.0)))
     return photometric_jitter(pixels, rng)
-
-
-def augment(raster: Raster, policy: str, rng: np.random.Generator) -> Raster:
-    """Policy application on an 8-bit Raster; dihedral stays exact uint8."""
-    out = augment_array(raster.pixels, policy, rng)
-    if out.dtype != np.uint8:
-        out = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return Raster(raster.height, raster.width, out)

@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from ..config import config_from_dict
 from ..errors import MissingMetadata, MissingSecondView, ShapeMismatch
 from ..linear import TargetSpace
 from . import layers
@@ -81,23 +80,6 @@ class ModelConfig:
     @property
     def out_dim(self) -> int:
         return 1 if self.n_classes is None else self.n_classes
-
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture.value,
-            "encoder_channels": list(self.encoder_channels),
-            "head": self.head.value,
-            "head_hidden": self.head_hidden,
-            "metadata_inputs": [m.value for m in self.metadata_inputs],
-            "metadata_hidden": self.metadata_hidden,
-            "target_space": self.target_space.value,
-            "input_size": self.input_size,
-            "n_classes": self.n_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        return config_from_dict(cls, obj)
 
 
 def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:

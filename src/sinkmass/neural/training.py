@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import config_from_dict
+from ..config import config_from_dict, config_to_dict, read_json
 from ..errors import (
     EmptySplit,
     IncompatibleArchitecture,
@@ -76,10 +76,6 @@ class TrainConfig:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_min > self.lr_max:
             raise InvalidConfig(f"lr_min {self.lr_min} exceeds lr_max {self.lr_max}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        return config_from_dict(cls, obj)
 
 
 @dataclass
@@ -487,7 +483,7 @@ def predict_taxa(
 def save_checkpoint(model: TrainedModel, path: Path | str) -> None:
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "config": model.config.to_dict(),
+        "config": config_to_dict(model.config),
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in sorted(model.params.items())
@@ -505,7 +501,7 @@ def load_checkpoint(path: Path | str) -> TrainedModel:
     """The model ``save_checkpoint`` wrote; a file of another format version,
     with missing or mistyped fields, or with parameters that do not fit its
     config, raises an InputError."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict):
         raise InputError(f"checkpoint {path} does not hold a JSON object")
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -515,7 +511,7 @@ def load_checkpoint(path: Path | str) -> TrainedModel:
         return None if payload[name] is None else np.asarray(payload[name], dtype=float)
 
     try:
-        config = ModelConfig.from_dict(payload["config"])
+        config = config_from_dict(ModelConfig, payload["config"])
         params = {
             name: np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
             for name, spec in payload["params"].items()

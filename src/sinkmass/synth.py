@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, SilhouetteTooLarge
-from .ingest import Raster, save_raster, serialize_frame_csv
+from .ingest import save_raster, serialize_frame_csv
 from .records import Dataset, FrameMeta, SpecimenRecord
 from .rng import substream
 
@@ -106,7 +106,7 @@ def _ellipse_raster(
     aspect: float,
     angle: float,
     jitter: tuple[int, int],
-) -> Raster:
+) -> np.ndarray:
     """Paint the round(area_px) most-central pixels of an oriented ellipse.
 
     Ranking pixels by their elliptical radius and painting exactly the
@@ -135,7 +135,7 @@ def _ellipse_raster(
     order = np.argsort(metric, kind="stable")
     pixels = np.full(h * w, 255, dtype=np.uint8)
     pixels[order[:target]] = 0
-    return Raster(h, w, pixels.reshape(h, w))
+    return pixels.reshape(h, w)
 
 
 def rasterize_specimen(
@@ -143,8 +143,8 @@ def rasterize_specimen(
     dims: tuple[int, int],
     seed: int,
     aspect_range: tuple[float, float] = DEFAULT_ASPECT_RANGE,
-) -> list[Raster]:
-    """One silhouette Raster per frame, dark ellipse on light background.
+) -> list[np.ndarray]:
+    """One silhouette raster per frame, dark ellipse on light background.
 
     Frames of the same camera share an aspect ratio (same projected view);
     orientation and centering jitter vary per frame.
@@ -233,8 +233,7 @@ def generate(config: SynthConfig, name: str = "synthetic") -> tuple[Dataset, Gro
                 refs = tuple(
                     f"{sid}/{f.camera_id}_{f.frame_index}.pgm" for f in record.frames
                 )
-                for ref, raster in zip(refs, rasters):
-                    raster_store[ref] = raster.pixels
+                raster_store.update(zip(refs, rasters))
                 record = SpecimenRecord(
                     specimen_id=record.specimen_id,
                     taxon=record.taxon,
@@ -269,10 +268,8 @@ def write_synth_output(dataset: Dataset, truth: GroundTruth, out_dir: Path | str
             rdir = out / raster_rel
             rdir.mkdir(parents=True, exist_ok=True)
             for frame, ref in zip(record.frames, record.raster_refs):
-                pixels = dataset.rasters[ref]
-                raster = Raster(pixels.shape[0], pixels.shape[1], pixels)
                 (rdir / f"{frame.camera_id}_{frame.frame_index}.pgm").write_bytes(
-                    save_raster(raster)
+                    save_raster(dataset.rasters[ref])
                 )
         manifest.append(
             {

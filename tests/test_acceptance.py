@@ -516,10 +516,10 @@ def test_criterion_12_classification_and_pipeline_counts():
     dataset, _ = generate(_acceptance_linear_dataset())
     rng = substream(6, "pipeline-acceptance")
     taxa = sorted(dataset.taxon_set)
-    pipeline = experiments.run_pipeline(
-        dataset,
-        classify_fn=lambda r: taxa[int(rng.integers(0, len(taxa)))],
-        predict_fn=lambda r, t: r.dry_mass_ug * float(rng.uniform(0.8, 1.2)),
-    )
+    predicted_taxa, predicted_masses = {}, {}
+    for r in dataset.specimens:
+        predicted_taxa[r.specimen_id] = taxa[int(rng.integers(0, len(taxa)))]
+        predicted_masses[r.specimen_id] = r.dry_mass_ug * float(rng.uniform(0.8, 1.2))
+    pipeline = experiments.run_pipeline(dataset, predicted_taxa, predicted_masses)
     assert sum(g.n for g in pipeline.groups) == len(dataset.specimens)
     _ok(12, "(hand confusion exact; pipeline group counts partition dataset)")

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from sinkmass.errors import NonSquareRaster
-from sinkmass.ingest import Raster
 from sinkmass.neural.augment import (
-    augment,
     augment_array,
     dihedral,
     photometric_jitter,
@@ -99,12 +97,6 @@ class TestAugmentDispatch:
     def test_unknown_policy_rejected(self, rng):
         with pytest.raises(ValueError):
             augment_array(np.zeros((4, 4)), "warp", rng)
-
-    def test_raster_wrapper_keeps_uint8(self, rng):
-        raster = Raster(8, 8, rng.integers(0, 256, size=(8, 8), dtype=np.uint8))
-        out = augment(raster, "continuous_rotation", rng)
-        assert out.pixels.dtype == np.uint8
-        assert out.pixels.shape == (8, 8)
 
     def test_deterministic_given_rng_state(self):
         pixels = np.arange(64, dtype=float).reshape(8, 8)

@@ -1,12 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sinkmass
 from sinkmass import experiments
 from sinkmass.cli import _apply_thread_cap, _predictions_csv, main
-from sinkmass.ingest import Raster, assemble_dataset, load_manifest, save_raster, serialize_frame_csv
+from sinkmass.config import config_from_dict
+from sinkmass.ingest import assemble_dataset, load_manifest, save_raster, serialize_frame_csv
 from sinkmass.linear import load_linear_model
 from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, init_params
 from sinkmass.neural.training import TrainConfig, TrainedModel, load_checkpoint, save_checkpoint
@@ -52,6 +57,12 @@ RASTER_CONFIG = {
     "n_max": 6,
     "area_noise_cv": 0.05,
     "raster_dims": [16, 16],
+}
+
+FULL_REPORT = {
+    "dataset": "d",
+    "method": "m",
+    "report": {"mape": 0.1, "mdape": 0.1, "mae": 2.0, "rmse": 3.0, "r2_log": 0.9, "n": 4},
 }
 
 TRAIN_CONFIG = {
@@ -116,20 +127,35 @@ class TestSynthAndIngest:
         assert run("synth", "--config", config, "--out", tmp_path / "x") == 2
 
     @pytest.mark.parametrize(
-        "change",
+        "change, message",
         [
-            {"dtt": 8.0},
-            {"dt": "x"},
-            {"groups": [{**SYNTH_CONFIG["groups"][0], "colour": "red"}]},
-            {"groups": [{k: v for k, v in SYNTH_CONFIG["groups"][0].items() if k != "count"}]},
+            ({"dtt": 8.0}, "unknown SynthConfig keys: dtt"),
+            ({"dt": "x"}, "bad SynthConfig: could not convert"),
+            (
+                {"groups": [{**SYNTH_CONFIG["groups"][0], "colour": "red"}]},
+                "unknown GroupSpec keys: colour",
+            ),
+            (
+                {"groups": [{k: v for k, v in SYNTH_CONFIG["groups"][0].items() if k != "count"}]},
+                "missing GroupSpec keys: count",
+            ),
         ],
         ids=["unknown_key", "uncoercible_value", "unknown_group_key", "group_missing_count"],
     )
-    def test_bad_synth_config_exits_2(self, tmp_path, capsys, change):
+    def test_bad_synth_config_exits_2(self, tmp_path, capsys, change, message):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({**SYNTH_CONFIG, **change}))
         assert run("synth", "--seed", 1, "--config", config, "--out", tmp_path / "x") == 2
-        assert one_error(capsys)["error"] == "InvalidConfig"
+        error = one_error(capsys)
+        assert error["error"] == "InvalidConfig"
+        assert message in error["message"]
+
+    def test_synth_without_config_names_missing_key(self, tmp_path, capsys):
+        assert run("synth", "--seed", 1, "--out", tmp_path / "x") == 2
+        assert one_error(capsys) == {
+            "error": "InvalidConfig",
+            "message": "missing SynthConfig keys: groups",
+        }
 
     def test_synth_config_not_an_object_exits_2(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -320,6 +346,45 @@ class TestLinearFlow:
 
     def test_report_without_inputs_fails(self, tmp_path):
         assert run("report", "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload, error",
+        [
+            ("report", None, "InputError"),
+            ("report", b'"report"', "NoResults"),
+            ("report", b'{"report": {}}', "NoResults"),
+            ("report", json.dumps({**FULL_REPORT, "method": 7}).encode(), "NoResults"),
+            ("report", json.dumps({**FULL_REPORT, "report": {"mape": 0.1}}).encode(), "NoResults"),
+            (
+                "report",
+                json.dumps(
+                    {**FULL_REPORT, "report": {**FULL_REPORT["report"], "bootstrap": {"mae": 1}}}
+                ).encode(),
+                "NoResults",
+            ),
+            ("report", b"\xff\xfe", "InputError"),
+            ("ingest", b"\xff\xfe", "InputError"),
+            ("features", b"\xff\xfe", "InputError"),
+        ],
+        ids=[
+            "report_missing_file",
+            "report_json_string",
+            "report_without_dataset",
+            "report_method_not_a_string",
+            "report_missing_metric",
+            "report_bad_bootstrap_interval",
+            "report_not_utf8",
+            "ingest_manifest_not_utf8",
+            "features_manifest_not_utf8",
+        ],
+    )
+    def test_unusable_input_file_exits_2(self, tmp_path, capsys, command, payload, error):
+        path = tmp_path / "input.json"
+        if payload is not None:
+            path.write_bytes(payload)
+        argv = (path,) if command == "report" else ("--manifest", path)
+        assert run(command, *argv, "--out", tmp_path / "out") == 2
+        assert one_error(capsys)["error"] == error
 
     def test_crossval_requires_seed(self, synth_dir, tmp_path):
         code = run(
@@ -702,7 +767,8 @@ def _library_dataset(manifest):
 
 def _neural_estimator(config):
     return experiments.NeuralEstimator(
-        ModelConfig.from_dict(config["model"]), TrainConfig.from_dict(config["train"])
+        config_from_dict(ModelConfig, config["model"]),
+        config_from_dict(TrainConfig, config["train"]),
     )
 
 
@@ -811,7 +877,7 @@ def _write_specimen(base, sid, taxon, tops, rng):
     rdir.mkdir(parents=True)
     for f in frames:
         pixels = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        (rdir / f"{f.camera_id}_{f.frame_index}.pgm").write_bytes(save_raster(Raster(8, 8, pixels)))
+        (rdir / f"{f.camera_id}_{f.frame_index}.pgm").write_bytes(save_raster(pixels))
     return {"specimen_id": sid, "taxon": taxon, "dry_mass_ug": 40.0,
             "metadata_csv": f"frames/{sid}.csv", "raster_dir": f"rasters/{sid}"}
 
@@ -932,3 +998,42 @@ def test_thread_cap_accepts_both_spellings(monkeypatch, spelling):
         monkeypatch.delenv(var)
     _apply_thread_cap(["train", *spelling, "--seed", "1"])
     assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "3")
+
+
+def _subprocess(*args):
+    """Run python with ``args`` on this sinkmass, no BLAS thread cap preset."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(sinkmass.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # otherwise --threads comes too late: BLAS reads its cap when numpy loads
+    out = _subprocess("-c", "import sys, sinkmass.cli; print('numpy' in sys.modules)")
+    assert out.stdout.strip() == "False"
+
+
+def test_train_checkpoint_identical_across_thread_counts(raster_dir, tmp_path):
+    config = tmp_path / "train.json"
+    config.write_text(
+        json.dumps(
+            {
+                "model": {
+                    **TRAIN_CONFIG["model"],
+                    "architecture": "metadata_aware",
+                    "metadata_inputs": ["frame_area", "sinking_speed"],
+                },
+                "train": {**TRAIN_CONFIG["train"], "augmentation": "flips90"},
+            }
+        )
+    )
+    for threads in (1, 2):
+        _subprocess(
+            "-m", "sinkmass.cli", "train", "--manifest", raster_dir / "manifest.json",
+            "--config", config, "--seed", 4, "--threads", threads, "--out", tmp_path / str(threads),
+        )
+    one, two = ((tmp_path / t / "checkpoint.json").read_bytes() for t in ("1", "2"))
+    assert one == two

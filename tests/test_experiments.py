@@ -78,12 +78,18 @@ class TestOod:
             )
 
 
+def true_taxa(dataset):
+    return {s.specimen_id: s.taxon for s in dataset.specimens}
+
+
+def true_masses(dataset, factor=1.0):
+    return {s.specimen_id: s.dry_mass_ug * factor for s in dataset.specimens}
+
+
 class TestPipeline:
     def test_perfect_classifier_and_regressor_give_zero_ks(self, metadata_dataset):
         report = experiments.run_pipeline(
-            metadata_dataset,
-            classify_fn=lambda record: record.taxon,
-            predict_fn=lambda record, taxon: record.dry_mass_ug,
+            metadata_dataset, true_taxa(metadata_dataset), true_masses(metadata_dataset)
         )
         for group in report.groups:
             assert group.ks_d == 0.0
@@ -99,8 +105,8 @@ class TestPipeline:
         }
         report = experiments.run_pipeline(
             metadata_dataset,
-            classify_fn=lambda r: r.taxon,
-            predict_fn=lambda r, t: rotated.get(r.specimen_id, r.dry_mass_ug),
+            true_taxa(metadata_dataset),
+            {**true_masses(metadata_dataset), **rotated},
         )
         by_taxon = {g.taxon: g for g in report.groups}
         assert by_taxon["dense"].ks_d == 0.0
@@ -108,10 +114,11 @@ class TestPipeline:
     def test_group_counts_sum_to_dataset_size(self, metadata_dataset):
         rng = np.random.default_rng(3)
         taxa = sorted(metadata_dataset.taxon_set)
+        predicted = {
+            s.specimen_id: taxa[rng.integers(0, len(taxa))] for s in metadata_dataset.specimens
+        }
         report = experiments.run_pipeline(
-            metadata_dataset,
-            classify_fn=lambda r: taxa[rng.integers(0, len(taxa))],
-            predict_fn=lambda r, t: r.dry_mass_ug * 1.1,
+            metadata_dataset, predicted, true_masses(metadata_dataset, 1.1)
         )
         assert sum(g.n for g in report.groups) == len(metadata_dataset.specimens)
         assert isinstance(report.predictions, PredictionSet)
@@ -120,11 +127,9 @@ class TestPipeline:
         first = metadata_dataset.specimens[0]
         other = next(t for t in sorted(metadata_dataset.taxon_set) if t != first.taxon)
 
-        def classify(record):
-            return other if record.specimen_id == first.specimen_id else record.taxon
-
+        predicted = {**true_taxa(metadata_dataset), first.specimen_id: other}
         report = experiments.run_pipeline(
-            metadata_dataset, classify, lambda r, t: r.dry_mass_ug
+            metadata_dataset, predicted, true_masses(metadata_dataset)
         )
         by_taxon = {g.taxon: g for g in report.groups}
         assert by_taxon[other].n_misclassified == 1

@@ -1,12 +1,8 @@
-import math
-
 import pytest
 
-from sinkmass.errors import NonPositiveMass, TooFewFrames
+from sinkmass.errors import TooFewFrames
 from sinkmass.features import (
     compute_features,
-    exp_mass,
-    log_mass,
     mean_area,
     sinking_speed,
 )
@@ -66,22 +62,6 @@ class TestMeanArea:
     def test_permutation_invariant(self):
         frames = [make_frame(index=i, area=a) for i, a in enumerate([5, 9, 1, 7])]
         assert mean_area(frames) == mean_area(list(reversed(frames)))
-
-
-class TestLogMass:
-    def test_unit_mass(self):
-        assert log_mass(1.0) == 0.0
-
-    def test_e(self):
-        assert log_mass(math.e) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_rejected(self):
-        with pytest.raises(NonPositiveMass):
-            log_mass(0.0)
-
-    def test_round_trip(self):
-        for y in (1e-3, 0.5, 17.0, 2.6e4):
-            assert exp_mass(log_mass(y)) == pytest.approx(y, rel=1e-15)
 
 
 class TestComputeFeatures:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sinkmass.errors import EmptyInput, MissingSpeed, RankDeficient, TooFewRows
+from sinkmass.config import config_from_dict, config_to_dict
+from sinkmass.errors import EmptyInput, InputError, MissingSpeed, RankDeficient, TooFewRows
 from sinkmass.features import compute_features
 from sinkmass.linear import (
     FeatureSpec,
@@ -235,3 +238,23 @@ class TestBuildRowsAndPersistence:
         path = tmp_path / "model.json"
         save_linear_model(model, path)
         assert load_linear_model(path) == model
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dict_round_trip(self, data):
+        spec = data.draw(st.sampled_from(FeatureSpec))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        model = LinearModel(
+            spec,
+            data.draw(finite),
+            tuple(data.draw(finite) for _ in range(spec.n_features)),
+            data.draw(st.sampled_from(TargetSpace)),
+        )
+        assert config_from_dict(LinearModel, config_to_dict(model)) == model
+
+    @pytest.mark.parametrize("payload", [b"{", b"\xff\xfe"], ids=["not_json", "not_utf8"])
+    def test_unreadable_file_raises_input_error(self, tmp_path, payload):
+        path = tmp_path / "model.json"
+        path.write_bytes(payload)
+        with pytest.raises(InputError, match="cannot read linear model file"):
+            load_linear_model(path)

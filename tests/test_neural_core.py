@@ -1,9 +1,13 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sinkmass.config import config_from_dict, config_to_dict
 from sinkmass.errors import (
     MissingMetadata,
     MissingSecondView,
@@ -87,9 +91,27 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(encoder_channels=(2, 3, 4), input_size=9)
 
-    def test_round_trip_dict(self):
-        config = tiny_config(Architecture.METADATA_AWARE, HeadKind.TWO_LAYER)
-        assert ModelConfig.from_dict(config.to_dict()) == config
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_dict(self, data):
+        arch = data.draw(st.sampled_from(Architecture))
+        metadata = ()
+        if arch is Architecture.METADATA_AWARE:
+            metadata = tuple(data.draw(st.lists(st.sampled_from(MetadataInput), min_size=1, max_size=4)))
+        channels = tuple(data.draw(st.lists(st.integers(1, 16), min_size=1, max_size=3)))
+        config = ModelConfig(
+            architecture=arch,
+            encoder_channels=channels,
+            head=data.draw(st.sampled_from(HeadKind)),
+            head_hidden=data.draw(st.integers(1, 64)),
+            metadata_inputs=metadata,
+            metadata_hidden=data.draw(st.none() | st.integers(1, 8)),
+            target_space=data.draw(st.sampled_from(TargetSpace)),
+            input_size=2 ** len(channels) * data.draw(st.integers(1, 8)),
+            n_classes=data.draw(st.none() | st.integers(2, 12)),
+        )
+        payload = json.loads(json.dumps(config_to_dict(config)))
+        assert config_from_dict(ModelConfig, payload) == config
 
 
 class TestForward:

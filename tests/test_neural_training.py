@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sinkmass.errors import EmptySplit, IncompatibleArchitecture, InvalidConfig, NonFiniteLoss
+from sinkmass.config import config_from_dict
+from sinkmass.errors import (
+    EmptySplit,
+    IncompatibleArchitecture,
+    InputError,
+    InvalidConfig,
+    NonFiniteLoss,
+)
 from sinkmass.linear import TargetSpace, trimmed_median
 from sinkmass.neural import training
 from sinkmass.neural.losses import LossKind, LossSpace, cross_entropy, regression_loss, softmax
@@ -121,7 +128,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
     def test_from_dict_fills_field_defaults(self, cls):
-        assert cls.from_dict({}) == cls()
+        assert config_from_dict(cls, {}) == cls()
 
     def test_determinism_bit_for_bit(self, raster_dataset):
         dataset, train_ids, val_ids, _ = raster_dataset
@@ -485,3 +492,10 @@ class TestCheckpointIo:
         before = predict_specimen_masses(model, dataset, test_ids)
         after = predict_specimen_masses(loaded, dataset, test_ids)
         assert before == after
+
+    @pytest.mark.parametrize("payload", [b"{", b"\xff\xfe"], ids=["not_json", "not_utf8"])
+    def test_unreadable_file_raises_input_error(self, tmp_path, payload):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(payload)
+        with pytest.raises(InputError, match="cannot read checkpoint"):
+            load_checkpoint(path)

@@ -121,13 +121,13 @@ class TestGenerate:
 class TestRasterize:
     def test_thresholded_pixel_count_matches_area(self):
         raster = _ellipse_raster(100.0, (32, 32), aspect=1.5, angle=0.3, jitter=(1, -1))
-        dark = int((raster.pixels < 128).sum())
+        dark = int((raster < 128).sum())
         assert 98 <= dark <= 102
 
     def test_equal_area_different_density_can_look_identical(self):
         a = _ellipse_raster(80.0, (32, 32), aspect=1.5, angle=0.0, jitter=(0, 0))
         b = _ellipse_raster(80.0, (32, 32), aspect=1.5, angle=0.0, jitter=(0, 0))
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a, b)
 
     def test_too_large_area_rejected(self):
         with pytest.raises(SilhouetteTooLarge):
@@ -139,7 +139,7 @@ class TestRasterize:
         record = dataset.specimens[0]
         rasters = rasterize_specimen(record, (32, 32), seed=config.seed)
         for frame, raster in zip(record.frames, rasters):
-            dark = int((raster.pixels < 128).sum())
+            dark = int((raster < 128).sum())
             assert abs(dark - frame.area_px) <= max(0.02 * frame.area_px, 0.51)
 
     def test_generate_fills_raster_store(self):
