@@ -142,15 +142,17 @@ def _read_model_json(path):
 
 
 def _load_any_model(path):
-    """A linear model JSON or a neural checkpoint, told apart by content."""
+    """A linear model JSON or a neural checkpoint, told apart by content;
+    the file is read once."""
     from .errors import InputError
-    from .linear import load_linear_model
-    from .neural.training import load_checkpoint
+    from .linear import decode_linear_model
+    from .neural.training import decode_checkpoint
 
     payload = _read_model_json(path)
     if not isinstance(payload, dict):
         raise InputError(f"model file {path} does not hold a JSON object")
-    return load_linear_model(path) if "feature_spec" in payload else load_checkpoint(path)
+    decode = decode_linear_model if "feature_spec" in payload else decode_checkpoint
+    return decode(payload, path)
 
 
 def _model_configs_from(config: dict, dataset, seed: int):
@@ -248,13 +250,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_features(args) -> int:
-    from .experiments import feature_table
-
     dataset = _load_dataset(args)
-    table = feature_table(dataset)
     lines = ["specimen_id,taxon,dry_mass_ug,mean_area_px,image_count,sinking_speed,pseudo_mass"]
     for record in dataset.specimens:
-        f = table[record.specimen_id]
+        f = dataset.features[record.specimen_id]
         mass = "" if record.dry_mass_ug is None else repr(record.dry_mass_ug)
         speed = "" if f.sinking_speed is None else repr(f.sinking_speed)
         lines.append(
@@ -432,10 +431,9 @@ def cmd_pipeline(args) -> int:
     from .neural.training import predict_taxa
 
     dataset = _load_dataset(args)
-    features = experiments.feature_table(dataset)
     classifier = _load_any_model(args.classifier)
     ids = [s.specimen_id for s in dataset.specimens]
-    predicted = predict_taxa(classifier, dataset, ids, features)
+    predicted = predict_taxa(classifier, dataset, ids)
 
     if args.mass_model:
         models = [_load_any_model(args.mass_model)]
@@ -457,7 +455,7 @@ def cmd_pipeline(args) -> int:
             routed[slot[taxon]].append(record.specimen_id)
     masses = {}
     for model, model_ids in zip(models, routed):
-        for e in experiments.predict(model, dataset, model_ids, features, args.trim).entries:
+        for e in experiments.predict(model, dataset, model_ids, args.trim).entries:
             masses[e.specimen_id] = e.predicted_mass_ug
 
     # the first weighed specimen either model skipped names the error
@@ -541,6 +539,16 @@ def _trim_fraction(text: str) -> float:
     return value
 
 
+def _bootstrap_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bootstrap count must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master RNG seed")
@@ -593,7 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[common, data, trim], help="score a model")
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--method", type=str, default=None, help="method label for reports")
-    p.add_argument("--bootstrap", type=int, default=0, help="bootstrap draws (0 = off)")
+    p.add_argument(
+        "--bootstrap", type=_bootstrap_count, default=0, help="bootstrap draws (0 = off)"
+    )
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(fn=cmd_evaluate)
 

@@ -18,7 +18,6 @@ from .evaluation import (
     pearson_r,
     pool_folds,
 )
-from .features import SpecimenFeatures, compute_features
 from .linear import (
     FeatureSpec,
     LinearModel,
@@ -42,10 +41,6 @@ def _check_trim_fraction(trim_fraction: float) -> None:
         raise InvalidConfig(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
 
 
-def feature_table(dataset: Dataset) -> dict[str, SpecimenFeatures]:
-    return {s.specimen_id: compute_features(s) for s in dataset.specimens}
-
-
 @dataclass(frozen=True)
 class LinearEstimator:
     """OLS on area, or on area and sinking speed (see ``linear``)."""
@@ -54,22 +49,14 @@ class LinearEstimator:
     target_space: TargetSpace = TargetSpace.RAW
     per_image: bool = True
 
-    def fit(
-        self,
-        dataset: Dataset,
-        train_ids,
-        val_ids=None,
-        seed: int = 0,
-        features: dict[str, SpecimenFeatures] | None = None,
-    ) -> LinearModel:
+    def fit(self, dataset: Dataset, train_ids, val_ids=None, seed: int = 0) -> LinearModel:
         """Fit on ``train_ids`` alone; OLS needs neither a validation split
         nor a seed."""
-        features = features or feature_table(dataset)
         rows = build_rows(
-            dataset.subset(train_ids), features, self.feature_spec, self.target_space,
+            dataset.subset(train_ids), dataset.features, self.feature_spec, self.target_space,
             self.per_image,
         )
-        return fit_ols(rows, self.target_space, self.feature_spec)
+        return fit_ols(rows, self.target_space)
 
 
 @dataclass(frozen=True)
@@ -79,22 +66,14 @@ class NeuralEstimator:
     model_config: ModelConfig
     train_config: TrainConfig
 
-    def fit(
-        self,
-        dataset: Dataset,
-        train_ids,
-        val_ids=None,
-        seed: int = 0,
-        features: dict[str, SpecimenFeatures] | None = None,
-    ) -> TrainedModel:
+    def fit(self, dataset: Dataset, train_ids, val_ids=None, seed: int = 0) -> TrainedModel:
         """Train with ``seed`` in place of the config's seed and keep the
         min-validation-loss epoch. Without ``val_ids``, a stratified
         VAL_FRACTION of each taxon in ``train_ids`` validates instead."""
         if val_ids is None:
             train_ids, val_ids = _stratified_val_split(dataset, train_ids, seed)
         return train(
-            dataset, train_ids, val_ids, self.model_config,
-            replace(self.train_config, seed=seed), features,
+            dataset, train_ids, val_ids, self.model_config, replace(self.train_config, seed=seed)
         )
 
 
@@ -127,13 +106,9 @@ def _prediction_set(records, masses: dict[str, float]) -> PredictionSet:
 
 
 def predict_linear(
-    model: LinearModel,
-    dataset: Dataset,
-    specimen_ids,
-    features: dict[str, SpecimenFeatures] | None = None,
-    trim_fraction: float = 0.05,
+    model: LinearModel, dataset: Dataset, specimen_ids, trim_fraction: float = 0.05
 ) -> PredictionSet:
-    features = features or feature_table(dataset)
+    features = dataset.features
     records = dataset.subset(specimen_ids)
     needs_speed = model.feature_spec is FeatureSpec.AREA_PLUS_SPEED
     masses = {
@@ -146,13 +121,9 @@ def predict_linear(
 
 
 def predict_neural(
-    model: TrainedModel,
-    dataset: Dataset,
-    specimen_ids,
-    features: dict[str, SpecimenFeatures] | None = None,
-    trim_fraction: float = 0.05,
+    model: TrainedModel, dataset: Dataset, specimen_ids, trim_fraction: float = 0.05
 ) -> PredictionSet:
-    masses = predict_specimen_masses(model, dataset, specimen_ids, features, trim_fraction)
+    masses = predict_specimen_masses(model, dataset, specimen_ids, trim_fraction)
     return _prediction_set(dataset.subset(specimen_ids), masses)
 
 
@@ -165,7 +136,6 @@ def predict(
     model: LinearModel | TrainedModel,
     dataset: Dataset,
     specimen_ids,
-    features: dict[str, SpecimenFeatures] | None = None,
     trim_fraction: float = 0.05,
 ) -> PredictionSet:
     """Per-specimen predictions for every weighed specimen among
@@ -174,7 +144,7 @@ def predict(
     frames from both cameras."""
     _check_trim_fraction(trim_fraction)
     predict_fn = predict_linear if model_family(model) == "linear" else predict_neural
-    return predict_fn(model, dataset, specimen_ids, features, trim_fraction)
+    return predict_fn(model, dataset, specimen_ids, trim_fraction)
 
 
 @dataclass(frozen=True)
@@ -197,15 +167,14 @@ def crossval(
     with a fold-derived seed, score its test fold, then pool the test
     predictions. Neural folds keep their validation-loss histories."""
     _check_trim_fraction(trim_fraction)
-    features = feature_table(dataset)
     plan = make_cv_splits(dataset, k=k, seed=seed)
     fold_sets = []
     histories = []
     for f, fold in enumerate(plan.folds):
-        model = estimator.fit(dataset, fold.train, fold.val, derive_seed(seed, "fold", f), features)
+        model = estimator.fit(dataset, fold.train, fold.val, derive_seed(seed, "fold", f))
         if hasattr(model, "val_loss_history"):
             histories.append(tuple(model.val_loss_history))
-        fold_sets.append(predict(model, dataset, fold.test, features, trim_fraction))
+        fold_sets.append(predict(model, dataset, fold.test, trim_fraction))
     pooled = pool_folds(fold_sets)
     return CrossvalResult(
         plan=plan,
@@ -262,9 +231,8 @@ def ood(
     validation split and its training) and score only the held-out taxon."""
     _check_trim_fraction(trim_fraction)
     rest, held = ood_split(dataset, holdout_taxon)
-    features = feature_table(dataset)
-    model = estimator.fit(dataset, rest, None, seed, features)
-    predictions = predict(model, dataset, held, features, trim_fraction)
+    model = estimator.fit(dataset, rest, None, seed)
+    predictions = predict(model, dataset, held, trim_fraction)
     return compute_metrics(predictions), predictions
 
 

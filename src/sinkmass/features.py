@@ -28,19 +28,6 @@ class SpecimenFeatures:
     sinking_speed: float | None
     pseudo_mass: float
 
-    def metadata_value(self, name: str, frame: FrameMeta | None = None) -> float:
-        if name == "frame_area":
-            if frame is None:
-                raise ValueError("frame_area needs a frame")
-            return frame.area_px
-        if name == "mean_area":
-            return self.mean_area_px
-        if name == "sinking_speed":
-            if self.sinking_speed is None:
-                raise ValueError("sinking_speed absent")
-            return self.sinking_speed
-        raise ValueError(f"unknown metadata input {name!r}")
-
 
 def sinking_speed(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> float:
     """Speed in pixels per frame over one camera's sequence.

@@ -58,16 +58,12 @@ class LinearModel:
             )
 
 
-def fit_ols(
-    rows: list[tuple],
-    target_space: TargetSpace = TargetSpace.RAW,
-    feature_spec: FeatureSpec | None = None,
-) -> LinearModel:
+def fit_ols(rows: list[tuple], target_space: TargetSpace = TargetSpace.RAW) -> LinearModel:
     """Fit intercept + slopes minimizing the residual sum of squares.
 
-    ``rows`` holds (feature vector, target) pairs; the feature spec is
-    inferred from the vector length unless given. Requires at least p+2 rows
-    and a full-rank design matrix. Deterministic and invariant to row order.
+    ``rows`` holds (feature vector, target) pairs; the feature spec follows
+    from the vector length. Requires at least p+2 rows and a full-rank
+    design matrix. Deterministic and invariant to row order.
     """
     if not rows:
         raise TooFewRows("no rows")
@@ -76,15 +72,9 @@ def fit_ols(
     if x.ndim != 2:
         raise TooFewRows("feature vectors must share one length")
     p = x.shape[1]
-    if feature_spec is None:
-        if p == 1:
-            feature_spec = FeatureSpec.AREA_ONLY
-        elif p == 2:
-            feature_spec = FeatureSpec.AREA_PLUS_SPEED
-        else:
-            raise ValueError(f"cannot infer feature spec from {p} features")
-    elif feature_spec.n_features != p:
-        raise ValueError(f"{feature_spec.value} expects {feature_spec.n_features} features, got {p}")
+    specs = {spec.n_features: spec for spec in FeatureSpec}
+    if p not in specs:
+        raise ValueError(f"cannot infer feature spec from {p} features")
     if len(rows) < p + 2:
         raise TooFewRows(f"need at least {p + 2} rows for {p} features, got {len(rows)}")
     design = np.column_stack([np.ones(len(y)), x])
@@ -92,7 +82,7 @@ def fit_ols(
         raise RankDeficient("design matrix does not have full column rank")
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     return LinearModel(
-        feature_spec=feature_spec,
+        feature_spec=specs[p],
         intercept=float(beta[0]),
         coefficients=tuple(float(b) for b in beta[1:]),
         target_space=target_space,
@@ -200,7 +190,11 @@ def load_linear_model(path: Path | str) -> LinearModel:
     """The model ``save_linear_model`` wrote; a file of another format
     version, or with missing, unknown or mistyped fields, raises an
     InputError."""
-    payload = read_json(path, "linear model file")
+    return decode_linear_model(read_json(path, "linear model file"), path)
+
+
+def decode_linear_model(payload, path: Path | str) -> LinearModel:
+    """``load_linear_model`` on the JSON value already read from ``path``."""
     if not isinstance(payload, dict):
         raise InputError(f"linear model file {path} does not hold a JSON object")
     fields = dict(payload)

@@ -35,18 +35,17 @@ def dihedral(pixels: np.ndarray, element: int) -> np.ndarray:
     return np.ascontiguousarray(_dihedral_view(pixels, element))
 
 
-def rotate_bilinear(pixels: np.ndarray, angle_deg: float, fill: float | None = None) -> np.ndarray:
+def rotate_bilinear(pixels: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rotate about the image center with bilinear resampling.
 
-    Samples that fall outside the source are set to ``fill`` (default: the
-    median of the border pixels). A zero angle reproduces the input exactly.
+    Samples that fall outside the source are set to the median of the
+    border pixels. A zero angle reproduces the input exactly.
     """
     if pixels.shape[0] != pixels.shape[1]:
         raise NonSquareRaster(f"rotation needs a square raster, got {pixels.shape}")
     src = pixels.astype(float)
-    if fill is None:
-        border = np.concatenate([src[0, :], src[-1, :], src[1:-1, 0], src[1:-1, -1]])
-        fill = float(np.median(border))
+    border = np.concatenate([src[0, :], src[-1, :], src[1:-1, 0], src[1:-1, -1]])
+    fill = float(np.median(border))
     s = src.shape[0]
     c = (s - 1) / 2.0
     theta = math.radians(angle_deg)

@@ -9,6 +9,10 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8
+
 
 @dataclass
 class AdamWState:
@@ -24,9 +28,6 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     state: AdamWState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
     skip: tuple[str, ...] = (),
 ) -> None:
@@ -39,8 +40,8 @@ def adamw_step(
     (used for frozen branches during fine-tuning).
     """
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - BETA1**state.t
+    bc2 = 1.0 - BETA2**state.t
     for name, w in params.items():
         if any(name.startswith(p) for p in skip):
             continue
@@ -52,13 +53,13 @@ def adamw_step(
             state.v[name] = np.zeros_like(w)
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        w -= lr * m_hat / (np.sqrt(v_hat) + EPS)
         if weight_decay > 0.0:
             w -= lr * weight_decay * w
 

@@ -26,13 +26,12 @@ from ..errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
-from ..features import SpecimenFeatures, compute_features
 from ..linear import TargetSpace, trimmed_median
 from ..records import MASS_FLOOR_UG, Dataset, SpecimenRecord
 from ..rng import substream
 from .augment import AugmentPolicy, augment_array
 from .losses import LossKind, LossSpace, cross_entropy, regression_loss, softmax
-from .model import Architecture, Batch, ModelConfig, NeuralNet, init_params
+from .model import Architecture, Batch, MetadataInput, ModelConfig, NeuralNet, init_params
 from .optim import AdamWState, adamw_step, cosine_lr
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -117,7 +116,6 @@ def build_samples(
     dataset: Dataset,
     specimen_ids,
     config: ModelConfig,
-    feature_table: dict[str, SpecimenFeatures] | None = None,
     require_mass: bool = True,
     taxa: tuple[str, ...] | None = None,
 ) -> SampleSet:
@@ -135,10 +133,7 @@ def build_samples(
         )
     id_set = set(specimen_ids)
     wanted = [s for s in dataset.specimens if s.specimen_id in id_set]
-    if feature_table is None:
-        feature_table = {s.specimen_id: compute_features(s) for s in wanted}
-    meta_names = [m.value for m in config.metadata_inputs]
-    needs_speed = "sinking_speed" in meta_names
+    needs_speed = MetadataInput.SINKING_SPEED in config.metadata_inputs
 
     images: list[np.ndarray] = []
     images2: list[np.ndarray] = []
@@ -150,7 +145,7 @@ def build_samples(
     for record in wanted:
         if require_mass and record.dry_mass_ug is None:
             continue
-        feats = feature_table[record.specimen_id]
+        feats = dataset.features[record.specimen_id]
         if needs_speed and feats.sinking_speed is None:
             continue
         frame_to_image = _specimen_images(dataset, record)
@@ -169,10 +164,13 @@ def build_samples(
             images.append(frame_to_image[frames[0]].astype(float))
             if config.architecture is Architecture.MULTI_VIEW:
                 images2.append(frame_to_image[frames[1]].astype(float))
-            if meta_names:
-                metadata.append(
-                    [feats.metadata_value(name, frames[0]) for name in meta_names]
-                )
+            if config.metadata_inputs:
+                values = {
+                    MetadataInput.FRAME_AREA: frames[0].area_px,
+                    MetadataInput.MEAN_AREA: feats.mean_area_px,
+                    MetadataInput.SINKING_SPEED: feats.sinking_speed,
+                }
+                metadata.append([values[m] for m in config.metadata_inputs])
             masses.append(record.dry_mass_ug if record.dry_mass_ug is not None else 0.0)
             labels.append(label)
             slices.setdefault(record.specimen_id, []).append(index)
@@ -332,9 +330,7 @@ def _run_training(
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"training loss became {value} at step {step}")
             lr = cosine_lr(step, total_steps, tc.lr_max, tc.lr_min)
-            adamw_step(
-                params, grads, state, lr, weight_decay=tc.weight_decay, skip=frozen
-            )
+            adamw_step(params, grads, state, lr, weight_decay=tc.weight_decay, skip=frozen)
             step += 1
         val_loss = _epoch_loss(net, val_samples, tc, mean, std, classify)
         history.append(val_loss)
@@ -359,7 +355,6 @@ def train(
     val_ids,
     config: ModelConfig,
     train_config: TrainConfig,
-    feature_table: dict[str, SpecimenFeatures] | None = None,
     taxa: tuple[str, ...] | None = None,
     initial_params: dict[str, np.ndarray] | None = None,
     metadata_stats: tuple[np.ndarray, np.ndarray] | None = None,
@@ -372,8 +367,8 @@ def train(
     if config.n_classes is not None:
         if taxa is None or len(taxa) != config.n_classes:
             raise InvalidConfig("classification needs a taxa list matching n_classes")
-    train_samples = build_samples(dataset, train_ids, config, feature_table, taxa=taxa)
-    val_samples = build_samples(dataset, val_ids, config, feature_table, taxa=taxa)
+    train_samples = build_samples(dataset, train_ids, config, taxa=taxa)
+    val_samples = build_samples(dataset, val_ids, config, taxa=taxa)
     if len(train_samples) == 0 or len(val_samples) == 0:
         raise EmptySplit("train and validation splits must both yield samples")
     mean = std = None
@@ -397,7 +392,6 @@ def fine_tune(
     train_ids,
     val_ids,
     train_config: TrainConfig,
-    feature_table: dict[str, SpecimenFeatures] | None = None,
 ) -> TrainedModel:
     """Continue training from ``base`` with the configured freeze mode.
 
@@ -423,19 +417,16 @@ def fine_tune(
         val_ids,
         base.config,
         train_config,
-        feature_table=feature_table,
         taxa=base.taxa,
         initial_params=base.params,
         metadata_stats=stats,
     )
 
 
-def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids, feature_table):
+def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
     """{specimen_id: network outputs over its samples} for every specimen the
     model can score, from one batched pass over all their samples."""
-    samples = build_samples(
-        dataset, specimen_ids, model.config, feature_table, require_mass=False
-    )
+    samples = build_samples(dataset, specimen_ids, model.config, require_mass=False)
     if not samples.sample_slices:
         return {}
     out = _outputs(model.net(), samples, model.metadata_mean, model.metadata_std)
@@ -446,16 +437,17 @@ def predict_specimen_masses(
     model: TrainedModel,
     dataset: Dataset,
     specimen_ids,
-    feature_table: dict[str, SpecimenFeatures] | None = None,
     trim_fraction: float = 0.05,
 ) -> dict[str, float]:
     """Trimmed-median aggregate of per-image predictions per specimen.
 
     Specimens the model cannot score (e.g. missing speed) are omitted from
-    the result.
+    the result. A classifier checkpoint raises IncompatibleArchitecture.
     """
+    if model.config.n_classes is not None:
+        raise IncompatibleArchitecture("mass prediction needs a regression checkpoint")
     results: dict[str, float] = {}
-    for sid, out in _specimen_outputs(model, dataset, specimen_ids, feature_table).items():
+    for sid, out in _specimen_outputs(model, dataset, specimen_ids).items():
         if model.config.target_space is TargetSpace.LOG:
             masses = np.exp(out)
         else:
@@ -464,17 +456,12 @@ def predict_specimen_masses(
     return results
 
 
-def predict_taxa(
-    model: TrainedModel,
-    dataset: Dataset,
-    specimen_ids,
-    feature_table: dict[str, SpecimenFeatures] | None = None,
-) -> dict[str, str]:
+def predict_taxa(model: TrainedModel, dataset: Dataset, specimen_ids) -> dict[str, str]:
     """Per-specimen taxon: argmax of the mean per-image class probabilities."""
     if getattr(model, "taxa", None) is None:
         raise IncompatibleArchitecture("classifier checkpoint carries no taxa list")
     results: dict[str, str] = {}
-    for sid, logits in _specimen_outputs(model, dataset, specimen_ids, feature_table).items():
+    for sid, logits in _specimen_outputs(model, dataset, specimen_ids).items():
         mean_probs = softmax(logits).mean(axis=0)
         results[sid] = model.taxa[int(np.argmax(mean_probs))]
     return results
@@ -501,7 +488,11 @@ def load_checkpoint(path: Path | str) -> TrainedModel:
     """The model ``save_checkpoint`` wrote; a file of another format version,
     with missing or mistyped fields, or with parameters that do not fit its
     config, raises an InputError."""
-    payload = read_json(path, "checkpoint")
+    return decode_checkpoint(read_json(path, "checkpoint"), path)
+
+
+def decode_checkpoint(payload, path: Path | str) -> TrainedModel:
+    """``load_checkpoint`` on the JSON value already read from ``path``."""
     if not isinstance(payload, dict):
         raise InputError(f"checkpoint {path} does not hold a JSON object")
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:

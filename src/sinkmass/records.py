@@ -9,6 +9,7 @@ surface every problem in one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,8 @@ class Dataset:
 
     ``rasters`` maps raster_ref -> uint8 array of shape ``raster_dims``.
     The mapping is filled by ingest (or the synthetic generator) and treated
-    as read-only afterwards.
+    as read-only afterwards. ``features`` is derived from the specimens on
+    first access and cached.
     """
 
     name: str
@@ -74,6 +76,15 @@ class Dataset:
     @property
     def taxon_set(self) -> set[str]:
         return {s.taxon for s in self.specimens}
+
+    @cached_property
+    def features(self) -> dict:
+        """{specimen_id: SpecimenFeatures} for every specimen. Lazy, because
+        a frameless specimen has none and ``validate_dataset`` must still
+        report it as a violation instead of failing here."""
+        from .features import compute_features  # features.py imports this module
+
+        return {s.specimen_id: compute_features(s) for s in self.specimens}
 
     def specimen(self, specimen_id: str) -> SpecimenRecord:
         for s in self.specimens:

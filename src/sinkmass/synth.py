@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,13 +234,7 @@ def generate(config: SynthConfig, name: str = "synthetic") -> tuple[Dataset, Gro
                     f"{sid}/{f.camera_id}_{f.frame_index}.pgm" for f in record.frames
                 )
                 raster_store.update(zip(refs, rasters))
-                record = SpecimenRecord(
-                    specimen_id=record.specimen_id,
-                    taxon=record.taxon,
-                    dry_mass_ug=record.dry_mass_ug,
-                    frames=record.frames,
-                    raster_refs=refs,
-                )
+                record = replace(record, raster_refs=refs)
             specimens.append(record)
             truths[sid] = truth
     dataset = Dataset(

@@ -221,7 +221,7 @@ def _acceptance_raster_dataset():
 def test_criterion_05_metadata_model_beats_image_only():
     start = time.monotonic()
     dataset, _ = generate(_acceptance_raster_dataset())
-    table = experiments.feature_table(dataset)
+    table = dataset.features
     assert all(f.sinking_speed is not None for f in table.values())
 
     image_config = ModelConfig(

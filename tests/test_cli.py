@@ -747,6 +747,7 @@ BAD_FLAGS = {
     "trim_one_half": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.5)),
     "trim_above_one_half": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.7)),
     "negative_trim": ("UsageError", ("evaluate", "--model", "m.json", "--trim", -0.1)),
+    "negative_bootstrap": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", -3)),
     "unknown_command": ("UsageError", ("estimate",)),
 }
 
@@ -977,6 +978,50 @@ def test_model_path_flags_share_one_loader(tmp_path, capsys, case):
     assert one_error(capsys)["error"] == error
 
 
+CLASSIFIER_AS_MASS_MODEL = {
+    "evaluate_model": lambda cls, mapping: ("evaluate", "--model", cls),
+    "pipeline_mass_model": lambda cls, mapping: (
+        "pipeline", "--classifier", cls, "--mass-model", cls),
+    "pipeline_mass_models_entry": lambda cls, mapping: (
+        "pipeline", "--classifier", cls, "--mass-models", mapping),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFIER_AS_MASS_MODEL))
+def test_classifier_given_as_mass_model_exits_2(tmp_path, capsys, case):
+    manifest, classifier, mass = _pipeline_fixture(tmp_path)
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({"a": str(mass), "b": str(classifier)}))
+    code = run(
+        *CLASSIFIER_AS_MASS_MODEL[case](classifier, mapping), "--manifest", manifest,
+        "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert one_error(capsys)["error"] == "IncompatibleArchitecture"
+
+
+def test_pipeline_reads_each_model_file_once(tmp_path, monkeypatch):
+    manifest, classifier, mass = _pipeline_fixture(tmp_path)
+    masses = [mass, _untrained_checkpoint(tmp_path / "mass_b.json"),
+              _untrained_checkpoint(tmp_path / "mass_c.json")]
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({taxon: str(path) for taxon, path in zip("abc", masses)}))
+    reads = []
+    real_read_text = Path.read_text
+
+    def spy(self, *args, **kwargs):
+        reads.append(self.name)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    assert run(
+        "pipeline", "--manifest", manifest, "--classifier", classifier,
+        "--mass-models", mapping, "--out", tmp_path / "pipe",
+    ) == 0
+    for path in (classifier, *masses, mapping):
+        assert reads.count(path.name) == 1, (path.name, reads)
+
+
 def test_mass_model_entry_that_receives_no_specimen(tmp_path):
     manifest, classifier, mass = _pipeline_fixture(tmp_path)
     # the classifier only predicts "a" or "b", so the "c" model is never routed to
@@ -1037,3 +1082,65 @@ def test_train_checkpoint_identical_across_thread_counts(raster_dir, tmp_path):
         )
     one, two = ((tmp_path / t / "checkpoint.json").read_bytes() for t in ("1", "2"))
     assert one == two
+
+
+def _run_every_command(workdir, capsys):
+    """Run each command once in ``workdir`` on one seed; return its stdout lines."""
+    for name, payload in {
+        "synth.json": RASTER_CONFIG,
+        "train.json": TRAIN_CONFIG,
+        "meta.json": {
+            "model": {**TRAIN_CONFIG["model"], "architecture": "metadata_aware",
+                      "metadata_inputs": ["frame_area", "mean_area", "sinking_speed"]},
+            "train": {**TRAIN_CONFIG["train"], "epochs": 2, "augmentation": "flips90"},
+        },
+        "cls.json": {"model": {**TRAIN_CONFIG["model"], "task": "classification"},
+                     "train": {"epochs": 2, "batch_size": 32}},
+        "ft.json": {"train": {**TRAIN_CONFIG["train"], "freeze": "encoder"}},
+    }.items():
+        (workdir / name).write_text(json.dumps(payload))
+    m = ("--manifest", "data/manifest.json")
+    commands = [
+        ("synth", "--seed", 21, "--config", "synth.json", "--out", "data"),
+        ("ingest", *m, "--out", "ingest"),
+        ("features", *m, "--out", "features"),
+        ("fit-linear", *m, "--features", "area_speed", "--out", "linear"),
+        ("evaluate", *m, "--model", "linear/linear_model.json", "--bootstrap", 50,
+         "--seed", 2, "--out", "eval"),
+        ("crossval", *m, "--model", "linear-area-speed", "--seed", 3, "--out", "cv_linear"),
+        ("crossval", *m, "--model", "neural", "--config", "meta.json", "--folds", 2,
+         "--seed", 3, "--out", "cv_neural"),
+        ("ood", *m, "--model", "linear-area", "--holdout", "dense", "--seed", 3,
+         "--out", "ood_linear"),
+        ("ood", *m, "--model", "neural", "--config", "meta.json", "--holdout", "dense",
+         "--seed", 3, "--out", "ood_neural"),
+        ("train", *m, "--config", "cls.json", "--seed", 9, "--out", "cls"),
+        ("train", *m, "--config", "train.json", "--seed", 4, "--out", "reg"),
+        ("finetune", *m, "--base", "reg/checkpoint.json", "--config", "ft.json", "--seed", 6,
+         "--out", "tuned"),
+        ("pipeline", *m, "--classifier", "cls/checkpoint.json", "--mass-model",
+         "tuned/checkpoint.json", "--out", "pipe"),
+        ("report", "eval/metrics.json", "ood_linear/metrics.json", "ood_neural/metrics.json",
+         "--out", "report"),
+    ]
+    stdout = []
+    for argv in commands:
+        assert run(*argv) == 0, argv
+        stdout.append(capsys.readouterr().out)
+    return stdout
+
+
+def test_every_command_is_byte_identical_across_runs(tmp_path, monkeypatch, capsys):
+    stdout = {}
+    files = {}
+    for run_name in ("first", "second"):
+        workdir = tmp_path / run_name
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        stdout[run_name] = _run_every_command(workdir, capsys)
+        files[run_name] = {
+            str(p.relative_to(workdir)): p.read_bytes() for p in workdir.rglob("*") if p.is_file()
+        }
+    assert stdout["first"] == stdout["second"]
+    assert len(files["first"]) > 100
+    assert files["first"] == files["second"]

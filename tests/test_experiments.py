@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from sinkmass import experiments
+from sinkmass import experiments, features
 from sinkmass.errors import InvalidConfig, UnknownTaxon
 from sinkmass.linear import FeatureSpec, TargetSpace
 from sinkmass.neural.model import HeadKind, ModelConfig
@@ -76,6 +78,27 @@ class TestOod:
             experiments.ood(
                 metadata_dataset, "krill", experiments.LinearEstimator(FeatureSpec.AREA_ONLY)
             )
+
+
+def test_features_computed_once_per_specimen_across_flows(monkeypatch):
+    config = SynthConfig(
+        groups=(GroupSpec("light", (1.2, 1.4), (2.1, 0.25), 15),
+                GroupSpec("dense", (2.8, 3.4), (2.1, 0.25), 15)),
+        seed=12,
+    )
+    dataset, _ = generate(config)
+    calls = Counter()
+    real = features.compute_features
+
+    def spy(record):
+        calls[record.specimen_id] += 1
+        return real(record)
+
+    monkeypatch.setattr(features, "compute_features", spy)
+    estimator = experiments.LinearEstimator(FeatureSpec.AREA_PLUS_SPEED)
+    experiments.crossval(dataset, estimator, k=3, seed=1)
+    experiments.ood(dataset, "dense", estimator)
+    assert calls == Counter(s.specimen_id for s in dataset.specimens)
 
 
 def true_taxa(dataset):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sinkmass.errors import InvalidConfig, SilhouetteTooLarge
-from sinkmass.experiments import feature_table
 from sinkmass.linear import FeatureSpec, fit_ols, build_rows
 from sinkmass.records import validate_dataset
 from sinkmass.synth import (
@@ -67,7 +66,7 @@ class TestGenerate:
 
     def test_recovered_speed_within_discretization_error(self):
         dataset, truth = generate(two_group_config())
-        table = feature_table(dataset)
+        table = dataset.features
         checked = 0
         for record in dataset.specimens:
             feats = table[record.specimen_id]
@@ -93,13 +92,13 @@ class TestGenerate:
         # disjoint density ranges with overlapping areas: the speed column
         # must strictly reduce the in-sample residual sum of squares
         dataset, _ = generate(two_group_config(seed=seed))
-        table = feature_table(dataset)
+        table = dataset.features
         records = [s for s in dataset.specimens if table[s.specimen_id].sinking_speed is not None]
         assert len(records) >= 50
 
         def rss(feature_spec):
             rows = build_rows(records, table, feature_spec)
-            model = fit_ols(rows, feature_spec=feature_spec)
+            model = fit_ols(rows)
             x = np.array([r[0] for r in rows])
             y = np.array([r[1] for r in rows])
             fitted = model.intercept + x @ np.array(model.coefficients)
