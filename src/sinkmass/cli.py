@@ -184,10 +184,18 @@ def _model_configs_from(config: dict, dataset, seed: int):
     return config_from_dict(ModelConfig, m), train_config, taxa
 
 
+def _linear_estimator(args, feature_spec):
+    """The LinearEstimator over ``feature_spec`` set by --target and --per-specimen."""
+    from .experiments import LinearEstimator
+    from .linear import TargetSpace
+
+    return LinearEstimator(feature_spec, TargetSpace(args.target), per_image=not args.per_specimen)
+
+
 def _estimator(args, config: dict, dataset, seed: int):
     """The estimator ``--model`` names, and its default method label."""
     from . import experiments
-    from .linear import FeatureSpec, TargetSpace
+    from .linear import FeatureSpec
 
     if args.model == "neural":
         model_config, train_config, _ = _model_configs_from(config, dataset, seed)
@@ -196,10 +204,7 @@ def _estimator(args, config: dict, dataset, seed: int):
     feature_spec = (
         FeatureSpec.AREA_ONLY if args.model == "linear-area" else FeatureSpec.AREA_PLUS_SPEED
     )
-    estimator = experiments.LinearEstimator(
-        feature_spec, TargetSpace(args.target), per_image=not args.per_specimen
-    )
-    return estimator, args.model
+    return _linear_estimator(args, feature_spec), args.model
 
 
 # --- command handlers ------------------------------------------------------
@@ -270,13 +275,10 @@ def cmd_features(args) -> int:
 
 
 def cmd_fit_linear(args) -> int:
-    from . import experiments
-    from .linear import FeatureSpec, TargetSpace, save_linear_model
+    from .linear import FeatureSpec, save_linear_model
 
     dataset = _load_dataset(args)
-    estimator = experiments.LinearEstimator(
-        FeatureSpec(args.features), TargetSpace(args.target), per_image=not args.per_specimen
-    )
+    estimator = _linear_estimator(args, FeatureSpec(args.features))
     model = estimator.fit(dataset, [s.specimen_id for s in dataset.specimens])
     out = _out_dir(args)
     save_linear_model(model, out / "linear_model.json")
@@ -544,8 +546,8 @@ def _bootstrap_count(text: str) -> int:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"bootstrap count must be >= 0, got {text!r}")
+    if not (value == 0 or value >= 2):
+        raise argparse.ArgumentTypeError(f"bootstrap count must be 0 or at least 2, got {text!r}")
     return value
 
 
@@ -563,12 +565,14 @@ def build_parser() -> argparse.ArgumentParser:
     trim = argparse.ArgumentParser(add_help=False)
     trim.add_argument("--trim", type=_trim_fraction, default=0.05, help="per-end trim fraction")
 
-    estimator = argparse.ArgumentParser(add_help=False)
+    linear = argparse.ArgumentParser(add_help=False)
+    linear.add_argument("--target", choices=["raw", "log"], default="raw")
+    linear.add_argument("--per-specimen", action="store_true", help="fit on specimen means")
+
+    estimator = argparse.ArgumentParser(add_help=False, parents=[linear])
     estimator.add_argument(
         "--model", choices=["linear-area", "linear-area-speed", "neural"], required=True
     )
-    estimator.add_argument("--target", choices=["raw", "log"], default="raw")
-    estimator.add_argument("--per-specimen", action="store_true")
     estimator.add_argument("--method", type=str, default=None)
 
     fold = argparse.ArgumentParser(add_help=False)
@@ -592,10 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", parents=[common, data], help="emit per-specimen features CSV")
     p.set_defaults(fn=cmd_features)
 
-    p = sub.add_parser("fit-linear", parents=[common, data], help="fit an OLS model")
+    p = sub.add_parser("fit-linear", parents=[common, data, linear], help="fit an OLS model")
     p.add_argument("--features", choices=["area", "area_speed"], default="area")
-    p.add_argument("--target", choices=["raw", "log"], default="raw")
-    p.add_argument("--per-specimen", action="store_true", help="fit on specimen means")
     p.set_defaults(fn=cmd_fit_linear)
 
     p = sub.add_parser("evaluate", parents=[common, data, trim], help="score a model")
@@ -660,12 +662,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, NumericError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
 
 
 if __name__ == "__main__":

@@ -180,6 +180,8 @@ def _bootstrap_intervals(
         raise TooFewEntries(f"bootstrap needs at least 2 entries, got {n}")
     if not 0 < level < 1:
         raise InvalidConfig(f"bootstrap level must lie in (0, 1), got {level}")
+    if n_draws < 2:
+        raise InvalidConfig(f"an interval needs at least 2 bootstrap draws, got {n_draws}")
     y = predictions.true_masses()
     yhat = predictions.predicted_masses()
     rng = substream(seed, "bootstrap")
@@ -208,7 +210,7 @@ def bootstrap(
 
     Resamples specimens (entries) with replacement, because metrics are
     defined over per-specimen aggregates. ``metric_fn`` maps (y, yhat)
-    arrays to a scalar. Deterministic given the seed.
+    arrays to a scalar. Needs 2 draws or more; deterministic given the seed.
     """
     return _bootstrap_intervals([metric_fn], predictions, n_draws, level, seed)[0]
 

@@ -3,8 +3,12 @@
 Fitting rows are per-image by default: (frame area, specimen speed) against
 the specimen mass, duplicated across frames, which keeps the per-image
 prediction path self-consistent. A specimen-level fit over mean area is
-available behind a flag for comparison.
+available behind a flag for comparison. ``build_rows`` returns the rows as
+one float matrix, feature columns then the target, which ``fit_ols`` takes.
 
+Every per-image prediction of a specimen is one array expression, turned
+into masses by ``target_to_mass`` (exponentiated for log-target models,
+then clamped to MASS_FLOOR_UG); the neural regressors use the same step.
 Per-specimen estimates aggregate per-image predictions with a trimmed
 median: the largest and smallest 5% of estimates are dropped from each end
 before taking the median, which makes a single wild per-image prediction
@@ -58,19 +62,17 @@ class LinearModel:
             )
 
 
-def fit_ols(rows: list[tuple], target_space: TargetSpace = TargetSpace.RAW) -> LinearModel:
+def fit_ols(rows: np.ndarray, target_space: TargetSpace = TargetSpace.RAW) -> LinearModel:
     """Fit intercept + slopes minimizing the residual sum of squares.
 
-    ``rows`` holds (feature vector, target) pairs; the feature spec follows
-    from the vector length. Requires at least p+2 rows and a full-rank
-    design matrix. Deterministic and invariant to row order.
+    ``rows`` is a float matrix as ``build_rows`` returns it: the feature
+    columns, then the target; the feature spec follows from the column
+    count. Requires at least p+2 rows and a full-rank design matrix.
+    Deterministic and invariant to row order.
     """
-    if not rows:
+    if len(rows) == 0:
         raise TooFewRows("no rows")
-    x = np.asarray([list(r[0]) for r in rows], dtype=float)
-    y = np.asarray([r[1] for r in rows], dtype=float)
-    if x.ndim != 2:
-        raise TooFewRows("feature vectors must share one length")
+    x, y = rows[:, :-1], rows[:, -1]
     p = x.shape[1]
     specs = {spec.n_features: spec for spec in FeatureSpec}
     if p not in specs:
@@ -89,29 +91,28 @@ def fit_ols(rows: list[tuple], target_space: TargetSpace = TargetSpace.RAW) -> L
     )
 
 
-def _predict_one(model: LinearModel, area_px: float, speed: float | None) -> float:
-    value = model.intercept + model.coefficients[0] * area_px
-    if model.feature_spec is FeatureSpec.AREA_PLUS_SPEED:
-        value += model.coefficients[1] * speed
-    if model.target_space is TargetSpace.LOG:
-        value = math.exp(value)
-    return max(value, MASS_FLOOR_UG)
+def target_to_mass(values: np.ndarray, target_space: TargetSpace) -> np.ndarray:
+    """Masses from model outputs in ``target_space``: exponentiated for LOG,
+    then clamped to MASS_FLOOR_UG, so that no estimate is zero or negative."""
+    if target_space is TargetSpace.LOG:
+        values = np.exp(values)
+    return np.maximum(values, MASS_FLOOR_UG)
 
 
 def predict_per_image(
     model: LinearModel, specimen: SpecimenRecord, features: SpecimenFeatures
-) -> list[float]:
+) -> np.ndarray:
     """One mass prediction per frame, clamped to the positivity floor.
 
     Each frame contributes its own area; the sinking speed is specimen-level.
-    Log-space models are exponentiated back to mass space here.
     """
-    speed = None
+    areas = np.fromiter((f.area_px for f in specimen.frames), float, len(specimen.frames))
+    values = model.intercept + model.coefficients[0] * areas
     if model.feature_spec is FeatureSpec.AREA_PLUS_SPEED:
         if features.sinking_speed is None:
             raise MissingSpeed(f"{specimen.specimen_id}: no sinking speed available")
-        speed = features.sinking_speed
-    return [_predict_one(model, f.area_px, speed) for f in specimen.frames]
+        values += model.coefficients[1] * features.sinking_speed
+    return target_to_mass(values, model.target_space)
 
 
 def trimmed_median(values, trim_fraction: float = 0.05) -> float:
@@ -125,12 +126,12 @@ def trimmed_median(values, trim_fraction: float = 0.05) -> float:
     n = len(values)
     if n == 0:
         raise EmptyInput("cannot aggregate zero predictions")
-    # the epsilon keeps exact products like 0.05*20 from flooring one short
-    k = int(math.floor(trim_fraction * n + 1e-9))
-    kept = sorted(values)[k : n - k]
-    m = len(kept)
-    half = m // 2
-    if m % 2 == 1:
+    # the epsilon keeps exact products like 0.05*20 from flooring one short;
+    # the cap keeps a value where it lifts a fraction just below 0.5 to n/2
+    k = min(int(math.floor(trim_fraction * n + 1e-9)), (n - 1) // 2)
+    kept = np.sort(np.asarray(values, dtype=float))[k : n - k]
+    half = len(kept) // 2
+    if len(kept) % 2 == 1:
         return float(kept[half])
     return float((kept[half - 1] + kept[half]) / 2.0)
 
@@ -151,34 +152,32 @@ def build_rows(
     feature_spec: FeatureSpec,
     target_space: TargetSpace = TargetSpace.RAW,
     per_image: bool = True,
-) -> list[tuple]:
-    """Assemble OLS fit rows from specimens with known mass.
+) -> np.ndarray:
+    """OLS fit rows from specimens with known mass, as one float matrix of
+    shape (rows, n_features + 1): area, the speed for area+speed fits, then
+    the target.
 
     Specimens lacking a sinking speed are skipped for area+speed fits so the
     rest of the dataset stays usable; inference-only records are skipped
     always.
     """
-    rows = []
+    needs_speed = feature_spec is FeatureSpec.AREA_PLUS_SPEED
+    areas, per_specimen, counts = [], [], []
     for record in records:
         if record.dry_mass_ug is None:
             continue
         feats = feature_table[record.specimen_id]
-        needs_speed = feature_spec is FeatureSpec.AREA_PLUS_SPEED
         if needs_speed and feats.sinking_speed is None:
             continue
         target = (
-            math.log(record.dry_mass_ug)
-            if target_space is TargetSpace.LOG
-            else record.dry_mass_ug
+            math.log(record.dry_mass_ug) if target_space is TargetSpace.LOG else record.dry_mass_ug
         )
-        if per_image:
-            for frame in record.frames:
-                vec = [frame.area_px] + ([feats.sinking_speed] if needs_speed else [])
-                rows.append((vec, target))
-        else:
-            vec = [feats.mean_area_px] + ([feats.sinking_speed] if needs_speed else [])
-            rows.append((vec, target))
-    return rows
+        per_specimen.append((feats.sinking_speed, target) if needs_speed else (target,))
+        frame_areas = [f.area_px for f in record.frames] if per_image else [feats.mean_area_px]
+        areas.extend(frame_areas)
+        counts.append(len(frame_areas))
+    columns = np.array(per_specimen, dtype=float).reshape(len(counts), feature_spec.n_features)
+    return np.column_stack([np.asarray(areas, dtype=float), np.repeat(columns, counts, axis=0)])
 
 
 def save_linear_model(model: LinearModel, path: Path | str) -> None:

@@ -26,8 +26,8 @@ from ..errors import (
     NonFiniteLoss,
     ShapeMismatch,
 )
-from ..linear import TargetSpace, trimmed_median
-from ..records import MASS_FLOOR_UG, Dataset, SpecimenRecord
+from ..linear import TargetSpace, target_to_mass, trimmed_median
+from ..records import Dataset, SpecimenRecord
 from ..rng import substream
 from .augment import AugmentPolicy, augment_array
 from .losses import LossKind, LossSpace, cross_entropy, regression_loss, softmax
@@ -446,14 +446,10 @@ def predict_specimen_masses(
     """
     if model.config.n_classes is not None:
         raise IncompatibleArchitecture("mass prediction needs a regression checkpoint")
-    results: dict[str, float] = {}
-    for sid, out in _specimen_outputs(model, dataset, specimen_ids).items():
-        if model.config.target_space is TargetSpace.LOG:
-            masses = np.exp(out)
-        else:
-            masses = np.maximum(out, MASS_FLOOR_UG)
-        results[sid] = trimmed_median(list(masses), trim_fraction)
-    return results
+    return {
+        sid: trimmed_median(target_to_mass(out, model.config.target_space), trim_fraction)
+        for sid, out in _specimen_outputs(model, dataset, specimen_ids).items()
+    }
 
 
 def predict_taxa(model: TrainedModel, dataset: Dataset, specimen_ids) -> dict[str, str]:

@@ -100,7 +100,7 @@ def test_criterion_02_ols_oracle_equivalence():
         p = 1 + trial % 2
         x = rng.uniform(0, 100, size=(50, p))
         y = 5.0 + x @ rng.uniform(0.1, 3.0, size=p) + rng.normal(0, 4.0, size=50)
-        model = fit_ols([(list(xi), yi) for xi, yi in zip(x, y)])
+        model = fit_ols(np.column_stack([x, y]))
         design = np.column_stack([np.ones(50), x])
         oracle = np.linalg.inv(design.T @ design) @ design.T @ y
         fitted = np.array([model.intercept, *model.coefficients])

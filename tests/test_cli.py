@@ -748,6 +748,7 @@ BAD_FLAGS = {
     "trim_above_one_half": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.7)),
     "negative_trim": ("UsageError", ("evaluate", "--model", "m.json", "--trim", -0.1)),
     "negative_bootstrap": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", -3)),
+    "one_bootstrap_draw": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", 1)),
     "unknown_command": ("UsageError", ("estimate",)),
 }
 

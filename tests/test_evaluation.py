@@ -9,6 +9,7 @@ from sinkmass.errors import (
     DuplicateSpecimenAcrossFolds,
     EmptyInput,
     EmptyPredictions,
+    InvalidConfig,
     LabelMismatch,
     TaxonTooSmall,
     TooFewEntries,
@@ -208,6 +209,12 @@ class TestBootstrap:
     def test_too_few_entries(self):
         with pytest.raises(TooFewEntries):
             bootstrap(mae, prediction_set([1.0], [2.0]), seed=0)
+
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_fewer_than_two_draws_rejected(self, n_draws):
+        ps = prediction_set(np.arange(1, 21), np.arange(1, 21) + 0.5)
+        with pytest.raises(InvalidConfig, match="at least 2 bootstrap draws"):
+            attach_bootstrap(compute_metrics(ps), ps, n_draws=n_draws, seed=0)
 
     def test_attach_bootstrap_covers_all_metrics(self, rng):
         y = rng.uniform(1, 100, size=30)

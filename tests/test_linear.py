@@ -18,6 +18,7 @@ from sinkmass.linear import (
     predict_per_image,
     predict_specimen,
     save_linear_model,
+    target_to_mass,
     trimmed_median,
 )
 from sinkmass.records import MASS_FLOOR_UG, SpecimenRecord
@@ -43,17 +44,17 @@ def specimen_with_areas(areas, speed_tops=None):
 
 class TestFitOls:
     def test_exact_fit_one_feature(self):
-        rows = [([a], 2.0 + 3.0 * a) for a in [1.0, 2.0, 5.0, 7.0]]
+        rows = np.array([[a, 2.0 + 3.0 * a] for a in [1.0, 2.0, 5.0, 7.0]])
         model = fit_ols(rows)
         assert model.intercept == pytest.approx(2.0, abs=1e-10)
         assert model.coefficients[0] == pytest.approx(3.0, abs=1e-10)
         assert model.feature_spec is FeatureSpec.AREA_ONLY
 
     def test_exact_fit_two_features(self):
-        rows = [
-            ([a, s], 1.0 + 2.0 * a + 5.0 * s)
+        rows = np.array([
+            [a, s, 1.0 + 2.0 * a + 5.0 * s]
             for a, s in [(1, 1), (2, 3), (4, 2), (5, 7), (3, 0)]
-        ]
+        ])
         model = fit_ols(rows)
         assert model.intercept == pytest.approx(1.0, abs=1e-9)
         assert model.coefficients[0] == pytest.approx(2.0, abs=1e-9)
@@ -64,7 +65,7 @@ class TestFitOls:
             p = 1 + trial % 2
             x = rng.uniform(0, 100, size=(50, p))
             y = rng.uniform(0, 500, size=50)
-            model = fit_ols([(list(xi), yi) for xi, yi in zip(x, y)])
+            model = fit_ols(np.column_stack([x, y]))
             oracle = normal_equation_fit(x, y)
             fitted = np.array([model.intercept, *model.coefficients])
             assert np.allclose(fitted, oracle, rtol=1e-8, atol=1e-10)
@@ -72,7 +73,7 @@ class TestFitOls:
     def test_residuals_orthogonal_to_features_and_sum_zero(self, rng):
         x = rng.uniform(0, 10, size=(60, 2))
         y = 3.0 + x @ np.array([2.0, -1.0]) + rng.normal(0, 1, size=60)
-        model = fit_ols([(list(xi), yi) for xi, yi in zip(x, y)])
+        model = fit_ols(np.column_stack([x, y]))
         predictions = model.intercept + x @ np.array(model.coefficients)
         residuals = y - predictions
         scale = np.abs(y).sum()
@@ -81,21 +82,37 @@ class TestFitOls:
             assert abs(residuals @ x[:, j]) / (scale * np.abs(x[:, j]).mean()) < 1e-8
 
     def test_row_permutation_invariance(self, rng):
-        rows = [([float(a)], float(3 * a + rng.normal())) for a in range(10)]
-        shuffled = list(rows)
-        rng.shuffle(shuffled)
+        rows = np.array([[float(a), float(3 * a + rng.normal())] for a in range(10)])
+        shuffled = rows[rng.permutation(len(rows))]
         m1, m2 = fit_ols(rows), fit_ols(shuffled)
         assert m1.intercept == pytest.approx(m2.intercept, rel=1e-12)
         assert m1.coefficients[0] == pytest.approx(m2.coefficients[0], rel=1e-12)
 
+    def test_no_rows(self):
+        with pytest.raises(TooFewRows, match="no rows"):
+            fit_ols(np.empty((0, 3)))
+
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
-            fit_ols([([1.0], 1.0), ([2.0], 2.0)])
+            fit_ols(np.array([[1.0, 1.0], [2.0, 2.0]]))
 
     def test_rank_deficient(self):
-        rows = [([1.0, 2.0], 1.0), ([2.0, 4.0], 2.0), ([3.0, 6.0], 3.0), ([4.0, 8.0], 4.0)]
+        rows = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [3.0, 6.0, 3.0], [4.0, 8.0, 4.0]])
         with pytest.raises(RankDeficient):
             fit_ols(rows)
+
+
+class TestTargetToMass:
+    def test_underflowing_log_value_floored(self):
+        assert math.exp(-800.0) == 0.0
+        assert target_to_mass(np.array([-800.0]), TargetSpace.LOG).tolist() == [MASS_FLOOR_UG]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=math.log(MASS_FLOOR_UG), max_value=700.0))
+    def test_log_value_above_floor_is_exp_bit_for_bit(self, v):
+        expected = np.exp(v)
+        if expected >= MASS_FLOOR_UG:
+            assert target_to_mass(np.array([v]), TargetSpace.LOG)[0] == expected
 
 
 class TestPredictPerImage:
@@ -103,13 +120,15 @@ class TestPredictPerImage:
         model = LinearModel(FeatureSpec.AREA_ONLY, 0.0, (1.0,))
         record = specimen_with_areas([10.0, 20.0, 30.0])
         feats = compute_features(record)
-        assert predict_per_image(model, record, feats) == [10.0, 20.0, 30.0]
+        out = predict_per_image(model, record, feats)
+        assert isinstance(out, np.ndarray)
+        assert out.tolist() == [10.0, 20.0, 30.0]
 
     def test_negative_prediction_clamped_to_floor(self):
         model = LinearModel(FeatureSpec.AREA_ONLY, -100.0, (1.0,))
         record = specimen_with_areas([10.0])
         feats = compute_features(record)
-        assert predict_per_image(model, record, feats) == [MASS_FLOOR_UG]
+        assert predict_per_image(model, record, feats).tolist() == [MASS_FLOOR_UG]
 
     def test_missing_speed_raises(self):
         model = LinearModel(FeatureSpec.AREA_PLUS_SPEED, 0.0, (1.0, 1.0))
@@ -134,7 +153,21 @@ class TestPredictPerImage:
         record = specimen_with_areas([10.0, 10.0], speed_tops=[300, 200])
         feats = compute_features(record)
         assert feats.sinking_speed == 50.0
-        assert predict_per_image(model, record, feats) == [110.0, 110.0]
+        assert predict_per_image(model, record, feats).tolist() == [110.0, 110.0]
+
+
+def _kept(values, trim):
+    """The sorted values with floor(trim * n + 1e-9) dropped from each end,
+    but at least one kept."""
+    n = len(values)
+    k = min(math.floor(trim * n + 1e-9), (n - 1) // 2)
+    return np.sort(values)[k : n - k]
+
+
+_VALUES = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
+)
+_TRIMS = st.floats(min_value=0.0, max_value=0.5, exclude_max=True)
 
 
 class TestTrimmedMedian:
@@ -146,7 +179,7 @@ class TestTrimmedMedian:
         assert trimmed_median([5], 0.05) == 5
 
     def test_even_count_of_numpy_values_gives_python_float(self):
-        result = trimmed_median(list(np.array([1.0, 2.0, 4.0, 8.0])))
+        result = trimmed_median(np.array([1.0, 2.0, 4.0, 8.0]))
         assert type(result) is float and result == 3.0
 
     def test_five_values_no_trim_at_five_percent(self):
@@ -155,20 +188,33 @@ class TestTrimmedMedian:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             trimmed_median([])
+        with pytest.raises(EmptyInput):
+            trimmed_median(np.empty(0))
 
-    def test_result_within_range_and_permutation_invariant(self, rng):
-        for _ in range(50):
-            values = list(rng.uniform(-100, 100, size=int(rng.integers(1, 40))))
-            result = trimmed_median(values)
-            assert min(values) <= result <= max(values)
-            shuffled = list(values)
-            rng.shuffle(shuffled)
-            assert trimmed_median(shuffled) == result
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES, _TRIMS)
+    def test_list_and_array_give_the_same_float(self, values, trim):
+        from_list = trimmed_median(values, trim)
+        from_array = trimmed_median(np.array(values), trim)
+        assert type(from_list) is type(from_array) is float
+        assert from_list == from_array
 
-    def test_equals_plain_median_when_short(self, rng):
-        for n in range(1, 20):  # below 1/0.05 nothing is trimmed
-            values = list(rng.uniform(0, 10, size=n))
-            assert trimmed_median(values, 0.05) == float(np.median(values))
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _VALUES, _TRIMS)
+    def test_permutation_invariant(self, data, values, trim):
+        shuffled = data.draw(st.permutations(values))
+        assert trimmed_median(shuffled, trim) == trimmed_median(values, trim)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES, _TRIMS)
+    def test_equals_numpy_median_of_kept_values(self, values, trim):
+        assert trimmed_median(values, trim) == float(np.median(_kept(values, trim)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES, _TRIMS)
+    def test_lies_between_kept_min_and_max(self, values, trim):
+        kept = _kept(values, trim)
+        assert kept.min() <= trimmed_median(values, trim) <= kept.max()
 
     def test_corrupting_max_of_thirty_changes_nothing(self, rng):
         values = list(rng.uniform(10, 20, size=30))
@@ -176,6 +222,11 @@ class TestTrimmedMedian:
         corrupted = list(values)
         corrupted[int(np.argmax(corrupted))] *= 100.0
         assert trimmed_median(corrupted) == baseline
+
+    @pytest.mark.parametrize("trim", [0.4999999999999999, 0.4999999999])
+    def test_fraction_just_below_one_half_keeps_the_middle(self, trim):
+        assert trimmed_median([1.0, 3.0], trim) == 2.0
+        assert trimmed_median([7.0, 1.0, 5.0, 3.0], trim) == 4.0
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
@@ -212,24 +263,34 @@ class TestBuildRowsAndPersistence:
         record = specimen_with_areas([10.0, 20.0])
         table = {"s1": compute_features(record)}
         rows = build_rows([record], table, FeatureSpec.AREA_ONLY)
-        assert rows == [([10.0], 10.0), ([20.0], 10.0)]
+        assert rows.dtype == float and rows.shape == (2, 2)
+        assert rows.tolist() == [[10.0, 10.0], [20.0, 10.0]]
+
+    def test_per_image_area_speed_rows(self):
+        record = specimen_with_areas([10.0, 20.0, 30.0], speed_tops=[300, 270, 240])
+        table = {"s1": compute_features(record)}
+        rows = build_rows([record], table, FeatureSpec.AREA_PLUS_SPEED)
+        assert rows.dtype == float and rows.shape == (3, 3)
+        assert rows.tolist() == [[10.0, 20.0, 10.0], [20.0, 20.0, 10.0], [30.0, 20.0, 10.0]]
 
     def test_specimen_mean_rows(self):
         record = specimen_with_areas([10.0, 20.0])
         table = {"s1": compute_features(record)}
         rows = build_rows([record], table, FeatureSpec.AREA_ONLY, per_image=False)
-        assert rows == [([15.0], 10.0)]
+        assert rows.dtype == float and rows.shape == (1, 2)
+        assert rows.tolist() == [[15.0, 10.0]]
 
     def test_speedless_specimens_skipped_for_area_speed(self):
         record = specimen_with_areas([10.0])
         table = {"s1": compute_features(record)}
-        assert build_rows([record], table, FeatureSpec.AREA_PLUS_SPEED) == []
+        rows = build_rows([record], table, FeatureSpec.AREA_PLUS_SPEED)
+        assert rows.dtype == float and rows.shape == (0, 3)
 
     def test_log_target_rows(self):
         record = specimen_with_areas([10.0])
         table = {"s1": compute_features(record)}
         rows = build_rows([record], table, FeatureSpec.AREA_ONLY, TargetSpace.LOG)
-        assert rows[0][1] == pytest.approx(math.log(10.0))
+        assert rows[0, -1] == pytest.approx(math.log(10.0))
 
     def test_json_round_trip(self, tmp_path):
         model = LinearModel(

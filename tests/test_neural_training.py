@@ -37,6 +37,7 @@ from sinkmass.neural.training import (
     save_checkpoint,
     train,
 )
+from sinkmass.records import MASS_FLOOR_UG
 from sinkmass.rng import substream
 from sinkmass.synth import GroupSpec, SynthConfig, generate
 
@@ -210,6 +211,13 @@ class TestPredict:
         )
         masses = predict_specimen_masses(model, dataset, test_ids)
         assert len(masses) == len(test_ids)
+
+    def test_underflowing_log_outputs_floored(self, raster_dataset, monkeypatch):
+        dataset = raster_dataset[0]
+        model = untrained_model(dataset, small_model(), seed=0)
+        outputs = {"s": np.array([-800.0, -800.0, 1.0])}
+        monkeypatch.setattr(training, "_specimen_outputs", lambda *args: outputs)
+        assert predict_specimen_masses(model, dataset, ["s"]) == {"s": MASS_FLOOR_UG}
 
 
 def untrained_model(dataset, config, seed, taxa=None):

@@ -99,8 +99,7 @@ class TestGenerate:
         def rss(feature_spec):
             rows = build_rows(records, table, feature_spec)
             model = fit_ols(rows)
-            x = np.array([r[0] for r in rows])
-            y = np.array([r[1] for r in rows])
+            x, y = rows[:, :-1], rows[:, -1]
             fitted = model.intercept + x @ np.array(model.coefficients)
             return float(np.sum((y - fitted) ** 2))
 
