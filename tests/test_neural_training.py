@@ -264,7 +264,8 @@ class TestBatchedInference:
         assert set(masses) == set(predicted) == set(ids)
         for sid in ids:
             (alone,) = predict_specimen_masses(regressor, dataset, [sid]).values()
-            reference = trimmed_median(list(np.exp(one_specimen_outputs(regressor, dataset, sid))))
+            outputs = one_specimen_outputs(regressor, dataset, sid)
+            reference = trimmed_median(np.maximum(np.exp(outputs), MASS_FLOOR_UG))
             assert masses[sid] == pytest.approx(alone, rel=1e-12, abs=0)
             assert masses[sid] == pytest.approx(reference, rel=1e-12, abs=0)
             probs = softmax(one_specimen_outputs(classifier, dataset, sid)).mean(axis=0)
