@@ -9,10 +9,11 @@ one float matrix, feature columns then the target, which ``fit_ols`` takes.
 Every per-image prediction of a specimen is one array expression, turned
 into masses by ``target_to_mass`` (exponentiated for log-target models,
 then clamped to MASS_FLOOR_UG); the neural regressors use the same step.
-Per-specimen estimates aggregate per-image predictions with a trimmed
-median: the largest and smallest 5% of estimates are dropped from each end
-before taking the median, which makes a single wild per-image prediction
-inconsequential.
+Per-specimen estimates aggregate per-image predictions with their median,
+which makes a single wild per-image prediction inconsequential. The
+``trim_fraction`` of ``trimmed_median`` (5% by default) is validated but
+cannot move the result: trimming equally from both ends of the sorted
+estimates leaves the median in place.
 """
 
 from __future__ import annotations
@@ -116,24 +117,18 @@ def predict_per_image(
 
 
 def trimmed_median(values, trim_fraction: float = 0.05) -> float:
-    """Median after dropping floor(trim_fraction * len) values per end.
+    """Median of the values, after checking trim_fraction lies in [0, 0.5).
 
-    With fewer than 1/trim_fraction values nothing is dropped and this is the
-    plain median (mean of the two central order statistics for even counts).
+    Dropping floor(trim_fraction * len) values from each end of the sorted
+    values leaves their middle in place, so the trim never changes the
+    result and this is the plain median (mean of the two central order
+    statistics for even counts).
     """
     if not 0 <= trim_fraction < 0.5:
         raise ValueError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
-    n = len(values)
-    if n == 0:
+    if len(values) == 0:
         raise EmptyInput("cannot aggregate zero predictions")
-    # the epsilon keeps exact products like 0.05*20 from flooring one short;
-    # the cap keeps a value where it lifts a fraction just below 0.5 to n/2
-    k = min(int(math.floor(trim_fraction * n + 1e-9)), (n - 1) // 2)
-    kept = np.sort(np.asarray(values, dtype=float))[k : n - k]
-    half = len(kept) // 2
-    if len(kept) % 2 == 1:
-        return float(kept[half])
-    return float((kept[half - 1] + kept[half]) / 2.0)
+    return float(np.median(np.asarray(values, dtype=float)))
 
 
 def predict_specimen(
