@@ -1,6 +1,7 @@
 """Forward/backward primitives for the small convolutional stack.
 
-Everything works on float64 arrays in NCHW layout and returns exact analytic
+Everything works on NCHW arrays, computes in its inputs' floating dtype
+(float32 in training, float64 in inference) and returns exact analytic
 gradients. Convolutions are 3x3, stride 1, zero-padded to preserve the
 spatial size; pooling is 2x2 max with stride 2; the encoder ends with global
 average pooling.

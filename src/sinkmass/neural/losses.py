@@ -38,12 +38,16 @@ def _targets(space: LossSpace, y: np.ndarray) -> np.ndarray:
 def regression_loss(
     kind: LossKind, space: LossSpace, y: np.ndarray, yhat: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Scalar loss and its gradient w.r.t. ``yhat`` for one batch."""
+    """Scalar loss and its gradient w.r.t. ``yhat`` for one batch, computed
+    in ``yhat``'s float dtype (float64 if it has none); the targets are
+    transformed in float64 and then cast to it."""
     y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
+    yhat = np.asarray(yhat)
+    if yhat.dtype.kind != "f":
+        yhat = yhat.astype(float)
     if y.shape != yhat.shape or y.size == 0:
         raise ShapeMismatch("loss needs equal-length, non-empty batches")
-    t = _targets(space, y)
+    t = _targets(space, y).astype(yhat.dtype, copy=False)
     n = y.size
     diff = yhat - t
     if kind is LossKind.L1:
@@ -61,13 +65,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood and gradient w.r.t. the logits."""
+    """Mean negative log-likelihood and gradient w.r.t. the logits, in the
+    logits' dtype. The log-likelihood is the log-softmax of the max-shifted
+    logits, which stays finite where the picked class's probability
+    underflows to zero (in float32, at logit gaps above about 104)."""
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeMismatch("cross_entropy needs (B, K) logits and (B,) labels")
-    probs = softmax(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
     n = logits.shape[0]
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+    grad = e / total
+    grad[rows, labels] -= 1.0
     return loss, grad / n

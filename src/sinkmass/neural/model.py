@@ -124,7 +124,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.n
 
 @dataclass
 class Batch:
-    """One forward batch; arrays are float64.
+    """One forward batch, in the dtype of the net it feeds (float32 in
+    training, float64 in inference).
 
     ``images`` is (B, 1, S, S); ``images2`` carries the second camera's view
     for the multi-view architecture; ``metadata`` is (B, M) of standardized
@@ -145,6 +146,11 @@ class NeuralNet:
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
         self.params = params
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which the net computes in given batches of it."""
+        return np.result_type(*self.params.values())
 
     def _check_batch(self, batch: Batch) -> None:
         cfg = self.config

@@ -37,7 +37,8 @@ def adamw_step(
     flowing through the gradient moments, so a zero-gradient parameter with
     decay lambda still contracts by (1 - lr*lambda) per step. Parameters
     whose name starts with a ``skip`` prefix are left untouched entirely
-    (used for frozen branches during fine-tuning).
+    (used for frozen branches during fine-tuning). Gradients are cast to
+    the weights' dtype, so the moments and the update run in its precision.
     """
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
@@ -45,7 +46,7 @@ def adamw_step(
     for name, w in params.items():
         if any(name.startswith(p) for p in skip):
             continue
-        g = grads[name]
+        g = grads[name].astype(w.dtype, copy=False)
         if g.shape != w.shape:
             raise ShapeMismatch(f"gradient for {name} has shape {g.shape}, want {w.shape}")
         if name not in state.m:

@@ -5,6 +5,12 @@ predictions with the same trimmed median used by the linear models. The
 checkpoint returned is the epoch with the lowest validation loss. All
 randomness (init, shuffling, augmentation) flows from named substreams of
 the master seed, so training is reproducible bit for bit on one thread.
+
+Training is mixed precision: every forward and backward pass, including the
+per-epoch validation loss, computes in float32 on a float32 copy of the
+float64 master weights, and AdamW updates the master weights and keeps its
+moments in float64. Returned and loaded models hold float64 parameters, so
+inference computes in float64.
 """
 
 from __future__ import annotations
@@ -198,9 +204,12 @@ def _make_batch(
     idx: np.ndarray,
     mean: np.ndarray | None,
     std: np.ndarray | None,
+    dtype: np.dtype,
     policy: AugmentPolicy = AugmentPolicy.NONE,
     rng: np.random.Generator | None = None,
 ) -> Batch:
+    """The ``idx`` samples as a ``dtype`` batch: augmented images scaled to
+    [0, 1] and standardized metadata."""
     images = samples.images[idx]
     images2 = samples.images2[idx] if samples.images2 is not None else None
     if policy is not AugmentPolicy.NONE:
@@ -209,21 +218,22 @@ def _make_batch(
             images2 = augment_array(images2[:, 0], policy, rng)[:, None]
     metadata = None
     if samples.metadata is not None:
-        metadata = (samples.metadata[idx] - mean) / std
+        metadata = ((samples.metadata[idx] - mean) / std).astype(dtype, copy=False)
     return Batch(
-        images=images / 255.0,
-        images2=images2 / 255.0 if images2 is not None else None,
+        images=images.astype(dtype, copy=False) / 255.0,
+        images2=images2.astype(dtype, copy=False) / 255.0 if images2 is not None else None,
         metadata=metadata,
     )
 
 
 def _outputs(net: NeuralNet, samples: SampleSet, mean, std) -> np.ndarray:
     """Network outputs for every sample, in sample order, computed over
-    batches of FORWARD_BATCH samples; ``samples`` must not be empty."""
+    batches of FORWARD_BATCH samples in the net's dtype; ``samples`` must
+    not be empty."""
     n = len(samples)
     return np.concatenate([
         net.forward(_make_batch(samples, np.arange(start, min(start + FORWARD_BATCH, n)),
-                                mean, std))
+                                mean, std, net.dtype))
         for start in range(0, n, FORWARD_BATCH)
     ])
 
@@ -289,6 +299,10 @@ def _step_gradients(net: NeuralNet, batch: Batch, targets: np.ndarray, loss, fro
     return value, grads
 
 
+def _float32(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {name: w.astype(np.float32) for name, w in params.items()}
+
+
 def _run_training(
     config: ModelConfig,
     tc: TrainConfig,
@@ -307,7 +321,7 @@ def _run_training(
                 f"loss space {tc.loss_space.value} does not match "
                 f"model target space {config.target_space.value}"
             )
-    net = NeuralNet(config, params)
+    net = NeuralNet(config, _float32(params))
     frozen = tc.freeze.prefixes
     state = AdamWState()
     n = len(train_samples)
@@ -325,12 +339,13 @@ def _run_training(
         for start in range(0, n, tc.batch_size):
             idx = order[start : start + tc.batch_size]
             batch = _make_batch(samples=train_samples, idx=idx, mean=mean, std=std,
-                                policy=tc.augmentation, rng=aug_rng)
+                                dtype=net.dtype, policy=tc.augmentation, rng=aug_rng)
             value, grads = _step_gradients(net, batch, targets[idx], loss, frozen)
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"training loss became {value} at step {step}")
             lr = cosine_lr(step, total_steps, tc.lr_max, tc.lr_min)
             adamw_step(params, grads, state, lr, weight_decay=tc.weight_decay, skip=frozen)
+            net.params = _float32(params)
             step += 1
         val_loss = _epoch_loss(net, val_samples, tc, mean, std, classify)
         history.append(val_loss)

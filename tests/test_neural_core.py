@@ -295,6 +295,30 @@ class TestLosses:
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0)
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("space", list(LossSpace))
+    def test_regression_loss_follows_the_output_dtype(self, rng, kind, space):
+        y = rng.uniform(2.0, 50.0, size=9)
+        yhat = rng.normal(1.0, 2.0, size=9)
+        value64, grad64 = regression_loss(kind, space, y, yhat)
+        value32, grad32 = regression_loss(kind, space, y, yhat.astype(np.float32))
+        assert grad64.dtype == np.float64
+        assert grad32.dtype == np.float32
+        assert value32 == pytest.approx(value64, rel=1e-5)
+        assert np.allclose(grad32, grad64, rtol=1e-5, atol=0)
+
+    def test_cross_entropy_finite_at_a_large_logit_gap(self):
+        # exp(-120) underflows to zero in float32, so the picked probability
+        # of the first sample is 0 there
+        logits = np.array([[120.0, 0.0], [0.0, 1.3]])
+        labels = np.array([1, 0])
+        expected = (120.0 + math.log1p(math.exp(-120.0)) + math.log1p(math.exp(1.3))) / 2
+        for dtype in (np.float32, np.float64):
+            value, grad = cross_entropy(logits.astype(dtype), labels)
+            assert math.isfinite(value)
+            assert value == pytest.approx(expected, rel=1e-6)
+            assert grad.dtype == dtype
+
     def test_cross_entropy_gradient_matches_fd(self, rng):
         logits = rng.normal(size=(3, 4))
         labels = np.array([0, 2, 1])

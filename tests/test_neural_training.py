@@ -131,10 +131,11 @@ class TestTrain:
     def test_from_dict_fills_field_defaults(self, cls):
         assert config_from_dict(cls, {}) == cls()
 
-    def test_determinism_bit_for_bit(self, raster_dataset):
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_determinism_bit_for_bit(self, raster_dataset, arch):
         dataset, train_ids, val_ids, _ = raster_dataset
-        a = train(dataset, train_ids, val_ids, small_model(), small_train_config())
-        b = train(dataset, train_ids, val_ids, small_model(), small_train_config())
+        a = train(dataset, train_ids, val_ids, small_model(arch), small_train_config())
+        b = train(dataset, train_ids, val_ids, small_model(arch), small_train_config())
         assert a.val_loss_history == b.val_loss_history
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
@@ -395,6 +396,89 @@ class TestSlicedTrainingStep:
         assert n_train > FORWARD_BATCH
         assert max(sizes) <= FORWARD_BATCH
         assert sum(sizes) == tc.epochs * (n_train + n_val)
+
+
+class TestMixedPrecision:
+    """Training computes in float32; master weights, AdamW moments, returned
+    and saved models, and inference stay float64."""
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    @pytest.mark.parametrize("classify", [False, True])
+    def test_every_training_array_is_float32(self, raster_dataset, monkeypatch, arch, classify):
+        dataset, train_ids, val_ids, _ = raster_dataset
+        taxa = tuple(sorted(dataset.taxon_set)) if classify else None
+        config = small_model(arch, n_classes=len(taxa) if classify else None)
+        dtypes = set()
+        real_forward, real_backward = NeuralNet.forward_cached, NeuralNet.backward
+
+        def forward_spy(self, batch):
+            arrays = (batch.images, batch.images2, batch.metadata)
+            dtypes.update(("batch", a.dtype) for a in arrays if a is not None)
+            dtypes.update(("param", w.dtype) for w in self.params.values())
+            out, cache = real_forward(self, batch)
+            dtypes.add(("out", out.dtype))
+            return out, cache
+
+        def backward_spy(self, cache, dout, *args):
+            dtypes.add(("dout", dout.dtype))
+            grads = real_backward(self, cache, dout, *args)
+            dtypes.update(("grad", g.dtype) for g in grads.values())
+            return grads
+
+        monkeypatch.setattr(NeuralNet, "forward_cached", forward_spy)
+        monkeypatch.setattr(NeuralNet, "backward", backward_spy)
+        train(dataset, train_ids, val_ids, config, small_train_config(epochs=1), taxa=taxa)
+        kinds = {"batch", "param", "out", "dout", "grad"}
+        assert dtypes == {(kind, np.dtype(np.float32)) for kind in kinds}
+
+    def test_master_weights_and_moments_stay_float64(self, raster_dataset, monkeypatch, tmp_path):
+        dataset, train_ids, val_ids, _ = raster_dataset
+        states = []
+        real_step = training.adamw_step
+
+        def step_spy(params, grads, state, *args, **kwargs):
+            states.append((params, state))
+            return real_step(params, grads, state, *args, **kwargs)
+
+        monkeypatch.setattr(training, "adamw_step", step_spy)
+        model = train(dataset, train_ids, val_ids, small_model(Architecture.METADATA_AWARE),
+                      small_train_config())
+        master, state = states[-1]
+        assert {w.dtype for w in master.values()} == {np.dtype(np.float64)}
+        assert state.m.keys() == state.v.keys() == master.keys()
+        moments = [*state.m.values(), *state.v.values()]
+        assert {a.dtype for a in moments} == {np.dtype(np.float64)}
+        assert {w.dtype for w in model.params.values()} == {np.dtype(np.float64)}
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert {w.dtype for w in loaded.params.values()} == {np.dtype(np.float64)}
+
+    def test_validation_sees_the_updated_master_weights(self, raster_dataset, monkeypatch):
+        dataset, train_ids, val_ids, _ = raster_dataset
+        masters, checked = [], []
+        real_step, real_epoch_loss = training.adamw_step, training._epoch_loss
+
+        def step_spy(params, *args, **kwargs):
+            masters.append(params)
+            return real_step(params, *args, **kwargs)
+
+        def epoch_loss_spy(net, *args):
+            for name, w in masters[-1].items():
+                assert np.array_equal(net.params[name], w.astype(np.float32)), name
+            checked.append(net)
+            return real_epoch_loss(net, *args)
+
+        monkeypatch.setattr(training, "adamw_step", step_spy)
+        monkeypatch.setattr(training, "_epoch_loss", epoch_loss_spy)
+        train(dataset, train_ids, val_ids, small_model(), small_train_config())
+        assert len(checked) == 3
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_forward_on_float64_params_is_float64(self, arch):
+        net, batch, _, _ = random_step(arch, HeadKind.TWO_LAYER, (LossKind.L1, LossSpace.LOG), 5, 3)
+        assert net.dtype == np.float64
+        assert net.forward(batch).dtype == np.float64
 
 
 class TestFineTune:
