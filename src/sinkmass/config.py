@@ -14,10 +14,11 @@ from .errors import InputError, InvalidConfig
 
 def read_json(path, what: str):
     """The JSON value in the file at ``path``; a file that cannot be read,
-    is not UTF-8 or is not JSON raises InputError naming ``what``."""
+    is not UTF-8, is not JSON or holds an integer literal too long for
+    ``int`` raises InputError naming ``what``."""
     try:
         return json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from None
 
 

@@ -3,8 +3,12 @@
 File formats (the imaging device's native output is proprietary; users
 export to this schema):
 
-* Frame CSV: header exactly ``camera_id,frame_index,top,bottom,left,right,area_px``,
-  LF line endings, decimal point ``.``.
+* Frame CSV: header ``camera_id,frame_index,top,bottom,left,right,area_px``,
+  LF line endings, decimal point ``.``. ``camera_id`` is ``A`` or ``B``,
+  ``frame_index`` a non-negative integer, the four borders integers and
+  ``area_px`` a finite number (``nan`` and ``inf`` are rejected).
+  Whitespace around the header and around each field is ignored, so a file
+  with CRLF line endings parses too.
 * Manifest: JSON array of objects with keys ``specimen_id``, ``taxon``,
   ``dry_mass_ug`` (nullable), ``metadata_csv``, ``raster_dir`` (nullable).
   Paths are resolved relative to the manifest file.
@@ -14,6 +18,7 @@ export to this schema):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,9 +52,10 @@ class ManifestEntry:
 def parse_frame_csv(payload: bytes) -> list[FrameMeta]:
     """Decode a frame-metadata CSV into FrameMeta rows, preserving order.
 
-    Raises MalformedRow(line_no) on a bad header, wrong arity, or a
-    non-numeric field; EmptyFile when there are no data rows. Gaps in
-    frame_index are permitted here (ordering is a dataset-level invariant).
+    Raises MalformedRow(line_no) on a bad header, wrong arity, an unknown
+    camera, a non-numeric field, a negative frame_index or a non-finite
+    area_px; EmptyFile when there are no data rows. Gaps in frame_index are
+    permitted here (ordering is a dataset-level invariant).
     """
     try:
         text = payload.decode("utf-8")
@@ -63,27 +69,33 @@ def parse_frame_csv(payload: bytes) -> list[FrameMeta]:
     frames: list[FrameMeta] = []
     for offset, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != 7:
-            raise MalformedRow(offset, f"expected 7 fields, got {len(parts)}")
-        camera_id = parts[0].strip()
+        try:
+            camera_id, frame_index, top, bottom, left, right, area_px = parts
+        except ValueError:
+            raise MalformedRow(offset, f"expected 7 fields, got {len(parts)}") from None
+        camera_id = camera_id.strip()
         if camera_id not in CAMERAS:
             raise MalformedRow(offset, f"unknown camera_id {camera_id!r}")
         try:
-            frame_index = int(parts[1])
-            top, bottom, left, right = (int(p) for p in parts[2:6])
-            area_px = float(parts[6])
+            frame = FrameMeta(
+                camera_id, int(frame_index), int(top), int(bottom), int(left), int(right),
+                float(area_px),
+            )
         except ValueError as exc:
             raise MalformedRow(offset, str(exc)) from None
-        if frame_index < 0:
-            raise MalformedRow(offset, f"negative frame_index {frame_index}")
-        frames.append(FrameMeta(camera_id, frame_index, top, bottom, left, right, area_px))
+        if frame.frame_index < 0:
+            raise MalformedRow(offset, f"negative frame_index {frame.frame_index}")
+        if not math.isfinite(frame.area_px):
+            raise MalformedRow(offset, f"non-finite area_px {frame.area_px}")
+        frames.append(frame)
     if not frames:
         raise EmptyFile("no data rows")
     return frames
 
 
 def serialize_frame_csv(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> bytes:
-    """Inverse of parse_frame_csv; the round trip is the identity."""
+    """Inverse of parse_frame_csv; for frames with finite areas the round
+    trip is the identity."""
     lines = [FRAME_CSV_HEADER]
     for f in frames:
         lines.append(
@@ -188,7 +200,7 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
                     raster_dir=None if obj.get("raster_dir") is None else base / obj["raster_dir"],
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"manifest entry {i}: {exc}") from None
     return entries
 
@@ -225,7 +237,7 @@ def assemble_dataset(
     for entry in manifest:
         try:
             frames = parse_frame_csv(entry.metadata_csv.read_bytes())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise InputError(f"{entry.specimen_id}: cannot read {entry.metadata_csv}: {exc}") from None
         except InputError as exc:
             raise type(exc)(f"{entry.specimen_id}: {exc}") from None
@@ -238,7 +250,7 @@ def assemble_dataset(
                 fpath = entry.raster_dir / fname
                 try:
                     raster = load_raster(fpath.read_bytes())
-                except OSError as exc:
+                except (OSError, ValueError) as exc:
                     raise InputError(f"{entry.specimen_id}: cannot read {fpath}: {exc}") from None
                 except InputError as exc:
                     raise type(exc)(f"{entry.specimen_id}/{fname}: {exc}") from None

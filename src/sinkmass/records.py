@@ -8,8 +8,10 @@ surface every problem in one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +22,7 @@ MASS_FLOOR_UG = 1e-3
 CAMERAS = ("A", "B")
 
 
-@dataclass(frozen=True)
-class FrameMeta:
+class FrameMeta(NamedTuple):
     """One saved crop: position of the crop box in cuvette coordinates plus
     the specimen area visible in that frame.
 
@@ -165,7 +166,9 @@ def _validate_frame(specimen_id: str, frame: FrameMeta, out: list[Violation]) ->
         out.append(
             Violation(specimen_id, "left", f"left {frame.left} must be < right {frame.right}")
         )
-    if frame.area_px < 0:
+    if not math.isfinite(frame.area_px):
+        out.append(Violation(specimen_id, "area_px", f"non-finite area {frame.area_px}"))
+    elif frame.area_px < 0:
         out.append(Violation(specimen_id, "area_px", f"negative area {frame.area_px}"))
     else:
         box = (frame.bottom - frame.top) * (frame.right - frame.left)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -385,6 +386,19 @@ class TestLinearFlow:
         argv = (path,) if command == "report" else ("--manifest", path)
         assert run(command, *argv, "--out", tmp_path / "out") == 2
         assert one_error(capsys)["error"] == error
+
+    def test_non_finite_area_exits_2(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        csv = sorted((data / "frames").glob("*.csv"))[0]
+        lines = csv.read_text().split("\n")
+        lines[3] = ",".join(lines[3].split(",")[:6] + ["nan"])
+        csv.write_text("\n".join(lines))
+        argv = ("--model", "linear-area", "--seed", 1, "--out", tmp_path / "cv")
+        assert run("crossval", "--manifest", data / "manifest.json", *argv) == 2
+        error = one_error(capsys)
+        assert error["error"] == "MalformedRow"
+        assert error["message"].endswith("line 4: non-finite area_px nan")
 
     def test_crossval_requires_seed(self, synth_dir, tmp_path):
         code = run(

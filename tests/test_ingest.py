@@ -1,4 +1,6 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +38,43 @@ FRAMES = st.builds(
     bottom=st.integers(),
     left=st.integers(),
     right=st.integers(),
-    area_px=st.floats(allow_nan=False),
+    area_px=st.floats(allow_nan=False, allow_infinity=False),
 )
+
+# Letters only, without i, n and e, so that no draw spells inf, nan or an exponent.
+NOT_A_NUMBER = st.text(alphabet="abcdfghjklmopqrstuvwxyz", min_size=1, max_size=4)
+
+
+@st.composite
+def corrupted_csv(draw):
+    """A valid frame CSV with exactly one data row corrupted, and the line
+    number the parser must name for it."""
+    frames = draw(st.lists(FRAMES, min_size=1, max_size=20))
+    lines = serialize_frame_csv(frames).split(b"\n")[:-1]
+    row = draw(st.integers(1, len(frames)))
+    line_no = row + 1
+    fields = lines[row].split(b",")
+    kind = draw(
+        st.sampled_from(
+            ["arity", "non_numeric", "camera", "negative_index", "non_finite_area", "not_utf8"]
+        )
+    )
+    if kind == "arity":
+        fields = (fields * 2)[: draw(st.integers(1, 12).filter(lambda n: n != 7))]
+    elif kind == "non_numeric":
+        fields[draw(st.integers(1, 6))] = draw(NOT_A_NUMBER).encode()
+    elif kind == "camera":
+        camera = st.text("ABCab ", max_size=3).filter(lambda c: c.strip() not in CAMERAS)
+        fields[0] = draw(camera).encode()
+    elif kind == "negative_index":
+        fields[1] = b"%d" % draw(st.integers(max_value=-1))
+    elif kind == "non_finite_area":
+        fields[6] = draw(st.sampled_from([b"nan", b"-nan", b"inf", b"-inf", b"Infinity", b"1e999"]))
+    else:
+        fields[draw(st.integers(0, 6))] += draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"]))
+        line_no = 1  # the payload is decoded whole, before it is split into lines
+    lines[row] = b",".join(fields)
+    return b"\n".join(lines) + b"\n", line_no
 
 
 class TestParseFrameCsv:
@@ -77,10 +114,58 @@ class TestParseFrameCsv:
     def test_round_trip_identity(self, frames):
         assert parse_frame_csv(serialize_frame_csv(frames)) == frames
 
+    @pytest.mark.parametrize("area", [b"nan", b"NaN", b"inf", b"-inf", b"Infinity", b"1e999"])
+    def test_non_finite_area_rejected(self, area):
+        with pytest.raises(MalformedRow) as err:
+            parse_frame_csv(HEADER + b"A,0,10,20,0,10,1\nA,1,10,20,0,10," + area + b"\n")
+        assert err.value.line_no == 3
+        assert "non-finite area_px" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (b"A,0,10,100,5,95,1\nA,1,2,3\n", "line 3: expected 7 fields, got 4"),
+            (b"A,0,10,100,5,95,1,9\n", "line 2: expected 7 fields, got 8"),
+            (b"C,0,10,100,5,95,1\n", "line 2: unknown camera_id 'C'"),
+            (b"A,0,10,abc,5,95,1\n", "line 2: invalid literal for int() with base 10: 'abc'"),
+            (b"A,x,10,abc,5,95,1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+            (b"A,0,10,100,5,95,z\n", "line 2: could not convert string to float: 'z'"),
+            (b"A,-3,10,100,5,95,1\n", "line 2: negative frame_index -3"),
+            (b"A,0,10,100,5,95,1\n\n", "line 3: expected 7 fields, got 1"),
+        ],
+    )
+    def test_error_messages(self, rows, message):
+        with pytest.raises(MalformedRow) as err:
+            parse_frame_csv(HEADER + rows)
+        assert str(err.value) == message
+
+    def test_fields_have_their_annotated_types(self):
+        (frame,) = parse_frame_csv(HEADER + b"B,3,10,100,5,95,7\r\n")
+        assert type(frame.camera_id) is str
+        for name in ("frame_index", "top", "bottom", "left", "right"):
+            assert type(getattr(frame, name)) is int
+        assert type(frame.area_px) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(corrupted_csv())
+    def test_one_corrupted_row_names_its_line(self, case):
+        payload, line_no = case
+        with pytest.raises(MalformedRow) as err:
+            parse_frame_csv(payload)
+        assert err.value.line_no == line_no
+
 
 def make_pgm(width, height, values, maxval=255, magic=b"P5"):
     header = magic + b"\n%d %d\n%d\n" % (width, height, maxval)
     return header + bytes(values)
+
+
+PGMS = st.integers(1, 6).flatmap(
+    lambda n: st.binary(min_size=n * n, max_size=n * n).map(
+        lambda body: save_raster(np.frombuffer(body, dtype=np.uint8).reshape(n, n))
+    )
+)
+PGM_HEADER_BYTES = list(b"P5 \t\n#+-0123456789")
 
 
 class TestLoadRaster:
@@ -112,6 +197,28 @@ class TestLoadRaster:
     def test_save_load_round_trip(self, rng):
         pixels = rng.integers(0, 256, size=(5, 5), dtype=np.uint8)
         assert np.array_equal(load_raster(save_raster(pixels)), pixels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(PGMS, st.data())
+    def test_truncated_pgm_raises_input_error(self, payload, data):
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(InputError):
+            load_raster(payload[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(PGMS, st.data())
+    def test_garbled_pgm_raises_only_input_errors(self, payload, data):
+        garbled = bytearray(payload)
+        for _ in range(data.draw(st.integers(1, 4))):
+            # mostly the header, where a changed byte can still parse
+            i = data.draw(st.integers(0, min(len(garbled), 16) - 1))
+            garbled[i] = data.draw(st.sampled_from(PGM_HEADER_BYTES) | st.integers(0, 255))
+        try:
+            raster = load_raster(bytes(garbled))
+        except InputError:
+            return
+        assert raster.dtype == np.uint8
+        assert raster.ndim == 2 and raster.shape[0] == raster.shape[1]
 
 
 class TestPadMirror:
@@ -216,3 +323,65 @@ class TestAssembleDataset:
         manifest.write_text(json.dumps([entry]))
         with pytest.raises(DimensionMismatch):
             assemble_dataset(load_manifest(manifest), raster_dims=(4, 4))
+
+
+MANIFEST_ENTRY = {
+    "specimen_id": "s1",
+    "taxon": "t",
+    "dry_mass_ug": 12.5,
+    "metadata_csv": "s1.csv",
+    "raster_dir": None,
+}
+# Any JSON value; no "/" in strings, so a drawn path stays under the test's directory.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**400)
+    | st.floats()
+    | st.text(st.characters(blacklist_characters="/"), max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestManifest:
+    @staticmethod
+    def _assemble(manifest_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            (base / "s1.csv").write_bytes(HEADER + b"A,0,10,20,0,10,5\n")
+            (base / "manifest.json").write_text(manifest_text)
+            return assemble_dataset(load_manifest(base / "manifest.json"))
+
+    def test_valid_entry_assembles(self):
+        assert self._assemble(json.dumps([MANIFEST_ENTRY])).specimens[0].dry_mass_ug == 12.5
+
+    @pytest.mark.parametrize("key", ["specimen_id", "taxon", "dry_mass_ug", "metadata_csv"])
+    def test_missing_required_key_raises_input_error(self, key):
+        entry = {k: v for k, v in MANIFEST_ENTRY.items() if k != key}
+        with pytest.raises(InputError, match=f"manifest entry 0: '{key}'"):
+            self._assemble(json.dumps([entry]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(MANIFEST_ENTRY)), JSON_VALUES)
+    def test_mistyped_value_raises_only_input_errors(self, key, value):
+        try:
+            self._assemble(json.dumps([{**MANIFEST_ENTRY, key: value}]))
+        except InputError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    def test_entry_that_is_not_an_object_raises_input_error(self, value):
+        with pytest.raises(InputError, match="manifest entry 0"):
+            self._assemble(json.dumps([value]))
+        if not isinstance(value, list):
+            with pytest.raises(InputError, match="must be a JSON array"):
+                self._assemble(json.dumps(value))
+
+    def test_overlong_integer_literal_raises_input_error(self):
+        text = json.dumps([MANIFEST_ENTRY]).replace("12.5", "1" * 5000)
+        with pytest.raises(InputError, match="cannot read manifest"):
+            self._assemble(text)

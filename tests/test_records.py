@@ -58,6 +58,13 @@ class TestValidateDataset:
         record = SpecimenRecord("s1", "t", 1.0, ())
         assert any(v.field == "frames" for v in validate_dataset(Dataset("e", (record,))).violations)
 
+    @pytest.mark.parametrize("area", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_area_reported(self, area):
+        ds = Dataset("nf", (SpecimenRecord("s1", "t", 1.0, (make_frame(area=area),)),))
+        assert [(v.field, v.message) for v in validate_dataset(ds).violations] == [
+            ("area_px", f"non-finite area {area}")
+        ]
+
     def test_idempotent_and_pure(self):
         ds = Dataset("ok", (make_specimen(),))
         first = validate_dataset(ds)
@@ -78,6 +85,25 @@ class TestValidateDataset:
             rasters={"r0": np.zeros((3, 3), dtype=np.uint8)},
         )
         assert any(v.field == "raster_refs" for v in validate_dataset(ds).violations)
+
+
+class TestFrameMeta:
+    def test_keyword_construction_matches_positional(self):
+        assert make_frame(index=3) == FrameMeta("A", 3, 100, 120, 5, 25, 50.0)
+
+    def test_assigning_an_attribute_raises(self):
+        frame = make_frame()
+        with pytest.raises(AttributeError):
+            frame.top = 0
+        with pytest.raises(AttributeError):
+            frame.extra = 0
+
+    def test_equal_frames_hash_equal_and_share_a_dict_key(self):
+        # training._specimen_images maps each frame to its raster by key
+        a, b = make_frame(index=2), make_frame(index=2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "raster"}[b] == "raster"
+        assert make_frame(index=3) not in {a: "raster"}
 
 
 class TestPredictionSet:
