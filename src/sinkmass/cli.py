@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -293,7 +292,7 @@ def cmd_evaluate(args) -> int:
     dataset = _load_dataset(args)
     model = _load_any_model(args.model)
     ids = [s.specimen_id for s in dataset.specimens]
-    predictions = experiments.predict(model, dataset, ids, trim_fraction=args.trim)
+    predictions = experiments.predict(model, dataset, ids)
     report = compute_metrics(predictions)
     if args.bootstrap > 0:
         seed = _require_seed(args)
@@ -315,9 +314,7 @@ def cmd_crossval(args) -> int:
     config = _load_config(args)
     dataset = _load_dataset(args)
     estimator, label = _estimator(args, config, dataset, seed)
-    result = experiments.crossval(
-        dataset, estimator, k=args.folds, seed=seed, trim_fraction=args.trim
-    )
+    result = experiments.crossval(dataset, estimator, k=args.folds, seed=seed)
     method = args.method or label
     out = _out_dir(args)
     _write_json(out / "splits.json", result.plan.to_dict())
@@ -390,9 +387,7 @@ def cmd_ood(args) -> int:
     config = _load_config(args)
     dataset = _load_dataset(args)
     estimator, label = _estimator(args, config, dataset, seed)
-    report, predictions = experiments.ood(
-        dataset, args.holdout, estimator, seed=seed, trim_fraction=args.trim
-    )
+    report, predictions = experiments.ood(dataset, args.holdout, estimator, seed=seed)
     method = args.method or f"ood-{label}"
     out = _out_dir(args)
     payload = {
@@ -457,7 +452,7 @@ def cmd_pipeline(args) -> int:
             routed[slot[taxon]].append(record.specimen_id)
     masses = {}
     for model, model_ids in zip(models, routed):
-        for e in experiments.predict(model, dataset, model_ids, args.trim).entries:
+        for e in experiments.predict(model, dataset, model_ids).entries:
             masses[e.specimen_id] = e.predicted_mass_ug
 
     # the first weighed specimen either model skipped names the error
@@ -531,13 +526,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _trim_fraction(text: str) -> float:
+def _thread_count(text: str) -> int:
     try:
-        value = float(text)
+        value = int(text)
     except ValueError:
-        value = math.nan
-    if not 0 <= value < 0.5:
-        raise argparse.ArgumentTypeError(f"trim fraction must lie in [0, 0.5), got {text!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"thread count must be a positive integer, got {text!r}")
     return value
 
 
@@ -556,14 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="master RNG seed")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=None, help="cap BLAS thread pools")
+    common.add_argument(
+        "--threads", type=_thread_count, default=None, help="cap BLAS thread pools"
+    )
 
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--manifest", type=str, required=True, help="manifest JSON path")
     data.add_argument("--name", type=str, default=None, help="dataset name override")
-
-    trim = argparse.ArgumentParser(add_help=False)
-    trim.add_argument("--trim", type=_trim_fraction, default=0.05, help="per-end trim fraction")
 
     linear = argparse.ArgumentParser(add_help=False)
     linear.add_argument("--target", choices=["raw", "log"], default="raw")
@@ -600,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", choices=["area", "area_speed"], default="area")
     p.set_defaults(fn=cmd_fit_linear)
 
-    p = sub.add_parser("evaluate", parents=[common, data, trim], help="score a model")
+    p = sub.add_parser("evaluate", parents=[common, data], help="score a model")
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--method", type=str, default=None, help="method label for reports")
     p.add_argument(
@@ -609,9 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=0.95)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser(
-        "crossval", parents=[common, data, trim, estimator], help="k-fold protocol"
-    )
+    p = sub.add_parser("crossval", parents=[common, data, estimator], help="k-fold protocol")
     p.add_argument("--folds", type=int, default=5)
     p.set_defaults(fn=cmd_crossval)
 
@@ -622,13 +614,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=str, required=True)
     p.set_defaults(fn=cmd_finetune)
 
-    p = sub.add_parser("ood", parents=[common, data, trim, estimator], help="hold out one taxon")
+    p = sub.add_parser("ood", parents=[common, data, estimator], help="hold out one taxon")
     p.add_argument("--holdout", type=str, required=True)
     p.set_defaults(fn=cmd_ood)
 
-    p = sub.add_parser(
-        "pipeline", parents=[common, data, trim], help="classify then estimate mass"
-    )
+    p = sub.add_parser("pipeline", parents=[common, data], help="classify then estimate mass")
     p.add_argument("--classifier", type=str, required=True)
     p.add_argument("--mass-model", type=str, default=None, help="shared mass model")
     p.add_argument("--mass-models", type=str, default=None, help="JSON map taxon -> model path")
@@ -641,26 +631,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap(argv) -> None:
-    # must happen before numpy is imported anywhere in this process
-    n = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif arg.startswith("--threads="):
-            n = arg.partition("=")[2]
-    if n is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = n
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
     from .errors import InputError, NumericError
 
     try:
         args = build_parser().parse_args(argv)
+        if args.threads is not None:
+            # parsing loads no numpy, so the cap still precedes BLAS start-up
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
         return args.fn(args)
     except (InputError, NumericError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -8,7 +8,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from .errors import EmptyPredictions, InvalidConfig, UnknownTaxon, ZeroVariance
+from .errors import EmptyPredictions, UnknownTaxon, ZeroVariance
 from .evaluation import (
     MetricReport,
     SplitPlan,
@@ -33,12 +33,6 @@ from .rng import derive_seed, substream
 
 
 VAL_FRACTION = 0.2  # of each taxon, when a neural fit is given no validation split
-
-
-def _check_trim_fraction(trim_fraction: float) -> None:
-    """Reject a trim fraction before any model is fitted or run."""
-    if not 0 <= trim_fraction < 0.5:
-        raise InvalidConfig(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
 
 
 @dataclass(frozen=True)
@@ -105,14 +99,12 @@ def _prediction_set(records, masses: dict[str, float]) -> PredictionSet:
     )
 
 
-def predict_linear(
-    model: LinearModel, dataset: Dataset, specimen_ids, trim_fraction: float = 0.05
-) -> PredictionSet:
+def predict_linear(model: LinearModel, dataset: Dataset, specimen_ids) -> PredictionSet:
     features = dataset.features
     records = dataset.subset(specimen_ids)
     needs_speed = model.feature_spec is FeatureSpec.AREA_PLUS_SPEED
     masses = {
-        r.specimen_id: predict_specimen(model, r, features[r.specimen_id], trim_fraction)
+        r.specimen_id: predict_specimen(model, r, features[r.specimen_id])
         for r in records
         if r.dry_mass_ug is not None
         and not (needs_speed and features[r.specimen_id].sinking_speed is None)
@@ -120,10 +112,8 @@ def predict_linear(
     return _prediction_set(records, masses)
 
 
-def predict_neural(
-    model: TrainedModel, dataset: Dataset, specimen_ids, trim_fraction: float = 0.05
-) -> PredictionSet:
-    masses = predict_specimen_masses(model, dataset, specimen_ids, trim_fraction)
+def predict_neural(model: TrainedModel, dataset: Dataset, specimen_ids) -> PredictionSet:
+    masses = predict_specimen_masses(model, dataset, specimen_ids)
     return _prediction_set(dataset.subset(specimen_ids), masses)
 
 
@@ -132,19 +122,13 @@ def model_family(model: LinearModel | TrainedModel) -> str:
     return "linear" if isinstance(model, LinearModel) else "neural"
 
 
-def predict(
-    model: LinearModel | TrainedModel,
-    dataset: Dataset,
-    specimen_ids,
-    trim_fraction: float = 0.05,
-) -> PredictionSet:
+def predict(model: LinearModel | TrainedModel, dataset: Dataset, specimen_ids) -> PredictionSet:
     """Per-specimen predictions for every weighed specimen among
     ``specimen_ids`` that the model can score: a speed-consuming model skips
     specimens without a sinking speed, a multi-view model those without
     frames from both cameras."""
-    _check_trim_fraction(trim_fraction)
     predict_fn = predict_linear if model_family(model) == "linear" else predict_neural
-    return predict_fn(model, dataset, specimen_ids, trim_fraction)
+    return predict_fn(model, dataset, specimen_ids)
 
 
 @dataclass(frozen=True)
@@ -157,16 +141,11 @@ class CrossvalResult:
 
 
 def crossval(
-    dataset: Dataset,
-    estimator: LinearEstimator | NeuralEstimator,
-    k: int = 5,
-    seed: int = 0,
-    trim_fraction: float = 0.05,
+    dataset: Dataset, estimator: LinearEstimator | NeuralEstimator, k: int = 5, seed: int = 0
 ) -> CrossvalResult:
     """k-fold protocol: fit on each fold's train split (and validation split)
     with a fold-derived seed, score its test fold, then pool the test
     predictions. Neural folds keep their validation-loss histories."""
-    _check_trim_fraction(trim_fraction)
     plan = make_cv_splits(dataset, k=k, seed=seed)
     fold_sets = []
     histories = []
@@ -174,7 +153,7 @@ def crossval(
         model = estimator.fit(dataset, fold.train, fold.val, derive_seed(seed, "fold", f))
         if hasattr(model, "val_loss_history"):
             histories.append(tuple(model.val_loss_history))
-        fold_sets.append(predict(model, dataset, fold.test, trim_fraction))
+        fold_sets.append(predict(model, dataset, fold.test))
     pooled = pool_folds(fold_sets)
     return CrossvalResult(
         plan=plan,
@@ -191,11 +170,10 @@ def crossval_linear(
     target_space: TargetSpace = TargetSpace.RAW,
     k: int = 5,
     seed: int = 0,
-    trim_fraction: float = 0.05,
     per_image: bool = True,
 ) -> CrossvalResult:
     estimator = LinearEstimator(feature_spec, target_space, per_image)
-    return crossval(dataset, estimator, k, seed, trim_fraction)
+    return crossval(dataset, estimator, k, seed)
 
 
 def crossval_neural(
@@ -204,10 +182,9 @@ def crossval_neural(
     train_config: TrainConfig,
     k: int = 5,
     seed: int = 0,
-    trim_fraction: float = 0.05,
 ) -> CrossvalResult:
     estimator = NeuralEstimator(model_config, train_config)
-    return crossval(dataset, estimator, k, seed, trim_fraction)
+    return crossval(dataset, estimator, k, seed)
 
 
 def ood_split(dataset: Dataset, holdout_taxon: str) -> tuple[list[str], list[str]]:
@@ -225,14 +202,12 @@ def ood(
     holdout_taxon: str,
     estimator: LinearEstimator | NeuralEstimator,
     seed: int = 0,
-    trim_fraction: float = 0.05,
 ) -> tuple[MetricReport, PredictionSet]:
     """Fit on every other taxon (``seed`` drives both a neural model's
     validation split and its training) and score only the held-out taxon."""
-    _check_trim_fraction(trim_fraction)
     rest, held = ood_split(dataset, holdout_taxon)
     model = estimator.fit(dataset, rest, None, seed)
-    predictions = predict(model, dataset, held, trim_fraction)
+    predictions = predict(model, dataset, held)
     return compute_metrics(predictions), predictions
 
 

@@ -60,7 +60,8 @@ def parse_frame_csv(payload: bytes) -> list[FrameMeta]:
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(1, f"not UTF-8: {exc}") from None
+        line_no = payload.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(line_no, f"not UTF-8: {exc}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -191,10 +192,15 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
     for i, obj in enumerate(raw):
         try:
             mass = obj["dry_mass_ug"]
+            for key in ("specimen_id", "taxon"):
+                if not isinstance(obj[key], str):
+                    raise TypeError(f"{key} must be a string, not {type(obj[key]).__name__}")
+            if isinstance(mass, bool) or not isinstance(mass, (int, float, type(None))):
+                raise TypeError(f"dry_mass_ug must be a number or null, not {type(mass).__name__}")
             entries.append(
                 ManifestEntry(
-                    specimen_id=str(obj["specimen_id"]),
-                    taxon=str(obj["taxon"]),
+                    specimen_id=obj["specimen_id"],
+                    taxon=obj["taxon"],
                     dry_mass_ug=None if mass is None else float(mass),
                     metadata_csv=base / obj["metadata_csv"],
                     raster_dir=None if obj.get("raster_dir") is None else base / obj["raster_dir"],
@@ -226,8 +232,8 @@ def assemble_dataset(
 
     Rasters smaller than ``raster_dims`` are mirror-padded up to it on load;
     larger ones are rejected. When ``raster_dims`` is None it is inferred as
-    the largest raster dimensions present. Parse errors are re-raised with
-    the offending specimen_id attached.
+    the largest raster dimensions present. Parse errors are re-raised, type
+    and fields intact, with the offending specimen_id prefixed to the message.
     """
     specimens: list[SpecimenRecord] = []
     raster_store: dict[str, np.ndarray] = {}
@@ -240,7 +246,8 @@ def assemble_dataset(
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             raise InputError(f"{entry.specimen_id}: cannot read {entry.metadata_csv}: {exc}") from None
         except InputError as exc:
-            raise type(exc)(f"{entry.specimen_id}: {exc}") from None
+            exc.args = (f"{entry.specimen_id}: {exc}",)
+            raise exc from None
 
         refs: tuple[str, ...] | None = None
         if entry.raster_dir is not None:
@@ -253,7 +260,8 @@ def assemble_dataset(
                 except (OSError, ValueError) as exc:
                     raise InputError(f"{entry.specimen_id}: cannot read {fpath}: {exc}") from None
                 except InputError as exc:
-                    raise type(exc)(f"{entry.specimen_id}/{fname}: {exc}") from None
+                    exc.args = (f"{entry.specimen_id}/{fname}: {exc}",)
+                    raise exc from None
                 ref = f"{entry.specimen_id}/{fname}"
                 ref_list.append(ref)
                 pending.append((ref, raster))

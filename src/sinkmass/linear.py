@@ -9,11 +9,9 @@ one float matrix, feature columns then the target, which ``fit_ols`` takes.
 Every per-image prediction of a specimen is one array expression, turned
 into masses by ``target_to_mass`` (exponentiated for log-target models,
 then clamped to MASS_FLOOR_UG); the neural regressors use the same step.
-Per-specimen estimates aggregate per-image predictions with their median,
-which makes a single wild per-image prediction inconsequential. The
-``trim_fraction`` of ``trimmed_median`` (5% by default) is validated but
-cannot move the result: trimming equally from both ends of the sorted
-estimates leaves the median in place.
+Per-specimen estimates aggregate per-image predictions with their median
+(``trimmed_median``), which makes a single wild per-image prediction
+inconsequential.
 """
 
 from __future__ import annotations
@@ -116,29 +114,20 @@ def predict_per_image(
     return target_to_mass(values, model.target_space)
 
 
-def trimmed_median(values, trim_fraction: float = 0.05) -> float:
-    """Median of the values, after checking trim_fraction lies in [0, 0.5).
+def trimmed_median(values) -> float:
+    """Median of the values (for an even count, the mean of the central two).
 
-    Dropping floor(trim_fraction * len) values from each end of the sorted
-    values leaves their middle in place, so the trim never changes the
-    result and this is the plain median (mean of the two central order
-    statistics for even counts).
-    """
-    if not 0 <= trim_fraction < 0.5:
-        raise ValueError(f"trim_fraction must lie in [0, 0.5), got {trim_fraction}")
+    No trim: trimming both ends equally would leave the median in place."""
     if len(values) == 0:
         raise EmptyInput("cannot aggregate zero predictions")
     return float(np.median(np.asarray(values, dtype=float)))
 
 
 def predict_specimen(
-    model: LinearModel,
-    specimen: SpecimenRecord,
-    features: SpecimenFeatures,
-    trim_fraction: float = 0.05,
+    model: LinearModel, specimen: SpecimenRecord, features: SpecimenFeatures
 ) -> float:
-    """Trimmed median of the per-image predictions; always positive."""
-    return trimmed_median(predict_per_image(model, specimen, features), trim_fraction)
+    """Median of the per-image predictions; always positive."""
+    return trimmed_median(predict_per_image(model, specimen, features))
 
 
 def build_rows(

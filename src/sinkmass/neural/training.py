@@ -1,7 +1,7 @@
 """Training loop, fine-tuning, prediction, and checkpoint persistence.
 
 Samples are per-image; per-specimen estimates aggregate per-image
-predictions with the same trimmed median used by the linear models. The
+predictions with the same median used by the linear models. The
 checkpoint returned is the epoch with the lowest validation loss. All
 randomness (init, shuffling, augmentation) flows from named substreams of
 the master seed, so training is reproducible bit for bit on one thread.
@@ -449,12 +449,9 @@ def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
 
 
 def predict_specimen_masses(
-    model: TrainedModel,
-    dataset: Dataset,
-    specimen_ids,
-    trim_fraction: float = 0.05,
+    model: TrainedModel, dataset: Dataset, specimen_ids
 ) -> dict[str, float]:
-    """Trimmed-median aggregate of per-image predictions per specimen.
+    """Median of each specimen's per-image predictions.
 
     Specimens the model cannot score (e.g. missing speed) are omitted from
     the result. A classifier checkpoint raises IncompatibleArchitecture.
@@ -462,7 +459,7 @@ def predict_specimen_masses(
     if model.config.n_classes is not None:
         raise IncompatibleArchitecture("mass prediction needs a regression checkpoint")
     return {
-        sid: trimmed_median(target_to_mass(out, model.config.target_space), trim_fraction)
+        sid: trimmed_median(target_to_mass(out, model.config.target_space))
         for sid, out in _specimen_outputs(model, dataset, specimen_ids).items()
     }
 

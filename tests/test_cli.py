@@ -10,7 +10,7 @@ import pytest
 
 import sinkmass
 from sinkmass import experiments
-from sinkmass.cli import _apply_thread_cap, _predictions_csv, main
+from sinkmass.cli import _predictions_csv, main
 from sinkmass.config import config_from_dict
 from sinkmass.ingest import assemble_dataset, load_manifest, save_raster, serialize_frame_csv
 from sinkmass.linear import load_linear_model
@@ -758,9 +758,14 @@ BAD_FLAGS = {
     "one_fold": ("InvalidConfig", ("crossval", "--model", "linear-area", "--folds", 1)),
     "fold_past_the_last": ("InvalidConfig", ("train", "--fold", 7)),
     "negative_fold": ("InvalidConfig", ("train", "--fold", -1)),
-    "trim_one_half": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.5)),
-    "trim_above_one_half": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.7)),
-    "negative_trim": ("UsageError", ("evaluate", "--model", "m.json", "--trim", -0.1)),
+    "evaluate_trim": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.05)),
+    "crossval_trim": ("UsageError", ("crossval", "--model", "linear-area", "--trim", 0.05)),
+    "ood_trim": (
+        "UsageError", ("ood", "--model", "linear-area", "--holdout", "a", "--trim", 0.05)
+    ),
+    "pipeline_trim": ("UsageError", ("pipeline", "--classifier", "c.json", "--trim", 0.05)),
+    "zero_threads": ("UsageError", ("features", "--threads", 0)),
+    "negative_threads": ("UsageError", ("features", "--threads", -2)),
     "negative_bootstrap": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", -3)),
     "one_bootstrap_draw": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", 1)),
     "unknown_command": ("UsageError", ("estimate",)),
@@ -1051,12 +1056,12 @@ def test_mass_model_entry_that_receives_no_specimen(tmp_path):
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("spelling", [["--threads", "3"], ["--threads=3"]])
-def test_thread_cap_accepts_both_spellings(monkeypatch, spelling):
+@pytest.mark.parametrize("spelling", [["--threads", "3"], ["--threads=3"], ["--thr", "3"]])
+def test_thread_cap_accepts_every_spelling(monkeypatch, spelling):
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "unset")  # restored after the test
         monkeypatch.delenv(var)
-    _apply_thread_cap(["train", *spelling, "--seed", "1"])
+    assert main(["report", *spelling]) == 2  # NoResults, raised after the cap is set
     assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "3")
 
 

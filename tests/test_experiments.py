@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from sinkmass import experiments, features
-from sinkmass.errors import InvalidConfig, UnknownTaxon
+from sinkmass.errors import UnknownTaxon
 from sinkmass.linear import FeatureSpec, TargetSpace
-from sinkmass.neural.model import HeadKind, ModelConfig
-from sinkmass.neural.training import TrainConfig
 from sinkmass.records import PredictionSet
 from sinkmass.synth import GroupSpec, SynthConfig, generate
 
@@ -159,61 +157,3 @@ class TestPipeline:
         assert by_taxon[first.taxon].n == sum(
             1 for s in metadata_dataset.specimens if s.taxon == first.taxon
         ) - 1
-
-
-class TestTrimFractionCheckedUpFront:
-    BAD = [-0.1, 0.5, 0.7, float("nan")]
-
-    @pytest.fixture(scope="class")
-    def raster_dataset(self):
-        config = SynthConfig(
-            groups=(GroupSpec("light", (1.3, 1.5), (1.6, 0.12), 10, aspect_range=(1.2, 1.6)),
-                    GroupSpec("dense", (2.4, 2.8), (1.6, 0.12), 10, aspect_range=(1.2, 1.6))),
-            seed=7,
-            raster_dims=(16, 16),
-        )
-        return generate(config)[0]
-
-    @pytest.fixture
-    def train_calls(self, monkeypatch):
-        calls = []
-        real_train = experiments.train
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real_train(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "train", spy)
-        return calls
-
-    @staticmethod
-    def neural_estimator():
-        return experiments.NeuralEstimator(
-            ModelConfig(encoder_channels=(2,), head=HeadKind.ONE_LAYER, input_size=16),
-            TrainConfig(epochs=1, batch_size=16),
-        )
-
-    @pytest.mark.parametrize("trim", BAD)
-    def test_crossval_rejects_before_training(self, raster_dataset, train_calls, trim):
-        with pytest.raises(InvalidConfig, match="trim_fraction"):
-            experiments.crossval(raster_dataset, self.neural_estimator(), k=2,
-                                 trim_fraction=trim)
-        assert train_calls == []
-
-    @pytest.mark.parametrize("trim", BAD)
-    def test_ood_rejects_before_training(self, raster_dataset, train_calls, trim):
-        with pytest.raises(InvalidConfig, match="trim_fraction"):
-            experiments.ood(raster_dataset, "dense", self.neural_estimator(),
-                            trim_fraction=trim)
-        assert train_calls == []
-
-    @pytest.mark.parametrize("trim", BAD)
-    def test_predict_rejects(self, metadata_dataset, trim):
-        ids = [s.specimen_id for s in metadata_dataset.specimens]
-        model = experiments.LinearEstimator(FeatureSpec.AREA_ONLY).fit(metadata_dataset, ids)
-        with pytest.raises(InvalidConfig, match="trim_fraction"):
-            experiments.predict(model, metadata_dataset, ids, trim_fraction=trim)
-
-    def test_valid_trim_still_trains(self, raster_dataset, train_calls):
-        experiments.crossval(raster_dataset, self.neural_estimator(), k=2, trim_fraction=0.0)
-        assert len(train_calls) == 2

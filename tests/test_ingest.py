@@ -72,7 +72,6 @@ def corrupted_csv(draw):
         fields[6] = draw(st.sampled_from([b"nan", b"-nan", b"inf", b"-inf", b"Infinity", b"1e999"]))
     else:
         fields[draw(st.integers(0, 6))] += draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"]))
-        line_no = 1  # the payload is decoded whole, before it is split into lines
     lines[row] = b",".join(fields)
     return b"\n".join(lines) + b"\n", line_no
 
@@ -132,6 +131,11 @@ class TestParseFrameCsv:
             (b"A,0,10,100,5,95,z\n", "line 2: could not convert string to float: 'z'"),
             (b"A,-3,10,100,5,95,1\n", "line 2: negative frame_index -3"),
             (b"A,0,10,100,5,95,1\n\n", "line 3: expected 7 fields, got 1"),
+            (
+                b"A,0,10,100,5,95,1\nA,1,10,100,5,95,\xff\n",
+                "line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 86: "
+                "invalid start byte",
+            ),
         ],
     )
     def test_error_messages(self, rows, message):
@@ -299,6 +303,15 @@ class TestAssembleDataset:
         with pytest.raises(InputError, match="ghost"):
             assemble_dataset(load_manifest(manifest))
 
+    def test_malformed_row_keeps_its_line_after_naming_the_specimen(self, tmp_path):
+        entry = self._write_specimen(tmp_path, "s1", b"A,0,10,20,0,10,5\nA,1,2,3\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([entry]))
+        with pytest.raises(MalformedRow) as err:
+            assemble_dataset(load_manifest(manifest))
+        assert err.value.line_no == 3
+        assert str(err.value) == "s1: line 3: expected 7 fields, got 4"
+
     def test_small_raster_padded_to_target(self, tmp_path):
         pgm = make_pgm(2, 2, [1, 2, 3, 4])
         entry = self._write_specimen(tmp_path, "s1", b"A,0,10,20,0,10,4\n", raster=pgm)
@@ -367,8 +380,19 @@ class TestManifest:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(MANIFEST_ENTRY)), JSON_VALUES)
     def test_mistyped_value_raises_only_input_errors(self, key, value):
+        text = json.dumps([{**MANIFEST_ENTRY, key: value}])
+        if key in ("specimen_id", "taxon"):
+            mistyped = not isinstance(value, str)
+        else:
+            mistyped = key == "dry_mass_ug" and (
+                isinstance(value, bool) or not isinstance(value, (int, float, type(None)))
+            )
+        if mistyped:
+            with pytest.raises(InputError, match=f"manifest entry 0: {key} must be"):
+                self._assemble(text)
+            return
         try:
-            self._assemble(json.dumps([{**MANIFEST_ENTRY, key: value}]))
+            self._assemble(text)
         except InputError:
             pass
 

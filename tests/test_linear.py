@@ -159,23 +159,22 @@ class TestPredictPerImage:
 _VALUES = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
 )
-_TRIMS = st.floats(min_value=0.0, max_value=0.5, exclude_max=True)
 
 
 class TestTrimmedMedian:
     def test_twenty_values_trims_one_per_end(self):
         values = list(range(1, 21))
-        assert trimmed_median(values, 0.05) == 10.5
+        assert trimmed_median(values) == 10.5
 
     def test_singleton(self):
-        assert trimmed_median([5], 0.05) == 5
+        assert trimmed_median([5]) == 5
 
     def test_even_count_of_numpy_values_gives_python_float(self):
         result = trimmed_median(np.array([1.0, 2.0, 4.0, 8.0]))
         assert type(result) is float and result == 3.0
 
     def test_five_values_no_trim_at_five_percent(self):
-        assert trimmed_median([1, 1, 1, 1, 1000], 0.05) == 1
+        assert trimmed_median([1, 1, 1, 1, 1000]) == 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -184,29 +183,28 @@ class TestTrimmedMedian:
             trimmed_median(np.empty(0))
 
     @settings(max_examples=300, deadline=None)
-    @given(_VALUES, _TRIMS)
-    def test_list_and_array_give_the_same_float(self, values, trim):
-        from_list = trimmed_median(values, trim)
-        from_array = trimmed_median(np.array(values), trim)
+    @given(_VALUES)
+    def test_list_and_array_give_the_same_float(self, values):
+        from_list = trimmed_median(values)
+        from_array = trimmed_median(np.array(values))
         assert type(from_list) is type(from_array) is float
         assert from_list == from_array
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), _VALUES, _TRIMS)
-    def test_permutation_invariant(self, data, values, trim):
+    @given(st.data(), _VALUES)
+    def test_permutation_invariant(self, data, values):
         shuffled = data.draw(st.permutations(values))
-        assert trimmed_median(shuffled, trim) == trimmed_median(values, trim)
+        assert trimmed_median(shuffled) == trimmed_median(values)
 
     @settings(max_examples=300, deadline=None)
-    @given(_VALUES, _TRIMS)
-    def test_equals_numpy_median(self, values, trim):
-        # trimming equally from both ends of the sorted values keeps the middle
-        assert trimmed_median(values, trim) == float(np.median(values))
+    @given(_VALUES)
+    def test_equals_numpy_median(self, values):
+        assert trimmed_median(values) == float(np.median(values))
 
     @settings(max_examples=300, deadline=None)
-    @given(_VALUES, _TRIMS)
-    def test_lies_between_min_and_max(self, values, trim):
-        assert min(values) <= trimmed_median(values, trim) <= max(values)
+    @given(_VALUES)
+    def test_lies_between_min_and_max(self, values):
+        assert min(values) <= trimmed_median(values) <= max(values)
 
     def test_corrupting_max_of_thirty_changes_nothing(self, rng):
         values = list(rng.uniform(10, 20, size=30))
@@ -214,15 +212,6 @@ class TestTrimmedMedian:
         corrupted = list(values)
         corrupted[int(np.argmax(corrupted))] *= 100.0
         assert trimmed_median(corrupted) == baseline
-
-    @pytest.mark.parametrize("trim", [0.4999999999999999, 0.4999999999])
-    def test_fraction_just_below_one_half_keeps_the_middle(self, trim):
-        assert trimmed_median([1.0, 3.0], trim) == 2.0
-        assert trimmed_median([7.0, 1.0, 5.0, 3.0], trim) == 4.0
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            trimmed_median([1.0], 0.5)
 
 
 class TestPredictSpecimen:
