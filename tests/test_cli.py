@@ -766,6 +766,7 @@ BAD_FLAGS = {
     "pipeline_trim": ("UsageError", ("pipeline", "--classifier", "c.json", "--trim", 0.05)),
     "zero_threads": ("UsageError", ("features", "--threads", 0)),
     "negative_threads": ("UsageError", ("features", "--threads", -2)),
+    "threads_not_an_int": ("UsageError", ("features", "--threads", "two")),
     "negative_bootstrap": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", -3)),
     "one_bootstrap_draw": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", 1)),
     "unknown_command": ("UsageError", ("estimate",)),
@@ -1063,6 +1064,14 @@ def test_thread_cap_accepts_every_spelling(monkeypatch, spelling):
         monkeypatch.delenv(var)
     assert main(["report", *spelling]) == 2  # NoResults, raised after the cap is set
     assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "3")
+
+
+def test_no_thread_flag_leaves_the_pools_uncapped(monkeypatch):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "unset")  # restored after the test
+        monkeypatch.delenv(var)
+    assert main(["report"]) == 2  # NoResults
+    assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS)
 
 
 def _subprocess(*args):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sinkmass import experiments, features
-from sinkmass.errors import UnknownTaxon
+from sinkmass.errors import InvalidConfig, TaxonTooSmall, UnknownTaxon
 from sinkmass.linear import FeatureSpec, TargetSpace
+from sinkmass.neural.model import HeadKind, ModelConfig
+from sinkmass.neural.training import TrainConfig
 from sinkmass.records import PredictionSet
 from sinkmass.synth import GroupSpec, SynthConfig, generate
 
@@ -157,3 +159,56 @@ class TestPipeline:
         assert by_taxon[first.taxon].n == sum(
             1 for s in metadata_dataset.specimens if s.taxon == first.taxon
         ) - 1
+
+
+class TestBadProtocolRejectedBeforeTraining:
+    @pytest.fixture(scope="class")
+    def raster_dataset(self):
+        config = SynthConfig(
+            groups=(GroupSpec("light", (1.3, 1.5), (1.6, 0.12), 10, aspect_range=(1.2, 1.6)),
+                    GroupSpec("dense", (2.4, 2.8), (1.6, 0.12), 10, aspect_range=(1.2, 1.6))),
+            seed=7,
+            raster_dims=(16, 16),
+        )
+        return generate(config)[0]
+
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        calls = []
+        real_train = experiments.train
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", spy)
+        return calls
+
+    @staticmethod
+    def neural_estimator():
+        return experiments.NeuralEstimator(
+            ModelConfig(encoder_channels=(2,), head=HeadKind.ONE_LAYER, input_size=16),
+            TrainConfig(epochs=1, batch_size=16),
+        )
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_crossval_with_too_few_folds(self, raster_dataset, train_calls, k):
+        with pytest.raises(InvalidConfig, match="at least 2 folds"):
+            experiments.crossval(raster_dataset, self.neural_estimator(), k=k)
+        assert train_calls == []
+
+    def test_crossval_with_more_folds_than_a_taxon_has_specimens(
+        self, raster_dataset, train_calls
+    ):
+        with pytest.raises(TaxonTooSmall):
+            experiments.crossval(raster_dataset, self.neural_estimator(), k=11)
+        assert train_calls == []
+
+    def test_ood_with_unknown_holdout(self, raster_dataset, train_calls):
+        with pytest.raises(UnknownTaxon):
+            experiments.ood(raster_dataset, "krill", self.neural_estimator())
+        assert train_calls == []
+
+    def test_valid_protocol_trains_once_per_fold(self, raster_dataset, train_calls):
+        experiments.crossval(raster_dataset, self.neural_estimator(), k=2)
+        assert len(train_calls) == 2

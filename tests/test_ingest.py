@@ -136,12 +136,22 @@ class TestParseFrameCsv:
                 "line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 86: "
                 "invalid start byte",
             ),
+            (
+                b"\xff,0,10,100,5,95,1\n",
+                "line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 52: "
+                "invalid start byte",
+            ),
         ],
     )
     def test_error_messages(self, rows, message):
         with pytest.raises(MalformedRow) as err:
             parse_frame_csv(HEADER + rows)
         assert str(err.value) == message
+
+    def test_bad_byte_in_header_is_line_1(self):
+        with pytest.raises(MalformedRow) as err:
+            parse_frame_csv(b"\xff" + HEADER + b"A,0,10,100,5,95,1\n")
+        assert err.value.line_no == 1
 
     def test_fields_have_their_annotated_types(self):
         (frame,) = parse_frame_csv(HEADER + b"B,3,10,100,5,95,7\r\n")
@@ -311,6 +321,37 @@ class TestAssembleDataset:
             assemble_dataset(load_manifest(manifest))
         assert err.value.line_no == 3
         assert str(err.value) == "s1: line 3: expected 7 fields, got 4"
+
+    @pytest.mark.parametrize(
+        ("rows", "raster", "error", "message"),
+        [
+            (b"", None, EmptyFile, "s1: no data rows"),
+            (
+                b"A,0,10,20,0,10,\xff\n", None, MalformedRow,
+                "s1: line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 67: "
+                "invalid start byte",
+            ),
+            (
+                b"A,0,10,20,0,10,4\n", make_pgm(2, 3, range(6)), NonSquareRaster,
+                "s1/A_0.pgm: 2x3 raster; square input required",
+            ),
+            (
+                b"A,0,10,20,0,10,4\n", make_pgm(2, 2, range(4), magic=b"P2"), UnsupportedFormat,
+                "s1/A_0.pgm: not a binary PGM (P5) payload",
+            ),
+        ],
+        ids=["empty_csv", "csv_not_utf8", "non_square_raster", "ascii_raster"],
+    )
+    def test_parse_error_keeps_its_type_and_names_the_specimen(
+        self, tmp_path, rows, raster, error, message
+    ):
+        entry = self._write_specimen(tmp_path, "s1", rows, raster=raster)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([entry]))
+        with pytest.raises(error) as err:
+            assemble_dataset(load_manifest(manifest))
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_small_raster_padded_to_target(self, tmp_path):
         pgm = make_pgm(2, 2, [1, 2, 3, 4])
