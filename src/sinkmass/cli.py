@@ -1,9 +1,11 @@
 """Command-line entry point binding the library into experiment flows.
 
 Subcommands: ingest, synth, features, fit-linear, train, finetune, crossval,
-evaluate, ood, pipeline, report. Every command that consumes randomness
-requires --seed, and identical inputs plus an identical seed produce
-byte-identical primary output files.
+evaluate, ood, pipeline, report. Each command accepts only the flags its
+handler reads. synth, crossval, train, finetune and ood require --seed and
+take --config; evaluate reads its optional --seed only for --bootstrap.
+--seed is the only seed: a config holding one is rejected. Identical inputs
+plus an identical seed produce byte-identical primary output files.
 
 Exit codes: 0 success, 2 usage, input or validation error, 3 numeric
 failure. Errors, usage errors included, are emitted as one JSON object on
@@ -36,7 +38,7 @@ def _load_config(args) -> dict:
     from .config import read_json
     from .errors import InvalidConfig
 
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return {}
     config = read_json(args.config, "config")
     if not isinstance(config, dict):
@@ -44,19 +46,14 @@ def _load_config(args) -> dict:
     return config
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        from .errors import InputError
+def _reject_config_seed(section: dict, where: str) -> None:
+    from .errors import InvalidConfig
 
-        raise InputError("this command requires --seed")
-    return args.seed
+    if "seed" in section:
+        raise InvalidConfig(f"{where} holds a seed key; the seed comes from --seed")
 
 
 def _out_dir(args) -> Path:
-    from .errors import InputError
-
-    if args.out is None:
-        raise InputError("this command requires --out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -157,9 +154,9 @@ def _load_any_model(path):
 def _model_configs_from(config: dict, dataset, seed: int):
     """(ModelConfig, TrainConfig, taxa) from the --config JSON sections.
 
-    Missing keys take the config dataclasses' defaults; the command's seed
-    overrides any seed in the config. An unknown section, a section that is
-    not a JSON object or an unknown ``task`` raises InvalidConfig.
+    Missing keys take the config dataclasses' defaults, and the seed is the
+    command's. An unknown section, a section that is not a JSON object, an
+    unknown ``task`` or a ``train.seed`` key raises InvalidConfig.
     """
     from .config import config_from_dict
     from .errors import InvalidConfig
@@ -179,6 +176,7 @@ def _model_configs_from(config: dict, dataset, seed: int):
         raise InvalidConfig(f"task must be one of {', '.join(TASKS)}, got {task!r}")
     taxa = tuple(sorted(dataset.taxon_set)) if task == "classification" else None
     m["n_classes"] = None if taxa is None else len(taxa)
+    _reject_config_seed(sections["train"], "config section 'train'")
     train_config = config_from_dict(TrainConfig, {**sections["train"], "seed": seed})
     return config_from_dict(ModelConfig, m), train_config, taxa
 
@@ -188,16 +186,30 @@ def _linear_estimator(args, feature_spec):
     from .experiments import LinearEstimator
     from .linear import TargetSpace
 
-    return LinearEstimator(feature_spec, TargetSpace(args.target), per_image=not args.per_specimen)
+    target = {} if args.target is None else {"target_space": TargetSpace(args.target)}
+    return LinearEstimator(feature_spec, **target, per_image=not args.per_specimen)
 
 
-def _estimator(args, config: dict, dataset, seed: int):
+def _reject_ignored_flags(args) -> None:
+    """UsageError for a flag the chosen ``--model`` of crossval/ood ignores."""
+    from .errors import UsageError
+
+    if args.model == "neural":
+        ignored = [("--target", args.target is not None), ("--per-specimen", args.per_specimen)]
+    else:
+        ignored = [("--config", args.config is not None)]
+    for flag, given in ignored:
+        if given:
+            raise UsageError(f"sinkmass {args.command}: --model {args.model} does not read {flag}")
+
+
+def _estimator(args, config: dict, dataset):
     """The estimator ``--model`` names, and its default method label."""
     from . import experiments
     from .linear import FeatureSpec
 
     if args.model == "neural":
-        model_config, train_config, _ = _model_configs_from(config, dataset, seed)
+        model_config, train_config, _ = _model_configs_from(config, dataset, args.seed)
         estimator = experiments.NeuralEstimator(model_config, train_config)
         return estimator, f"neural-{model_config.architecture.value}"
     feature_spec = (
@@ -213,10 +225,9 @@ def cmd_synth(args) -> int:
     from .config import config_from_dict
     from .synth import SynthConfig, generate, write_synth_output
 
-    seed = _require_seed(args)
     config_dict = _load_config(args)
-    config_dict.setdefault("seed", seed)
-    config = config_from_dict(SynthConfig, config_dict)
+    _reject_config_seed(config_dict, "the synth config")
+    config = config_from_dict(SynthConfig, {**config_dict, "seed": args.seed})
     out = _out_dir(args)
     dataset, truth = generate(config, name=out.name)
     manifest_path = write_synth_output(dataset, truth, out)
@@ -287,16 +298,18 @@ def cmd_fit_linear(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from . import experiments
+    from .errors import UsageError
     from .evaluation import attach_bootstrap, compute_metrics
 
+    if args.bootstrap > 0 and args.seed is None:
+        raise UsageError("sinkmass evaluate: --bootstrap above 0 requires --seed")
     dataset = _load_dataset(args)
     model = _load_any_model(args.model)
     ids = [s.specimen_id for s in dataset.specimens]
     predictions = experiments.predict(model, dataset, ids)
     report = compute_metrics(predictions)
     if args.bootstrap > 0:
-        seed = _require_seed(args)
-        report = attach_bootstrap(report, predictions, args.bootstrap, args.level, seed)
+        report = attach_bootstrap(report, predictions, args.bootstrap, args.level, args.seed)
     method = args.method or experiments.model_family(model)
     payload = {"dataset": dataset.name, "method": method, "report": report.to_dict()}
     out = _out_dir(args)
@@ -310,11 +323,11 @@ def cmd_evaluate(args) -> int:
 def cmd_crossval(args) -> int:
     from . import experiments
 
-    seed = _require_seed(args)
+    _reject_ignored_flags(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
-    estimator, label = _estimator(args, config, dataset, seed)
-    result = experiments.crossval(dataset, estimator, k=args.folds, seed=seed)
+    estimator, label = _estimator(args, config, dataset)
+    result = experiments.crossval(dataset, estimator, k=args.folds, seed=args.seed)
     method = args.method or label
     out = _out_dir(args)
     _write_json(out / "splits.json", result.plan.to_dict())
@@ -330,12 +343,12 @@ def cmd_crossval(args) -> int:
     return 0
 
 
-def _fold(dataset, args, seed: int):
+def _fold(dataset, args):
     """The train/validation split of CV fold ``--fold`` out of ``--folds``."""
     from .errors import InvalidConfig
     from .evaluation import make_cv_splits
 
-    plan = make_cv_splits(dataset, k=args.folds, seed=seed)
+    plan = make_cv_splits(dataset, k=args.folds, seed=args.seed)
     if not 0 <= args.fold < args.folds:
         raise InvalidConfig(f"--fold must lie in [0, {args.folds}), got {args.fold}")
     return plan.folds[args.fold]
@@ -344,11 +357,10 @@ def _fold(dataset, args, seed: int):
 def cmd_train(args) -> int:
     from .neural.training import save_checkpoint, train
 
-    seed = _require_seed(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
-    model_config, train_config, taxa = _model_configs_from(config, dataset, seed=seed)
-    fold = _fold(dataset, args, seed)
+    model_config, train_config, taxa = _model_configs_from(config, dataset, seed=args.seed)
+    fold = _fold(dataset, args)
     model = train(dataset, fold.train, fold.val, model_config, train_config, taxa=taxa)
     out = _out_dir(args)
     save_checkpoint(model, out / "checkpoint.json")
@@ -367,12 +379,11 @@ def cmd_train(args) -> int:
 def cmd_finetune(args) -> int:
     from .neural.training import fine_tune, save_checkpoint
 
-    seed = _require_seed(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
     base = _load_any_model(args.base)
-    _, train_config, _ = _model_configs_from(config, dataset, seed=seed)
-    fold = _fold(dataset, args, seed)
+    _, train_config, _ = _model_configs_from(config, dataset, seed=args.seed)
+    fold = _fold(dataset, args)
     model = fine_tune(base, dataset, fold.train, fold.val, train_config)
     out = _out_dir(args)
     save_checkpoint(model, out / "checkpoint.json")
@@ -383,11 +394,11 @@ def cmd_finetune(args) -> int:
 def cmd_ood(args) -> int:
     from . import experiments
 
-    seed = _require_seed(args)
+    _reject_ignored_flags(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
-    estimator, label = _estimator(args, config, dataset, seed)
-    report, predictions = experiments.ood(dataset, args.holdout, estimator, seed=seed)
+    estimator, label = _estimator(args, config, dataset)
+    report, predictions = experiments.ood(dataset, args.holdout, estimator, seed=args.seed)
     method = args.method or f"ood-{label}"
     out = _out_dir(args)
     payload = {
@@ -432,17 +443,15 @@ def cmd_pipeline(args) -> int:
     ids = [s.specimen_id for s in dataset.specimens]
     predicted = predict_taxa(classifier, dataset, ids)
 
-    if args.mass_model:
+    if args.mass_model is not None:
         models = [_load_any_model(args.mass_model)]
         slot = dict.fromkeys(classifier.taxa, 0)
-    elif args.mass_models:
+    else:
         mapping = _read_model_json(args.mass_models)
         if not isinstance(mapping, dict) or not all(isinstance(p, str) for p in mapping.values()):
             raise InputError(f"{args.mass_models} must map taxa to model paths")
         models = [_load_any_model(path) for path in mapping.values()]
         slot = {taxon: i for i, taxon in enumerate(mapping)}
-    else:
-        raise ModelMissing("pipeline needs --mass-model or --mass-models")
 
     # one predict call per model over the weighed specimens routed to it
     routed = [[] for _ in models]
@@ -546,32 +555,36 @@ def _bootstrap_count(text: str) -> int:
     return value
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument(
-        "--threads", type=_thread_count, default=None, help="cap BLAS thread pools"
+    """The parser; each command accepts exactly the flags its handler reads."""
+    threads = _flag("--threads", type=_thread_count, default=None, help="cap BLAS thread pools")
+    out = _flag("--out", type=str, required=True, help="output directory")
+    seeded = (
+        _flag("--seed", type=int, required=True, help="master RNG seed"),
+        _flag("--config", type=str, default=None, help="JSON config file"),
     )
-
-    data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--manifest", type=str, required=True, help="manifest JSON path")
-    data.add_argument("--name", type=str, default=None, help="dataset name override")
-
-    linear = argparse.ArgumentParser(add_help=False)
-    linear.add_argument("--target", choices=["raw", "log"], default="raw")
-    linear.add_argument("--per-specimen", action="store_true", help="fit on specimen means")
-
-    estimator = argparse.ArgumentParser(add_help=False, parents=[linear])
-    estimator.add_argument(
-        "--model", choices=["linear-area", "linear-area-speed", "neural"], required=True
+    manifest = _flag("--manifest", type=str, required=True, help="manifest JSON path")
+    name = _flag("--name", type=str, default=None, help="dataset name override")
+    linear = (
+        _flag("--target", choices=["raw", "log"], default=None, help="target space (default raw)"),
+        _flag("--per-specimen", action="store_true", help="fit on specimen means"),
     )
-    estimator.add_argument("--method", type=str, default=None)
-
-    fold = argparse.ArgumentParser(add_help=False)
-    fold.add_argument("--fold", type=int, default=0, help="which CV fold supplies train/val")
-    fold.add_argument("--folds", type=int, default=5)
+    estimator = (
+        *linear,
+        _flag("--model", choices=["linear-area", "linear-area-speed", "neural"], required=True),
+        _flag("--method", type=str, default=None),
+    )
+    fold = (
+        _flag("--fold", type=int, default=0, help="which CV fold supplies train/val"),
+        _flag("--folds", type=int, default=5),
+    )
 
     parser = _Parser(
         prog="sinkmass",
@@ -579,54 +592,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("synth", parents=[common], help="generate a synthetic dataset").set_defaults(
-        fn=cmd_synth
-    )
+    def command(name, fn, summary, *parents):
+        p = sub.add_parser(name, parents=[*parents, threads], help=summary)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("ingest", parents=[common, data], help="parse and validate a dataset")
+    command("synth", cmd_synth, "generate a synthetic dataset", *seeded, out)
+
+    p = command("ingest", cmd_ingest, "parse and validate a dataset", manifest, name, out)
     p.add_argument("--raster-size", type=int, nargs=2, default=None, metavar=("H", "W"))
-    p.set_defaults(fn=cmd_ingest)
 
-    p = sub.add_parser("features", parents=[common, data], help="emit per-specimen features CSV")
-    p.set_defaults(fn=cmd_features)
+    p = command("features", cmd_features, "emit per-specimen features CSV", manifest)
+    p.add_argument("--out", type=str, default=None, help="output directory (default stdout)")
 
-    p = sub.add_parser("fit-linear", parents=[common, data, linear], help="fit an OLS model")
+    p = command("fit-linear", cmd_fit_linear, "fit an OLS model", manifest, *linear, out)
     p.add_argument("--features", choices=["area", "area_speed"], default="area")
-    p.set_defaults(fn=cmd_fit_linear)
 
-    p = sub.add_parser("evaluate", parents=[common, data], help="score a model")
+    p = command("evaluate", cmd_evaluate, "score a model", manifest, name, out)
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--method", type=str, default=None, help="method label for reports")
     p.add_argument(
         "--bootstrap", type=_bootstrap_count, default=0, help="bootstrap draws (0 = off)"
     )
     p.add_argument("--level", type=float, default=0.95)
-    p.set_defaults(fn=cmd_evaluate)
+    p.add_argument("--seed", type=int, default=None, help="bootstrap seed")
 
-    p = sub.add_parser("crossval", parents=[common, data, estimator], help="k-fold protocol")
+    p = command(
+        "crossval", cmd_crossval, "k-fold protocol", *seeded, manifest, name, *estimator, out
+    )
     p.add_argument("--folds", type=int, default=5)
-    p.set_defaults(fn=cmd_crossval)
 
-    p = sub.add_parser("train", parents=[common, data, fold], help="train a neural model")
-    p.set_defaults(fn=cmd_train)
+    command("train", cmd_train, "train a neural model", *seeded, manifest, *fold, out)
 
-    p = sub.add_parser("finetune", parents=[common, data, fold], help="fine-tune a checkpoint")
+    p = command("finetune", cmd_finetune, "fine-tune a checkpoint", *seeded, manifest, *fold, out)
     p.add_argument("--base", type=str, required=True)
-    p.set_defaults(fn=cmd_finetune)
 
-    p = sub.add_parser("ood", parents=[common, data, estimator], help="hold out one taxon")
+    p = command("ood", cmd_ood, "hold out one taxon", *seeded, manifest, name, *estimator, out)
     p.add_argument("--holdout", type=str, required=True)
-    p.set_defaults(fn=cmd_ood)
 
-    p = sub.add_parser("pipeline", parents=[common, data], help="classify then estimate mass")
+    p = command("pipeline", cmd_pipeline, "classify then estimate mass", manifest, out)
     p.add_argument("--classifier", type=str, required=True)
-    p.add_argument("--mass-model", type=str, default=None, help="shared mass model")
-    p.add_argument("--mass-models", type=str, default=None, help="JSON map taxon -> model path")
-    p.set_defaults(fn=cmd_pipeline)
+    mass = p.add_mutually_exclusive_group(required=True)
+    mass.add_argument("--mass-model", type=str, help="shared mass model")
+    mass.add_argument("--mass-models", type=str, help="JSON map taxon -> model path")
 
-    p = sub.add_parser("report", parents=[common], help="consolidate metric reports")
+    p = command("report", cmd_report, "consolidate metric reports", out)
     p.add_argument("inputs", nargs="*", help="metrics.json files")
-    p.set_defaults(fn=cmd_report)
 
     return parser
 

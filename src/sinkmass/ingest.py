@@ -197,6 +197,8 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
                     raise TypeError(f"{key} must be a string, not {type(obj[key]).__name__}")
             if isinstance(mass, bool) or not isinstance(mass, (int, float, type(None))):
                 raise TypeError(f"dry_mass_ug must be a number or null, not {type(mass).__name__}")
+            if mass is not None and not math.isfinite(mass):
+                raise ValueError(f"dry_mass_ug must be finite, got {mass}")
             entries.append(
                 ManifestEntry(
                     specimen_id=obj["specimen_id"],

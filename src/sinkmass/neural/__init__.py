@@ -2,40 +2,7 @@
 
 Single-view, multi-view, and metadata-aware architectures over a small
 convolutional encoder, trained with hand-written reverse-mode gradients and
-AdamW under a cosine learning-rate schedule.
+AdamW under a cosine learning-rate schedule. Names are imported from the
+submodules: ``model``, ``layers``, ``losses``, ``optim``, ``augment`` and
+``training``.
 """
-
-from .model import Architecture, HeadKind, MetadataInput, ModelConfig, NeuralNet, init_params
-from .optim import AdamWState, adamw_step, cosine_lr
-from .training import (
-    AugmentPolicy,
-    FreezeMode,
-    TrainConfig,
-    TrainedModel,
-    fine_tune,
-    load_checkpoint,
-    predict_specimen_masses,
-    save_checkpoint,
-    train,
-)
-
-__all__ = [
-    "Architecture",
-    "HeadKind",
-    "MetadataInput",
-    "ModelConfig",
-    "NeuralNet",
-    "init_params",
-    "AdamWState",
-    "adamw_step",
-    "cosine_lr",
-    "AugmentPolicy",
-    "FreezeMode",
-    "TrainConfig",
-    "TrainedModel",
-    "train",
-    "fine_tune",
-    "save_checkpoint",
-    "load_checkpoint",
-    "predict_specimen_masses",
-]

@@ -198,10 +198,11 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         seen_ids.add(sid)
         if not record.frames:
             violations.append(Violation(sid, "frames", "no frames"))
-        if record.dry_mass_ug is not None and not record.dry_mass_ug > 0:
-            violations.append(
-                Violation(sid, "dry_mass_ug", f"non-positive mass {record.dry_mass_ug}")
-            )
+        mass = record.dry_mass_ug
+        if mass is not None and not mass > 0:
+            violations.append(Violation(sid, "dry_mass_ug", f"non-positive mass {mass}"))
+        elif mass is not None and not math.isfinite(mass):
+            violations.append(Violation(sid, "dry_mass_ug", f"non-finite mass {mass}"))
         for camera in CAMERAS:
             indices = [f.frame_index for f in record.frames if f.camera_id == camera]
             if any(b <= a for a, b in zip(indices, indices[1:])):

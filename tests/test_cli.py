@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ import pytest
 
 import sinkmass
 from sinkmass import experiments
-from sinkmass.cli import _predictions_csv, main
+from sinkmass.cli import _predictions_csv, build_parser, main
 from sinkmass.config import config_from_dict
 from sinkmass.ingest import assemble_dataset, load_manifest, save_raster, serialize_frame_csv
 from sinkmass.linear import load_linear_model
@@ -122,10 +123,31 @@ class TestSynthAndIngest:
             "raster_dir",
         }
 
-    def test_synth_requires_seed(self, tmp_path):
+    def test_synth_requires_seed(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps(SYNTH_CONFIG))
         assert run("synth", "--config", config, "--out", tmp_path / "x") == 2
+        error = one_error(capsys)
+        assert error["error"] == "UsageError"
+        assert "required: --seed" in error["message"]
+
+    def test_config_seed_exits_2_naming_the_seed_flag(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**SYNTH_CONFIG, "seed": 5}))
+        assert run("synth", "--seed", 1, "--config", config, "--out", tmp_path / "x") == 2
+        error = one_error(capsys)
+        assert error["error"] == "InvalidConfig"
+        assert "the seed comes from --seed" in error["message"]
+
+    def test_seed_flag_changes_the_data(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(SYNTH_CONFIG))
+        truth = []
+        for seed in (1, 2):
+            out = tmp_path / str(seed)
+            assert run("synth", "--seed", seed, "--config", config, "--out", out) == 0
+            truth.append((out / "groundtruth.json").read_bytes())
+        assert truth[0] != truth[1]
 
     @pytest.mark.parametrize(
         "change, message",
@@ -400,7 +422,24 @@ class TestLinearFlow:
         assert error["error"] == "MalformedRow"
         assert error["message"].endswith("line 4: non-finite area_px nan")
 
-    def test_crossval_requires_seed(self, synth_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "command, mass", [("ingest", "inf"), ("crossval", "inf"), ("crossval", "nan")]
+    )
+    def test_non_finite_mass_exits_2(self, synth_dir, tmp_path, capsys, command, mass):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        manifest = data / "manifest.json"
+        entries = json.loads(manifest.read_text())
+        entries[0]["dry_mass_ug"] = float(mass)  # written as Infinity or NaN
+        manifest.write_text(json.dumps(entries))
+        argv = ("--model", "linear-area", "--seed", 1) if command == "crossval" else ()
+        assert run(command, "--manifest", manifest, *argv, "--out", tmp_path / "o") == 2
+        assert one_error(capsys) == {
+            "error": "InputError",
+            "message": f"manifest entry 0: dry_mass_ug must be finite, got {mass}",
+        }
+
+    def test_crossval_requires_seed(self, synth_dir, tmp_path, capsys):
         code = run(
             "crossval",
             "--manifest",
@@ -411,6 +450,9 @@ class TestLinearFlow:
             tmp_path,
         )
         assert code == 2
+        error = one_error(capsys)
+        assert error["error"] == "UsageError"
+        assert "required: --seed" in error["message"]
 
     def test_rank_deficient_fit_exits_3(self, tmp_path, capsys):
         # constant areas make the area column collinear with the intercept
@@ -565,38 +607,19 @@ class TestNeuralFlow:
         assert "np.float64(" not in (eval_dir / "predictions.csv").read_text()
 
     def test_pipeline_without_mass_model_fails(self, raster_dir, tmp_path, capsys):
-        config = tmp_path / "cls.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "model": {**TRAIN_CONFIG["model"], "task": "classification"},
-                    "train": {"epochs": 2, "batch_size": 32},
-                }
-            )
-        )
-        cls_dir = tmp_path / "cls"
-        run(
-            "train",
-            "--manifest",
-            raster_dir / "manifest.json",
-            "--config",
-            config,
-            "--seed",
-            9,
-            "--out",
-            cls_dir,
-        )
         code = run(
             "pipeline",
             "--manifest",
             raster_dir / "manifest.json",
             "--classifier",
-            cls_dir / "checkpoint.json",
+            tmp_path / "cls.json",
             "--out",
             tmp_path / "pipe",
         )
         assert code == 2
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "ModelMissing"
+        error = one_error(capsys)
+        assert error["error"] == "UsageError"
+        assert "one of the arguments --mass-model --mass-models is required" in error["message"]
 
 
 class TestOodCommand:
@@ -652,6 +675,7 @@ BAD_CONFIGS = {
     "model_section_not_an_object": {**TRAIN_CONFIG, "model": []},
     "misspelt_section": {**TRAIN_CONFIG, "modle": {}},
     "unknown_task": {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "task": "nope"}},
+    "train_seed": {**TRAIN_CONFIG, "train": {**TRAIN_CONFIG["train"], "seed": 5}},
 }
 NEURAL_COMMANDS = {
     "train": ("train",),
@@ -752,35 +776,151 @@ def test_checkpoint_params_must_fit_its_config(synth_dir, tmp_path, capsys, chan
     assert one_error(capsys)["error"] == "InputError"
 
 
+# every (command, flag) pair the parser accepts; a flag sits only on the
+# commands whose handler reads it
+FLAG_TABLE = {
+    "synth": {"--seed", "--config", "--out", "--threads"},
+    "ingest": {"--manifest", "--name", "--raster-size", "--out", "--threads"},
+    "features": {"--manifest", "--out", "--threads"},
+    "fit-linear": {"--manifest", "--features", "--target", "--per-specimen", "--out", "--threads"},
+    "evaluate": {
+        "--manifest", "--name", "--model", "--method", "--bootstrap", "--level", "--seed",
+        "--out", "--threads",
+    },
+    "crossval": {
+        "--seed", "--config", "--manifest", "--name", "--model", "--method", "--target",
+        "--per-specimen", "--folds", "--out", "--threads",
+    },
+    "train": {"--seed", "--config", "--manifest", "--fold", "--folds", "--out", "--threads"},
+    "finetune": {
+        "--seed", "--config", "--manifest", "--base", "--fold", "--folds", "--out", "--threads",
+    },
+    "ood": {
+        "--seed", "--config", "--manifest", "--name", "--model", "--method", "--target",
+        "--per-specimen", "--holdout", "--out", "--threads",
+    },
+    "pipeline": {
+        "--manifest", "--classifier", "--mass-model", "--mass-models", "--out", "--threads",
+    },
+    "report": {"--out", "--threads"},
+}
+
+
+def _flags(command, required=False) -> set[str]:
+    """The flags the parser accepts on ``command`` (only its required ones
+    if ``required``); none for an unknown command."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = sub.choices[command]._actions if command in sub.choices else []
+    return {
+        flag
+        for action in actions
+        if action.required or not required
+        for flag in action.option_strings
+    } - {"-h", "--help"}
+
+
+def test_each_command_accepts_exactly_the_flags_it_reads():
+    accepted = {command: _flags(command) for command in FLAG_TABLE}
+    assert accepted == FLAG_TABLE
+    assert sum(map(len, accepted.values())) == 72
+
+
+# case: (error, text the message must hold, argv); the harness adds only the
+# --manifest, --seed and --out that the command requires and the case lacks
 BAD_FLAGS = {
-    "folds_not_an_int": ("UsageError", ("crossval", "--model", "linear-area", "--folds", "x")),
-    "zero_folds": ("InvalidConfig", ("crossval", "--model", "linear-area", "--folds", 0)),
-    "one_fold": ("InvalidConfig", ("crossval", "--model", "linear-area", "--folds", 1)),
-    "fold_past_the_last": ("InvalidConfig", ("train", "--fold", 7)),
-    "negative_fold": ("InvalidConfig", ("train", "--fold", -1)),
-    "evaluate_trim": ("UsageError", ("evaluate", "--model", "m.json", "--trim", 0.05)),
-    "crossval_trim": ("UsageError", ("crossval", "--model", "linear-area", "--trim", 0.05)),
-    "ood_trim": (
-        "UsageError", ("ood", "--model", "linear-area", "--holdout", "a", "--trim", 0.05)
+    "folds_not_an_int": (
+        "UsageError", "--folds", ("crossval", "--model", "linear-area", "--folds", "x")
     ),
-    "pipeline_trim": ("UsageError", ("pipeline", "--classifier", "c.json", "--trim", 0.05)),
-    "zero_threads": ("UsageError", ("features", "--threads", 0)),
-    "negative_threads": ("UsageError", ("features", "--threads", -2)),
-    "threads_not_an_int": ("UsageError", ("features", "--threads", "two")),
-    "negative_bootstrap": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", -3)),
-    "one_bootstrap_draw": ("UsageError", ("evaluate", "--model", "m.json", "--bootstrap", 1)),
-    "unknown_command": ("UsageError", ("estimate",)),
+    "zero_folds": (
+        "InvalidConfig", "folds, got 0", ("crossval", "--model", "linear-area", "--folds", 0)
+    ),
+    "one_fold": (
+        "InvalidConfig", "folds, got 1", ("crossval", "--model", "linear-area", "--folds", 1)
+    ),
+    "fold_past_the_last": ("InvalidConfig", "--fold must lie", ("train", "--fold", 7)),
+    "negative_fold": ("InvalidConfig", "--fold must lie", ("train", "--fold", -1)),
+    "evaluate_trim": ("UsageError", "--trim", ("evaluate", "--model", "m.json", "--trim", 0.05)),
+    "crossval_trim": (
+        "UsageError", "--trim", ("crossval", "--model", "linear-area", "--trim", 0.05)
+    ),
+    "ood_trim": (
+        "UsageError", "--trim",
+        ("ood", "--model", "linear-area", "--holdout", "a", "--trim", 0.05),
+    ),
+    "pipeline_trim": (
+        "UsageError", "--trim",
+        ("pipeline", "--classifier", "c.json", "--mass-model", "m.json", "--trim", 0.05),
+    ),
+    "zero_threads": ("UsageError", "--threads", ("features", "--threads", 0)),
+    "negative_threads": ("UsageError", "--threads", ("features", "--threads", -2)),
+    "threads_not_an_int": ("UsageError", "--threads", ("features", "--threads", "two")),
+    "negative_bootstrap": (
+        "UsageError", "--bootstrap", ("evaluate", "--model", "m.json", "--bootstrap", -3)
+    ),
+    "one_bootstrap_draw": (
+        "UsageError", "--bootstrap", ("evaluate", "--model", "m.json", "--bootstrap", 1)
+    ),
+    "unknown_command": ("UsageError", "'estimate'", ("estimate",)),
+    "bootstrap_without_seed": (
+        "UsageError", "--bootstrap above 0 requires --seed",
+        ("evaluate", "--model", "m.json", "--bootstrap", 50),
+    ),
+    # flags a command does not read
+    "ingest_seed": ("UsageError", "--seed", ("ingest", "--seed", 1)),
+    "ingest_config": ("UsageError", "--config", ("ingest", "--config", "c.json")),
+    "features_seed": ("UsageError", "--seed", ("features", "--seed", 1)),
+    "features_config": ("UsageError", "--config", ("features", "--config", "c.json")),
+    "features_name": ("UsageError", "--name", ("features", "--name", "n")),
+    "fit_linear_seed": ("UsageError", "--seed", ("fit-linear", "--seed", 1)),
+    "fit_linear_config": ("UsageError", "--config", ("fit-linear", "--config", "c.json")),
+    "fit_linear_name": ("UsageError", "--name", ("fit-linear", "--name", "n")),
+    "evaluate_config": (
+        "UsageError", "--config", ("evaluate", "--model", "m.json", "--config", "c.json")
+    ),
+    "train_name": ("UsageError", "--name", ("train", "--name", "n")),
+    "finetune_name": ("UsageError", "--name", ("finetune", "--base", "b.json", "--name", "n")),
+    "pipeline_seed": (
+        "UsageError", "--seed",
+        ("pipeline", "--classifier", "c.json", "--mass-model", "m.json", "--seed", 1),
+    ),
+    "pipeline_config": (
+        "UsageError", "--config",
+        ("pipeline", "--classifier", "c.json", "--mass-model", "m.json", "--config", "c.json"),
+    ),
+    "pipeline_name": (
+        "UsageError", "--name",
+        ("pipeline", "--classifier", "c.json", "--mass-model", "m.json", "--name", "n"),
+    ),
+    "report_seed": ("UsageError", "--seed", ("report", "--seed", 1)),
+    "report_config": ("UsageError", "--config", ("report", "--config", "c.json")),
+    # combinations the chosen --model ignores
+    "crossval_linear_config": (
+        "UsageError", "--config", ("crossval", "--model", "linear-area", "--config", "c.json")
+    ),
+    "crossval_neural_target": (
+        "UsageError", "--target", ("crossval", "--model", "neural", "--target", "raw")
+    ),
+    "ood_neural_per_specimen": (
+        "UsageError", "--per-specimen",
+        ("ood", "--model", "neural", "--holdout", "a", "--per-specimen"),
+    ),
+    "pipeline_both_mass_model_flags": (
+        "UsageError", "--mass-models",
+        ("pipeline", "--classifier", "c.json", "--mass-model", "m.json", "--mass-models", "x"),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
 def test_bad_flags_exit_2_with_one_json_error(synth_dir, tmp_path, capsys, case):
-    error, argv = BAD_FLAGS[case]
-    code = run(
-        *argv, "--manifest", synth_dir / "manifest.json", "--seed", 1, "--out", tmp_path / "out"
-    )
-    assert code == 2
-    assert one_error(capsys)["error"] == error
+    error, named, argv = BAD_FLAGS[case]
+    base = {"--manifest": synth_dir / "manifest.json", "--seed": 1, "--out": tmp_path / "out"}
+    missing = _flags(argv[0], required=True) - set(argv)
+    added = [x for flag, value in base.items() if flag in missing for x in (flag, value)]
+    assert run(*argv, *added) == 2
+    reported = one_error(capsys)
+    assert reported["error"] == error
+    assert named in reported["message"]
 
 
 def _library_dataset(manifest):
@@ -1058,19 +1198,20 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.mark.parametrize("spelling", [["--threads", "3"], ["--threads=3"], ["--thr", "3"]])
-def test_thread_cap_accepts_every_spelling(monkeypatch, spelling):
+def test_thread_cap_accepts_every_spelling(monkeypatch, tmp_path, spelling):
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "unset")  # restored after the test
         monkeypatch.delenv(var)
-    assert main(["report", *spelling]) == 2  # NoResults, raised after the cap is set
+    # NoResults, raised after the cap is set
+    assert main(["report", *spelling, "--out", str(tmp_path)]) == 2
     assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "3")
 
 
-def test_no_thread_flag_leaves_the_pools_uncapped(monkeypatch):
+def test_no_thread_flag_leaves_the_pools_uncapped(monkeypatch, tmp_path):
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "unset")  # restored after the test
         monkeypatch.delenv(var)
-    assert main(["report"]) == 2  # NoResults
+    assert main(["report", "--out", str(tmp_path)]) == 2  # NoResults
     assert {var: os.environ.get(var) for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS)
 
 

@@ -446,6 +446,12 @@ class TestManifest:
             with pytest.raises(InputError, match="must be a JSON array"):
                 self._assemble(json.dumps(value))
 
+    @pytest.mark.parametrize("mass", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_mass_raises_input_error(self, mass):
+        text = json.dumps([MANIFEST_ENTRY]).replace("12.5", mass)
+        with pytest.raises(InputError, match="manifest entry 0: dry_mass_ug must be finite"):
+            self._assemble(text)
+
     def test_overlong_integer_literal_raises_input_error(self):
         text = json.dumps([MANIFEST_ENTRY]).replace("12.5", "1" * 5000)
         with pytest.raises(InputError, match="cannot read manifest"):

@@ -54,6 +54,12 @@ class TestValidateDataset:
             v.field == "dry_mass_ug" for v in validate_dataset(Dataset("z", (record,))).violations
         )
 
+    def test_infinite_mass_reported(self):
+        ds = Dataset("z", (SpecimenRecord("s1", "t", float("inf"), (make_frame(),)),))
+        assert [(v.field, v.message) for v in validate_dataset(ds).violations] == [
+            ("dry_mass_ug", "non-finite mass inf")
+        ]
+
     def test_empty_frames_reported(self):
         record = SpecimenRecord("s1", "t", 1.0, ())
         assert any(v.field == "frames" for v in validate_dataset(Dataset("e", (record,))).violations)

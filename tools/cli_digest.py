@@ -1,0 +1,267 @@
+"""Digest every sinkmass CLI command, one JSON line per invocation.
+
+Runs each command in-process on two small synthetic datasets, one of frame
+CSVs only and one with 16x16 PGM rasters, inside a fresh temporary
+directory and with relative paths, so that two checkouts give comparable
+digests. For each invocation it prints the case name, the argv, the exit
+code, the SHA-256 of stdout and of stderr, and the SHA-256 of every file the
+invocation wrote or changed.
+
+Cases marked ``ok`` are the success path; the script exits 1 if any of them
+exits non-zero. The other cases are bad flags and bad inputs, digested so
+that a change to the CLI contract shows up as a differing line.
+
+    PYTHONPATH=src python3 tools/cli_digest.py > change.jsonl
+    PYTHONPATH=<parent checkout>/src python3 tools/cli_digest.py > parent.jsonl
+    diff parent.jsonl change.jsonl
+
+Only the standard library and sinkmass are used.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from sinkmass import cli
+
+GROUPS = [
+    {"name": "light", "density_range": [1.3, 1.5], "size_lognormal": [1.6, 0.12],
+     "count": 12, "aspect_range": [1.2, 1.5]},
+    {"name": "dense", "density_range": [2.4, 2.8], "size_lognormal": [1.6, 0.12],
+     "count": 12, "aspect_range": [1.9, 2.2]},
+]
+MODEL = {"architecture": "single_view", "encoder_channels": [2, 4], "head": "one_layer",
+         "target_space": "log", "input_size": 16}
+TRAIN = {"loss": "l1", "loss_space": "log", "epochs": 2, "batch_size": 32}
+CONFIGS = {
+    "frames.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6},
+    "rasters.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6, "raster_dims": [16, 16]},
+    "seeded_synth.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6, "seed": 5},
+    "train.json": {"model": MODEL, "train": TRAIN},
+    "meta.json": {
+        "model": {**MODEL, "architecture": "metadata_aware",
+                  "metadata_inputs": ["frame_area", "mean_area", "sinking_speed"]},
+        "train": {**TRAIN, "augmentation": "flips90"},
+    },
+    "cls.json": {"model": {**MODEL, "task": "classification"}, "train": TRAIN},
+    "ft.json": {"train": {**TRAIN, "freeze": "encoder"}},
+    "seeded_train.json": {"model": MODEL, "train": {**TRAIN, "seed": 5}},
+    "mass_models.json": {"light": "linear_r/linear_model.json", "dense": "reg/checkpoint.json"},
+}
+
+F = ("--manifest", "frames/manifest.json")
+R = ("--manifest", "rasters/manifest.json")
+LINEAR = ("--model", "linear/linear_model.json")
+PIPE = ("--classifier", "cls/checkpoint.json")
+
+# (name, expected outcome, argv); later cases read what earlier ones wrote,
+# and the error cases write to "x", which is emptied before each case
+CASES = [
+    ("synth_frames", "ok", ("synth", "--seed", 11, "--config", "frames.json", "--out", "frames")),
+    ("synth_rasters", "ok",
+     ("synth", "--seed", 21, "--config", "rasters.json", "--out", "rasters", "--threads", 1)),
+    ("synth_other_seed", "ok",
+     ("synth", "--seed", 12, "--config", "frames.json", "--out", "frames12")),
+    ("ingest_frames", "ok", ("ingest", *F, "--out", "ingest_frames")),
+    ("ingest_rasters", "ok",
+     ("ingest", *R, "--name", "r", "--raster-size", 16, 16, "--out", "ingest_rasters")),
+    ("features_stdout", "ok", ("features", *F)),
+    ("features_out", "ok", ("features", *R, "--threads", 2, "--out", "features")),
+    ("fit_linear", "ok", ("fit-linear", *F, "--out", "linear")),
+    ("fit_linear_log", "ok",
+     ("fit-linear", *F, "--features", "area_speed", "--target", "log", "--per-specimen",
+      "--out", "linear_log")),
+    ("evaluate", "ok", ("evaluate", *F, *LINEAR, "--out", "eval")),
+    ("evaluate_bootstrap", "ok",
+     ("evaluate", *F, *LINEAR, "--bootstrap", 50, "--level", 0.9, "--seed", 2,
+      "--name", "e", "--method", "lin", "--out", "eval_boot")),
+    ("evaluate_unused_seed", "ok", ("evaluate", *F, *LINEAR, "--seed", 2, "--out", "eval_seed")),
+    ("crossval_area", "ok",
+     ("crossval", *F, "--model", "linear-area", "--seed", 3, "--out", "cv_area")),
+    ("crossval_speed_log", "ok",
+     ("crossval", *F, "--model", "linear-area-speed", "--target", "log", "--per-specimen",
+      "--folds", 3, "--name", "c", "--method", "m", "--seed", 3, "--out", "cv_speed")),
+    ("crossval_neural", "ok",
+     ("crossval", *R, "--model", "neural", "--config", "meta.json", "--folds", 2, "--seed", 3,
+      "--out", "cv_neural")),
+    ("ood_linear", "ok",
+     ("ood", *F, "--model", "linear-area", "--holdout", "dense", "--seed", 3,
+      "--out", "ood_linear")),
+    ("ood_neural", "ok",
+     ("ood", *R, "--model", "neural", "--config", "train.json", "--holdout", "dense",
+      "--seed", 3, "--out", "ood_neural")),
+    ("train_regressor", "ok", ("train", *R, "--config", "train.json", "--seed", 4, "--out", "reg")),
+    ("train_classifier", "ok", ("train", *R, "--config", "cls.json", "--seed", 9, "--out", "cls")),
+    ("train_fold", "ok",
+     ("train", *R, "--config", "train.json", "--fold", 1, "--folds", 3, "--seed", 4,
+      "--out", "reg_fold")),
+    ("finetune", "ok",
+     ("finetune", *R, "--base", "reg/checkpoint.json", "--config", "ft.json", "--seed", 6,
+      "--out", "tuned")),
+    ("fit_linear_rasters", "ok", ("fit-linear", *R, "--out", "linear_r")),
+    ("pipeline_mass_model", "ok",
+     ("pipeline", *R, *PIPE, "--mass-model", "tuned/checkpoint.json", "--out", "pipe")),
+    ("pipeline_mass_models", "ok",
+     ("pipeline", *R, *PIPE, "--mass-models", "mass_models.json", "--out", "pipe_map")),
+    ("report", "ok",
+     ("report", "eval_boot/metrics.json", "cv_area/crossval_report.json",
+      "ood_neural/metrics.json", "--out", "report")),
+    # flags a command does not read
+    ("ingest_seed", "error", ("ingest", *F, "--seed", 1, "--out", "x")),
+    ("ingest_config", "error", ("ingest", *F, "--config", "train.json", "--out", "x")),
+    ("features_seed", "error", ("features", *F, "--seed", 1)),
+    ("features_config", "error", ("features", *F, "--config", "train.json")),
+    ("features_name", "error", ("features", *F, "--name", "n")),
+    ("fit_linear_seed", "error", ("fit-linear", *F, "--seed", 1, "--out", "x")),
+    ("fit_linear_config", "error", ("fit-linear", *F, "--config", "train.json", "--out", "x")),
+    ("fit_linear_name", "error", ("fit-linear", *F, "--name", "n", "--out", "x")),
+    ("evaluate_config", "error", ("evaluate", *F, *LINEAR, "--config", "train.json", "--out", "x")),
+    ("train_name", "error",
+     ("train", *R, "--config", "train.json", "--seed", 4, "--name", "n", "--out", "x")),
+    ("finetune_name", "error",
+     ("finetune", *R, "--base", "reg/checkpoint.json", "--seed", 6, "--name", "n", "--out", "x")),
+    ("pipeline_seed", "error",
+     ("pipeline", *R, *PIPE, "--mass-model", "reg/checkpoint.json", "--seed", 1, "--out", "x")),
+    ("pipeline_config", "error",
+     ("pipeline", *R, *PIPE, "--mass-model", "reg/checkpoint.json", "--config", "train.json",
+      "--out", "x")),
+    ("pipeline_name", "error",
+     ("pipeline", *R, *PIPE, "--mass-model", "reg/checkpoint.json", "--name", "n", "--out", "x")),
+    ("report_seed", "error", ("report", "eval/metrics.json", "--seed", 1, "--out", "x")),
+    ("report_config", "error",
+     ("report", "eval/metrics.json", "--config", "train.json", "--out", "x")),
+    # combinations the chosen --model ignores
+    ("crossval_linear_config", "error",
+     ("crossval", *F, "--model", "linear-area", "--config", "train.json", "--seed", 3,
+      "--out", "x")),
+    ("crossval_neural_target", "error",
+     ("crossval", *R, "--model", "neural", "--config", "train.json", "--target", "raw",
+      "--folds", 2, "--seed", 3, "--out", "x")),
+    ("ood_neural_per_specimen", "error",
+     ("ood", *R, "--model", "neural", "--config", "train.json", "--per-specimen",
+      "--holdout", "dense", "--seed", 3, "--out", "x")),
+    ("pipeline_both_mass_flags", "error",
+     ("pipeline", *R, *PIPE, "--mass-model", "reg/checkpoint.json",
+      "--mass-models", "mass_models.json", "--out", "x")),
+    # missing required flags
+    ("pipeline_no_mass_flag", "error", ("pipeline", *R, *PIPE, "--out", "x")),
+    ("synth_no_seed", "error", ("synth", "--config", "frames.json", "--out", "x")),
+    ("synth_no_out", "error", ("synth", "--seed", 1, "--config", "frames.json")),
+    ("crossval_no_seed", "error", ("crossval", *F, "--model", "linear-area", "--out", "x")),
+    ("train_no_seed", "error", ("train", *R, "--config", "train.json", "--out", "x")),
+    ("ingest_no_out", "error", ("ingest", *F)),
+    ("report_no_out", "error", ("report", "eval/metrics.json")),
+    ("evaluate_bootstrap_no_seed", "error",
+     ("evaluate", *F, *LINEAR, "--bootstrap", 50, "--out", "x")),
+    # bad values and bad inputs
+    ("synth_config_seed", "error",
+     ("synth", "--seed", 1, "--config", "seeded_synth.json", "--out", "x")),
+    ("train_config_seed", "error",
+     ("train", *R, "--config", "seeded_train.json", "--seed", 4, "--out", "x")),
+    ("ingest_infinite_mass", "error", ("ingest", "--manifest", "inf.json", "--out", "x")),
+    ("crossval_nan_mass", "error",
+     ("crossval", "--manifest", "nan.json", "--model", "linear-area", "--seed", 3, "--out", "x")),
+    ("crossval_one_fold", "error",
+     ("crossval", *F, "--model", "linear-area", "--folds", 1, "--seed", 3, "--out", "x")),
+    ("train_fold_past_last", "error",
+     ("train", *R, "--config", "train.json", "--fold", 7, "--seed", 4, "--out", "x")),
+    ("evaluate_one_bootstrap_draw", "error",
+     ("evaluate", *F, *LINEAR, "--bootstrap", 1, "--seed", 2, "--out", "x")),
+    ("features_zero_threads", "error", ("features", *F, "--threads", 0)),
+    ("pipeline_trim", "error",
+     ("pipeline", *R, *PIPE, "--mass-model", "reg/checkpoint.json", "--trim", 0.1, "--out", "x")),
+    ("ood_unknown_taxon", "error",
+     ("ood", *F, "--model", "linear-area", "--holdout", "krill", "--seed", 3, "--out", "x")),
+    ("unknown_command", "error", ("estimate",)),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _snapshot(root: Path) -> dict[str, str]:
+    return {
+        p.relative_to(root).as_posix(): _sha(p.read_bytes())
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _write_inputs(root: Path) -> None:
+    for name, payload in CONFIGS.items():
+        (root / name).write_text(json.dumps(payload))
+
+
+def _write_bad_mass_manifests(root: Path) -> None:
+    """Copies of the frame manifest with one mass set to Infinity or NaN."""
+    entries = json.loads((root / "frames" / "manifest.json").read_text())
+    for name, value in (("inf.json", float("inf")), ("nan.json", float("nan"))):
+        changed = [dict(e, metadata_csv=f"frames/{e['metadata_csv']}") for e in entries]
+        changed[0]["dry_mass_ug"] = value
+        (root / name).write_text(json.dumps(changed))
+
+
+def _invoke(argv) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except Exception as exc:  # a crash is digested, not raised
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def run_cases(root: Path) -> list[dict]:
+    """Run every case in ``root`` (the working directory); one digest each."""
+    _write_inputs(root)
+    digests = []
+    for name, expect, argv in CASES:
+        shutil.rmtree(root / "x", ignore_errors=True)
+        before = _snapshot(root)
+        code, out, err = _invoke(argv)
+        after = _snapshot(root)
+        digests.append(
+            {
+                "case": name,
+                "expect": expect,
+                "argv": [str(a) for a in argv],
+                "exit": code,
+                "stdout": _sha(out),
+                "stderr": _sha(err),
+                "files": {p: h for p, h in after.items() if before.get(p) != h},
+            }
+        )
+        if name == "synth_frames":
+            _write_bad_mass_manifests(root)
+    return digests
+
+
+def main() -> int:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="cli_digest_") as tmp:
+        os.chdir(tmp)
+        try:
+            digests = run_cases(Path(tmp))
+        finally:
+            os.chdir(cwd)
+    failed = [d["case"] for d in digests if d["expect"] == "ok" and d["exit"] != 0]
+    for d in digests:
+        print(json.dumps(d, sort_keys=True))
+    if failed:
+        print(f"success-path cases failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
