@@ -555,6 +555,12 @@ def _bootstrap_count(text: str) -> int:
     return value
 
 
+def _path(text: str) -> str:
+    if not text:  # Path("") would be the working directory
+        raise argparse.ArgumentTypeError("path must not be empty")
+    return text
+
+
 def _flag(*names, **kwargs) -> argparse.ArgumentParser:
     """A parent parser holding one flag."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -565,12 +571,12 @@ def _flag(*names, **kwargs) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     """The parser; each command accepts exactly the flags its handler reads."""
     threads = _flag("--threads", type=_thread_count, default=None, help="cap BLAS thread pools")
-    out = _flag("--out", type=str, required=True, help="output directory")
+    out = _flag("--out", type=_path, required=True, help="output directory")
     seeded = (
         _flag("--seed", type=int, required=True, help="master RNG seed"),
-        _flag("--config", type=str, default=None, help="JSON config file"),
+        _flag("--config", type=_path, default=None, help="JSON config file"),
     )
-    manifest = _flag("--manifest", type=str, required=True, help="manifest JSON path")
+    manifest = _flag("--manifest", type=_path, required=True, help="manifest JSON path")
     name = _flag("--name", type=str, default=None, help="dataset name override")
     linear = (
         _flag("--target", choices=["raw", "log"], default=None, help="target space (default raw)"),
@@ -603,13 +609,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raster-size", type=int, nargs=2, default=None, metavar=("H", "W"))
 
     p = command("features", cmd_features, "emit per-specimen features CSV", manifest)
-    p.add_argument("--out", type=str, default=None, help="output directory (default stdout)")
+    p.add_argument("--out", type=_path, default=None, help="output directory (default stdout)")
 
     p = command("fit-linear", cmd_fit_linear, "fit an OLS model", manifest, *linear, out)
     p.add_argument("--features", choices=["area", "area_speed"], default="area")
 
     p = command("evaluate", cmd_evaluate, "score a model", manifest, name, out)
-    p.add_argument("--model", type=str, required=True)
+    p.add_argument("--model", type=_path, required=True)
     p.add_argument("--method", type=str, default=None, help="method label for reports")
     p.add_argument(
         "--bootstrap", type=_bootstrap_count, default=0, help="bootstrap draws (0 = off)"
@@ -625,19 +631,19 @@ def build_parser() -> argparse.ArgumentParser:
     command("train", cmd_train, "train a neural model", *seeded, manifest, *fold, out)
 
     p = command("finetune", cmd_finetune, "fine-tune a checkpoint", *seeded, manifest, *fold, out)
-    p.add_argument("--base", type=str, required=True)
+    p.add_argument("--base", type=_path, required=True)
 
     p = command("ood", cmd_ood, "hold out one taxon", *seeded, manifest, name, *estimator, out)
     p.add_argument("--holdout", type=str, required=True)
 
     p = command("pipeline", cmd_pipeline, "classify then estimate mass", manifest, out)
-    p.add_argument("--classifier", type=str, required=True)
+    p.add_argument("--classifier", type=_path, required=True)
     mass = p.add_mutually_exclusive_group(required=True)
-    mass.add_argument("--mass-model", type=str, help="shared mass model")
-    mass.add_argument("--mass-models", type=str, help="JSON map taxon -> model path")
+    mass.add_argument("--mass-model", type=_path, help="shared mass model")
+    mass.add_argument("--mass-models", type=_path, help="JSON map taxon -> model path")
 
     p = command("report", cmd_report, "consolidate metric reports", out)
-    p.add_argument("inputs", nargs="*", help="metrics.json files")
+    p.add_argument("inputs", nargs="*", type=_path, help="metrics.json files")
 
     return parser
 

@@ -27,7 +27,8 @@ def config_from_dict(cls, obj: dict):
 
     Missing keys take the field defaults. Values are coerced to each field's
     annotated type, so ``2.0`` serves an int field, ``"3e-3"`` a float field
-    and a nested object a dataclass field. An unknown key, a missing
+    and a nested object a dataclass field; a fixed-length tuple field takes
+    exactly its number of values. An unknown key, a missing
     required key, a bad value or a failed field check raises InvalidConfig.
     """
     if not isinstance(obj, dict):
@@ -60,8 +61,12 @@ def _coerce(hint, value):
     args = typing.get_args(hint)
     if type(None) in args:  # X | None
         return None if value is None else _coerce(args[0], value)
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...] or tuple[X, X]
-        return tuple(_coerce(args[0], v) for v in value)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...] or tuple[X, Y]
+        values = list(value)
+        types = args[:1] * len(values) if args[-1] is Ellipsis else args
+        if len(values) != len(types):
+            raise ValueError(f"expected {len(types)} values, got {values}")
+        return tuple(map(_coerce, types, values))
     if dataclasses.is_dataclass(hint):
         return config_from_dict(hint, value)
     return hint(value)

@@ -13,7 +13,9 @@ export to this schema):
   ``dry_mass_ug`` (nullable), ``metadata_csv``, ``raster_dir`` (nullable).
   Paths are resolved relative to the manifest file.
 * Rasters: binary PGM (P5), maxval 255, one square image per frame named
-  ``<camera_id>_<frame_index>.pgm``.
+  ``<camera_id>_<frame_index>.pgm`` (``raster_name``). ``assemble_dataset``
+  stacks a specimen's rasters, mirror-padded to one size, into one ``uint8``
+  array with a row per frame in frame-CSV order.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ def serialize_frame_csv(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> byte
             f"{f.camera_id},{f.frame_index},{f.top},{f.bottom},{f.left},{f.right},{f.area_px!r}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def raster_name(frame: FrameMeta) -> str:
+    """The PGM file name of ``frame``'s silhouette in its specimen's raster_dir."""
+    return f"{frame.camera_id}_{frame.frame_index}.pgm"
 
 
 def _pgm_tokens(payload: bytes, count: int) -> tuple[list[bytes], int]:
@@ -238,8 +245,7 @@ def assemble_dataset(
     and fields intact, with the offending specimen_id prefixed to the message.
     """
     specimens: list[SpecimenRecord] = []
-    raster_store: dict[str, np.ndarray] = {}
-    pending: list[tuple[str, np.ndarray]] = []
+    pending: list[tuple[SpecimenRecord, list[np.ndarray]]] = []
     inferred: tuple[int, int] | None = None
 
     for entry in manifest:
@@ -250,42 +256,37 @@ def assemble_dataset(
         except InputError as exc:
             exc.args = (f"{entry.specimen_id}: {exc}",)
             raise exc from None
-
-        refs: tuple[str, ...] | None = None
-        if entry.raster_dir is not None:
-            ref_list = []
-            for frame in frames:
-                fname = f"{frame.camera_id}_{frame.frame_index}.pgm"
-                fpath = entry.raster_dir / fname
-                try:
-                    raster = load_raster(fpath.read_bytes())
-                except (OSError, ValueError) as exc:
-                    raise InputError(f"{entry.specimen_id}: cannot read {fpath}: {exc}") from None
-                except InputError as exc:
-                    exc.args = (f"{entry.specimen_id}/{fname}: {exc}",)
-                    raise exc from None
-                ref = f"{entry.specimen_id}/{fname}"
-                ref_list.append(ref)
-                pending.append((ref, raster))
-                if inferred is None or raster.shape[0] > inferred[0]:
-                    inferred = raster.shape
-            refs = tuple(ref_list)
-        specimens.append(
-            SpecimenRecord(
-                specimen_id=entry.specimen_id,
-                taxon=entry.taxon,
-                dry_mass_ug=entry.dry_mass_ug,
-                frames=tuple(frames),
-                raster_refs=refs,
-            )
-        )
+        record = SpecimenRecord(entry.specimen_id, entry.taxon, entry.dry_mass_ug, tuple(frames))
+        specimens.append(record)
+        if entry.raster_dir is None:
+            continue
+        rasters = []
+        for frame in frames:
+            fpath = entry.raster_dir / raster_name(frame)
+            try:
+                raster = load_raster(fpath.read_bytes())
+            except (OSError, ValueError) as exc:
+                raise InputError(f"{entry.specimen_id}: cannot read {fpath}: {exc}") from None
+            except InputError as exc:
+                exc.args = (f"{entry.specimen_id}/{fpath.name}: {exc}",)
+                raise exc from None
+            rasters.append(raster)
+            if inferred is None or raster.shape[0] > inferred[0]:
+                inferred = raster.shape
+        pending.append((record, rasters))
 
     target = raster_dims if raster_dims is not None else inferred
-    for ref, raster in pending:
-        raster_store[ref] = _pad_to_target(raster, target, ref)
+    stacks: dict[str, np.ndarray] = {}
+    for record, rasters in pending:
+        sid = record.specimen_id
+        stacks[sid] = np.stack([
+            _pad_to_target(raster, target, f"{sid}/{raster_name(frame)}")
+            for frame, raster in zip(record.frames, rasters)
+        ])
+        rasters.clear()
     return Dataset(
         name=name,
         specimens=tuple(specimens),
         raster_dims=target,
-        rasters=raster_store if raster_store else None,
+        rasters=stacks if stacks else None,
     )

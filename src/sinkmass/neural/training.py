@@ -33,7 +33,7 @@ from ..errors import (
     ShapeMismatch,
 )
 from ..linear import TargetSpace, target_to_mass, trimmed_median
-from ..records import Dataset, SpecimenRecord
+from ..records import CAMERAS, Dataset, SpecimenRecord
 from ..rng import substream
 from .augment import AugmentPolicy, augment_array
 from .losses import LossKind, LossSpace, cross_entropy, regression_loss, softmax
@@ -112,10 +112,14 @@ class SampleSet:
         return self.images.shape[0]
 
 
-def _specimen_images(dataset: Dataset, record: SpecimenRecord) -> dict:
-    if record.raster_refs is None or dataset.rasters is None:
+def _specimen_images(dataset: Dataset, record: SpecimenRecord) -> np.ndarray:
+    stack = (dataset.rasters or {}).get(record.specimen_id)
+    if stack is None:
         raise InputError(f"{record.specimen_id}: neural models need rasters")
-    return dict(zip(record.frames, (dataset.rasters[r] for r in record.raster_refs)))
+    n = len(record.frames)
+    if len(stack) != n:
+        raise InputError(f"{record.specimen_id}: {len(stack)} rasters for {n} frames")
+    return stack
 
 
 def build_samples(
@@ -127,9 +131,11 @@ def build_samples(
 ) -> SampleSet:
     """Expand specimens into per-image (or per-pair) training samples.
 
-    Specimens that cannot serve the architecture (no second camera for
-    multi-view, missing sinking speed for a speed-consuming metadata model)
-    are skipped rather than failing the whole set.
+    A single-view or metadata-aware sample is one frame; a multi-view sample
+    pairs the k-th camera-A frame with the k-th camera-B frame, up to the
+    shorter camera. Specimens that cannot serve the architecture (no second
+    camera for multi-view, missing sinking speed for a speed-consuming
+    metadata model) are skipped rather than failing the whole set.
     """
     side = config.input_size
     if dataset.raster_dims is not None and tuple(dataset.raster_dims) != (side, side):
@@ -140,6 +146,7 @@ def build_samples(
     id_set = set(specimen_ids)
     wanted = [s for s in dataset.specimens if s.specimen_id in id_set]
     needs_speed = MetadataInput.SINKING_SPEED in config.metadata_inputs
+    multi_view = config.architecture is Architecture.MULTI_VIEW
 
     images: list[np.ndarray] = []
     images2: list[np.ndarray] = []
@@ -154,37 +161,36 @@ def build_samples(
         feats = dataset.features[record.specimen_id]
         if needs_speed and feats.sinking_speed is None:
             continue
-        frame_to_image = _specimen_images(dataset, record)
-        if config.architecture is Architecture.MULTI_VIEW:
-            frames_a = record.frames_for("A")
-            frames_b = record.frames_for("B")
-            pairs = list(zip(frames_a, frames_b))
-            if not pairs:
+        stack = _specimen_images(dataset, record)
+        if multi_view:
+            rows, rows2 = (
+                [i for i, f in enumerate(record.frames) if f.camera_id == c] for c in CAMERAS
+            )
+            count = min(len(rows), len(rows2))
+            if count == 0:
                 continue
-            per_sample_frames = pairs
+            rows, rows2 = rows[:count], rows2[:count]
+            images.append(stack[rows])
+            images2.append(stack[rows2])
         else:
-            per_sample_frames = [(f,) for f in record.frames]
-        label = taxa.index(record.taxon) if taxa is not None else 0
-        for frames in per_sample_frames:
-            index = len(images)
-            images.append(frame_to_image[frames[0]].astype(float))
-            if config.architecture is Architecture.MULTI_VIEW:
-                images2.append(frame_to_image[frames[1]].astype(float))
-            if config.metadata_inputs:
+            rows = range(len(record.frames))
+            images.append(stack)
+        if config.metadata_inputs:
+            for row in rows:
                 values = {
-                    MetadataInput.FRAME_AREA: frames[0].area_px,
+                    MetadataInput.FRAME_AREA: record.frames[row].area_px,
                     MetadataInput.MEAN_AREA: feats.mean_area_px,
                     MetadataInput.SINKING_SPEED: feats.sinking_speed,
                 }
                 metadata.append([values[m] for m in config.metadata_inputs])
-            masses.append(record.dry_mass_ug if record.dry_mass_ug is not None else 0.0)
-            labels.append(label)
-            slices.setdefault(record.specimen_id, []).append(index)
+        start = len(masses)
+        masses += [record.dry_mass_ug or 0.0] * len(rows)
+        labels += [taxa.index(record.taxon) if taxa is not None else 0] * len(rows)
+        slices.setdefault(record.specimen_id, []).extend(range(start, len(masses)))
 
-    img_arr = np.stack(images)[:, None, :, :] if images else np.zeros((0, 1, 1, 1))
     return SampleSet(
-        images=img_arr,
-        images2=np.stack(images2)[:, None, :, :] if images2 else None,
+        images=np.concatenate(images)[:, None].astype(float) if images else np.zeros((0, 1, 1, 1)),
+        images2=np.concatenate(images2)[:, None].astype(float) if images2 else None,
         metadata=np.asarray(metadata, dtype=float) if metadata else None,
         masses=np.asarray(masses, dtype=float),
         labels=np.asarray(labels, dtype=int) if taxa is not None else None,

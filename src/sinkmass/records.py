@@ -1,9 +1,10 @@
 """Core domain types shared by every other module.
 
-Masses are stored in micrograms. All types are immutable after construction
-and safe to share read-only across parallel workers. ``validate_dataset``
-reports invariant violations as data instead of raising, so callers can
-surface every problem in one pass.
+Masses are stored in micrograms. A dataset's silhouettes are one ``uint8``
+stack per specimen, one row per frame in frame order. All types are
+immutable after construction and safe to share read-only across parallel
+workers. ``validate_dataset`` reports invariant violations as data instead
+of raising, so callers can surface every problem in one pass.
 """
 
 from __future__ import annotations
@@ -43,17 +44,12 @@ class FrameMeta(NamedTuple):
 
 @dataclass(frozen=True)
 class SpecimenRecord:
-    """One weighed (or inference-only) individual with its frame sequences.
-
-    ``raster_refs``, when present, aligns 1:1 with ``frames`` and names the
-    silhouette raster for each frame.
-    """
+    """One weighed (or inference-only) individual with its frame sequences."""
 
     specimen_id: str
     taxon: str
     dry_mass_ug: float | None
     frames: tuple[FrameMeta, ...]
-    raster_refs: tuple[str, ...] | None = None
 
     def frames_for(self, camera_id: str) -> tuple[FrameMeta, ...]:
         return tuple(f for f in self.frames if f.camera_id == camera_id)
@@ -63,9 +59,11 @@ class SpecimenRecord:
 class Dataset:
     """A named collection of specimens, optionally carrying decoded rasters.
 
-    ``rasters`` maps raster_ref -> uint8 array of shape ``raster_dims``.
-    The mapping is filled by ingest (or the synthetic generator) and treated
-    as read-only afterwards. ``features`` is derived from the specimens on
+    ``rasters`` maps a specimen id to one ``uint8`` array of shape
+    ``(len(record.frames), *raster_dims)`` whose row i is the silhouette of
+    frame i; a specimen without rasters is absent from it. The mapping is
+    filled by ingest (or the synthetic generator) and treated as read-only
+    afterwards. ``features`` is derived from the specimens on
     first access and cached.
     """
 
@@ -213,23 +211,10 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                 )
         for frame in record.frames:
             _validate_frame(sid, frame, violations)
-        if record.raster_refs is not None:
-            if len(record.raster_refs) != len(record.frames):
-                violations.append(
-                    Violation(sid, "raster_refs", "raster_refs not aligned 1:1 with frames")
-                )
-            elif dataset.rasters is not None:
-                for ref in record.raster_refs:
-                    pixels = dataset.rasters.get(ref)
-                    if pixels is None:
-                        violations.append(Violation(sid, "raster_refs", f"missing raster {ref!r}"))
-                    elif dataset.raster_dims is not None and pixels.shape != dataset.raster_dims:
-                        violations.append(
-                            Violation(
-                                sid,
-                                "raster_refs",
-                                f"raster {ref!r} has shape {pixels.shape}, "
-                                f"expected {dataset.raster_dims}",
-                            )
-                        )
+        stack = (dataset.rasters or {}).get(sid)
+        if stack is not None:
+            expected = (len(record.frames), *(dataset.raster_dims or stack.shape[1:]))
+            if stack.shape != expected:
+                message = f"raster stack of shape {stack.shape}, expected {expected}"
+                violations.append(Violation(sid, "rasters", message))
     return ValidationReport(tuple(violations))

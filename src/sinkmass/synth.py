@@ -8,6 +8,10 @@ follows the viscous-drag form v = speed_coeff * (rho - 1) * s^2. The frame
 count is the time to cross the cuvette at that speed, so heavier-per-area
 specimens produce fewer frames, mirroring the imaging device.
 
+With ``raster_dims`` set, each specimen also gets one ``uint8`` stack of
+silhouettes, a row per frame, and ``write_synth_output`` writes one PGM per
+row under the ingest file name.
+
 Density is invisible in the rasters by construction (silhouettes depend only
 on area), so any advantage a metadata-aware model shows over an image-only
 one is attributable to the sinking-speed feature.
@@ -17,14 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import config_to_dict
 from .errors import InvalidConfig, SilhouetteTooLarge
-from .ingest import save_raster, serialize_frame_csv
-from .records import Dataset, FrameMeta, SpecimenRecord
+from .ingest import raster_name, save_raster, serialize_frame_csv
+from .records import CAMERAS, Dataset, FrameMeta, SpecimenRecord
 from .rng import substream
 
 DEFAULT_ASPECT_RANGE = (1.2, 2.2)
@@ -74,6 +79,9 @@ class SynthConfig:
             raise InvalidConfig("n_max must be >= 1")
         if min(self.mass_coeff, self.area_coeff, self.speed_coeff) <= 0:
             raise InvalidConfig("physics coefficients must be positive")
+        dims = self.raster_dims
+        if dims is not None and not (len(dims) == 2 and 0 < dims[0] == dims[1]):
+            raise InvalidConfig(f"raster_dims must be two equal positive sides, got {list(dims)}")
 
 
 @dataclass(frozen=True)
@@ -89,15 +97,7 @@ class GroundTruth:
     entries: dict[str, GroundTruthEntry]
 
     def to_dict(self) -> dict:
-        return {
-            sid: {
-                "density": e.density,
-                "volume": e.volume,
-                "mass": e.mass,
-                "true_speed": e.true_speed,
-            }
-            for sid, e in sorted(self.entries.items())
-        }
+        return {sid: config_to_dict(e) for sid, e in sorted(self.entries.items())}
 
 
 def _ellipse_raster(
@@ -125,9 +125,8 @@ def _ellipse_raster(
         raise SilhouetteTooLarge(
             f"ellipse with area {area_px} and aspect {aspect} does not fit in {h}x{w}"
         )
-    yy, xx = np.mgrid[0:h, 0:w]
-    dy = yy - cy
-    dx = xx - cx
+    dy = (np.arange(h) - cy)[:, None]
+    dx = np.arange(w) - cx
     cos_t, sin_t = math.cos(angle), math.sin(angle)
     u = (dx * cos_t + dy * sin_t) / a
     v = (-dx * sin_t + dy * cos_t) / b
@@ -143,27 +142,26 @@ def rasterize_specimen(
     dims: tuple[int, int],
     seed: int,
     aspect_range: tuple[float, float] = DEFAULT_ASPECT_RANGE,
-) -> list[np.ndarray]:
-    """One silhouette raster per frame, dark ellipse on light background.
+) -> np.ndarray:
+    """A ``(frames, *dims)`` stack with one silhouette per frame, in frame
+    order: a dark ellipse on a light background.
 
     Frames of the same camera share an aspect ratio (same projected view);
     orientation and centering jitter vary per frame.
     """
     rng = substream(seed, "rasterize", record.specimen_id)
-    aspect_by_camera = {
-        cam: rng.uniform(*aspect_range) for cam in ("A", "B")
-    }
-    rasters = []
-    for frame in record.frames:
+    aspect_by_camera = {cam: rng.uniform(*aspect_range) for cam in CAMERAS}
+    stack = np.empty((len(record.frames), *dims), dtype=np.uint8)
+    for row, frame in zip(stack, record.frames):
         angle = rng.uniform(0.0, math.pi)
         jitter = (
             int(rng.integers(-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)),
             int(rng.integers(-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)),
         )
-        rasters.append(
-            _ellipse_raster(frame.area_px, dims, aspect_by_camera[frame.camera_id], angle, jitter)
+        row[...] = _ellipse_raster(
+            frame.area_px, dims, aspect_by_camera[frame.camera_id], angle, jitter
         )
-    return rasters
+    return stack
 
 
 def _make_specimen(
@@ -183,7 +181,7 @@ def _make_specimen(
     box = int(math.ceil(2.0 * math.sqrt(base_area * (1.0 + 6.0 * config.area_noise_cv))))
     left = int(rng.integers(0, 3))
     frames = []
-    for camera in ("A", "B"):
+    for camera in CAMERAS:
         for i in range(n):
             top = int(round(config.cuvette_height_px - i * step))
             noise = rng.normal(0.0, config.area_noise_cv) if config.area_noise_cv > 0 else 0.0
@@ -227,14 +225,9 @@ def generate(config: SynthConfig, name: str = "synthetic") -> tuple[Dataset, Gro
             rng = substream(config.seed, "synth", gi, counter)
             record, truth = _make_specimen(config, group, sid, rng)
             if config.raster_dims is not None:
-                rasters = rasterize_specimen(
+                raster_store[sid] = rasterize_specimen(
                     record, config.raster_dims, config.seed, group.aspect_range
                 )
-                refs = tuple(
-                    f"{sid}/{f.camera_id}_{f.frame_index}.pgm" for f in record.frames
-                )
-                raster_store.update(zip(refs, rasters))
-                record = replace(record, raster_refs=refs)
             specimens.append(record)
             truths[sid] = truth
     dataset = Dataset(
@@ -253,18 +246,17 @@ def write_synth_output(dataset: Dataset, truth: GroundTruth, out_dir: Path | str
     frames_dir = out / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
+    rasters = dataset.rasters or {}
     for record in dataset.specimens:
         csv_rel = f"frames/{record.specimen_id}.csv"
         (out / csv_rel).write_bytes(serialize_frame_csv(record.frames))
         raster_rel = None
-        if record.raster_refs is not None and dataset.rasters is not None:
+        if record.specimen_id in rasters:
             raster_rel = f"rasters/{record.specimen_id}"
             rdir = out / raster_rel
             rdir.mkdir(parents=True, exist_ok=True)
-            for frame, ref in zip(record.frames, record.raster_refs):
-                (rdir / f"{frame.camera_id}_{frame.frame_index}.pgm").write_bytes(
-                    save_raster(dataset.rasters[ref])
-                )
+            for frame, pixels in zip(record.frames, rasters[record.specimen_id]):
+                (rdir / raster_name(frame)).write_bytes(save_raster(pixels))
         manifest.append(
             {
                 "specimen_id": record.specimen_id,

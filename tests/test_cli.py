@@ -162,8 +162,29 @@ class TestSynthAndIngest:
                 {"groups": [{k: v for k, v in SYNTH_CONFIG["groups"][0].items() if k != "count"}]},
                 "missing GroupSpec keys: count",
             ),
+            *(
+                (
+                    {"groups": [{**SYNTH_CONFIG["groups"][0], key: [1.5]}]},
+                    "bad GroupSpec: expected 2 values, got [1.5]",
+                )
+                for key in ("density_range", "size_lognormal", "aspect_range")
+            ),
+            ({"raster_dims": [16]}, "bad SynthConfig: expected 2 values, got [16]"),
+            (
+                {"raster_dims": [16, 16, 16]},
+                "bad SynthConfig: expected 2 values, got [16, 16, 16]",
+            ),
+            *(
+                ({"raster_dims": dims}, f"raster_dims must be two equal positive sides, got {dims}")
+                for dims in ([16, 20], [0, 0], [-16, -16])
+            ),
         ],
-        ids=["unknown_key", "uncoercible_value", "unknown_group_key", "group_missing_count"],
+        ids=[
+            "unknown_key", "uncoercible_value", "unknown_group_key", "group_missing_count",
+            "one_density_bound", "one_size_parameter", "one_aspect_bound", "one_raster_side",
+            "three_raster_sides", "non_square_rasters", "zero_raster_sides",
+            "negative_raster_sides",
+        ],
     )
     def test_bad_synth_config_exits_2(self, tmp_path, capsys, change, message):
         config = tmp_path / "c.json"
@@ -908,16 +929,51 @@ BAD_FLAGS = {
         "UsageError", "--mass-models",
         ("pipeline", "--classifier", "c.json", "--mass-model", "m.json", "--mass-models", "x"),
     ),
+    # an empty path would mean the working directory
+    "empty_out": ("UsageError", "argument --out: path must not be empty", ("synth", "--out", "")),
+    "features_empty_out": (
+        "UsageError", "argument --out: path must not be empty", ("features", "--out", "")
+    ),
+    "empty_manifest": (
+        "UsageError", "argument --manifest: path must not be empty", ("ingest", "--manifest", "")
+    ),
+    "empty_config": (
+        "UsageError", "argument --config: path must not be empty", ("train", "--config", "")
+    ),
+    "evaluate_empty_model": (
+        "UsageError", "argument --model: path must not be empty", ("evaluate", "--model", "")
+    ),
+    "empty_classifier": (
+        "UsageError", "argument --classifier: path must not be empty",
+        ("pipeline", "--classifier", "", "--mass-model", "m.json"),
+    ),
+    "empty_mass_model": (
+        "UsageError", "argument --mass-model: path must not be empty",
+        ("pipeline", "--classifier", "c.json", "--mass-model", ""),
+    ),
+    "empty_mass_models": (
+        "UsageError", "argument --mass-models: path must not be empty",
+        ("pipeline", "--classifier", "c.json", "--mass-models", ""),
+    ),
+    "empty_base": (
+        "UsageError", "argument --base: path must not be empty", ("finetune", "--base", "")
+    ),
+    "report_empty_input": (
+        "UsageError", "argument inputs: path must not be empty",
+        ("report", "eval/metrics.json", ""),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
-def test_bad_flags_exit_2_with_one_json_error(synth_dir, tmp_path, capsys, case):
+def test_bad_flags_exit_2_with_one_json_error(synth_dir, tmp_path, capsys, monkeypatch, case):
     error, named, argv = BAD_FLAGS[case]
     base = {"--manifest": synth_dir / "manifest.json", "--seed": 1, "--out": tmp_path / "out"}
     missing = _flags(argv[0], required=True) - set(argv)
     added = [x for flag, value in base.items() if flag in missing for x in (flag, value)]
+    monkeypatch.chdir(tmp_path)
     assert run(*argv, *added) == 2
+    assert {p.name for p in tmp_path.iterdir()} <= {"out"}
     reported = one_error(capsys)
     assert reported["error"] == error
     assert named in reported["message"]

@@ -360,7 +360,11 @@ class TestAssembleDataset:
         manifest.write_text(json.dumps([entry]))
         dataset = assemble_dataset(load_manifest(manifest), raster_dims=(4, 4))
         assert dataset.raster_dims == (4, 4)
-        assert dataset.rasters["s1/A_0.pgm"].shape == (4, 4)
+        assert dataset.rasters["s1"].shape == (1, 4, 4)
+        assert dataset.rasters["s1"].dtype == np.uint8
+        assert np.array_equal(
+            dataset.rasters["s1"][0], pad_mirror(np.array([[1, 2], [3, 4]], dtype=np.uint8), 1)
+        )
 
     def test_larger_raster_rejected(self, tmp_path):
         pgm = make_pgm(4, 4, list(range(16)))

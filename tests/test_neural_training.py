@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,9 +39,12 @@ from sinkmass.neural.training import (
     save_checkpoint,
     train,
 )
-from sinkmass.records import MASS_FLOOR_UG
+from sinkmass.ingest import assemble_dataset, load_manifest, load_raster, raster_name
+from sinkmass.records import MASS_FLOOR_UG, Dataset, SpecimenRecord
 from sinkmass.rng import substream
-from sinkmass.synth import GroupSpec, SynthConfig, generate
+from sinkmass.synth import GroupSpec, SynthConfig, generate, write_synth_output
+
+from conftest import make_frame
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,173 @@ class TestBuildSamples:
         assert samples.metadata.shape[1] == 3
         record = dataset.specimen(next(iter(samples.sample_slices)))
         assert samples.metadata[0, 0] == record.frames[0].area_px
+
+
+def frames_of(*cameras):
+    """Frames in the given camera order, indices and areas counting up per
+    camera so that every frame has its own area."""
+    seen = {"A": 0, "B": 0}
+    frames = []
+    for camera in cameras:
+        i = seen[camera]
+        seen[camera] += 1
+        area = 50.0 + 10 * i + (5 if camera == "B" else 0)
+        frames.append(make_frame(camera, i, top=320 - 60 * i, area=area))
+    return tuple(frames)
+
+
+@pytest.fixture(scope="module")
+def mixed_dataset():
+    """Hand-built 16x16 specimens with random pixels: equal and unequal
+    camera counts, interleaved cameras, one camera only, no sinking speed,
+    no mass, and one without rasters."""
+    records = (
+        SpecimenRecord("even", "a", 10.0, frames_of(*"AAABBB")),
+        SpecimenRecord("uneven", "b", 20.0, frames_of(*"ABABAA")),
+        SpecimenRecord("b_longer", "a", 30.0, frames_of(*"BBBBAA")),
+        SpecimenRecord("one_camera", "b", 40.0, frames_of(*"AAA")),
+        SpecimenRecord("no_speed", "a", 50.0, frames_of(*"AB")),
+        SpecimenRecord("unweighed", "b", None, frames_of(*"AABB")),
+        SpecimenRecord("no_rasters", "a", 60.0, frames_of(*"AABB")),
+    )
+    rng = np.random.default_rng(3)
+    rasters = {
+        r.specimen_id: rng.integers(0, 256, size=(len(r.frames), 16, 16), dtype=np.uint8)
+        for r in records
+        if r.specimen_id != "no_rasters"
+    }
+    return Dataset("mixed", records, raster_dims=(16, 16), rasters=rasters)
+
+
+def expected_samples(dataset, ids, config, image_of, require_mass=True, taxa=None):
+    """Per sample (specimen id, image, second image, metadata row, mass,
+    label), built from each record's frames: a multi-view sample pairs the
+    k-th frame of camera A with the k-th of camera B, and ``image_of(record,
+    frame)`` is that frame's raster."""
+    needs_speed = MetadataInput.SINKING_SPEED in config.metadata_inputs
+    samples = []
+    for record in dataset.specimens:
+        feats = dataset.features[record.specimen_id]
+        if record.specimen_id not in ids or (require_mass and record.dry_mass_ug is None):
+            continue
+        if needs_speed and feats.sinking_speed is None:
+            continue
+        if config.architecture is Architecture.MULTI_VIEW:
+            pairs = list(zip(record.frames_for("A"), record.frames_for("B")))
+        else:
+            pairs = [(frame, None) for frame in record.frames]
+        for first, second in pairs:
+            values = {
+                MetadataInput.FRAME_AREA: first.area_px,
+                MetadataInput.MEAN_AREA: feats.mean_area_px,
+                MetadataInput.SINKING_SPEED: feats.sinking_speed,
+            }
+            samples.append((
+                record.specimen_id,
+                image_of(record, first),
+                None if second is None else image_of(record, second),
+                [values[m] for m in config.metadata_inputs],
+                record.dry_mass_ug or 0.0,
+                0 if taxa is None else taxa.index(record.taxon),
+            ))
+    return samples
+
+
+def assert_samples_match(samples, expected, config):
+    assert len(samples) == len(expected)
+    slices = {}
+    for i, (sid, image, image2, meta, mass, label) in enumerate(expected):
+        slices.setdefault(sid, []).append(i)
+        assert np.array_equal(samples.images[i, 0], image), (i, sid)
+        if image2 is None:
+            assert samples.images2 is None
+        else:
+            assert np.array_equal(samples.images2[i, 0], image2), (i, sid)
+        if config.metadata_inputs:
+            assert samples.metadata[i].tolist() == meta, (i, sid)
+        assert samples.masses[i] == mass
+        if samples.labels is not None:
+            assert samples.labels[i] == label
+    if not config.metadata_inputs:
+        assert samples.metadata is None
+    assert samples.images.dtype == np.float64
+    assert samples.sample_slices == slices
+
+
+def stack_row(dataset):
+    return lambda record, frame: dataset.rasters[record.specimen_id][
+        record.frames.index(frame)
+    ]
+
+
+ALIGNMENT_MODELS = {
+    "single_view": small_model(),
+    "multi_view": small_model(Architecture.MULTI_VIEW),
+    "metadata_aware": small_model(Architecture.METADATA_AWARE),
+    "metadata_without_speed": small_model(
+        Architecture.METADATA_AWARE,
+        metadata_inputs=(MetadataInput.MEAN_AREA, MetadataInput.FRAME_AREA),
+    ),
+}
+
+
+class TestSampleAlignment:
+    @pytest.mark.parametrize("require_mass", [True, False])
+    @pytest.mark.parametrize("model", sorted(ALIGNMENT_MODELS))
+    def test_each_sample_is_its_frames_rasters_and_metadata(
+        self, mixed_dataset, model, require_mass
+    ):
+        config = ALIGNMENT_MODELS[model]
+        ids = [s.specimen_id for s in mixed_dataset.specimens if s.specimen_id != "no_rasters"]
+        taxa = ("a", "b")
+        samples = build_samples(mixed_dataset, ids, config, require_mass=require_mass, taxa=taxa)
+        expected = expected_samples(
+            mixed_dataset, ids, config, stack_row(mixed_dataset), require_mass, taxa
+        )
+        assert_samples_match(samples, expected, config)
+        # the cases the dataset exists for all show up in the expectation
+        sids = {sample[0] for sample in expected}
+        assert ("unweighed" in sids) is not require_mass
+        assert ("no_speed" in sids) is (model != "metadata_aware")
+        assert ("one_camera" in sids) is (model != "multi_view")
+
+    @pytest.mark.parametrize("model", sorted(ALIGNMENT_MODELS))
+    def test_specimen_without_rasters_names_itself(self, mixed_dataset, model):
+        with pytest.raises(InputError, match="no_rasters: neural models need rasters"):
+            build_samples(mixed_dataset, ["even", "no_rasters"], ALIGNMENT_MODELS[model])
+
+    @pytest.mark.parametrize("model", sorted(ALIGNMENT_MODELS))
+    def test_stack_of_another_length_than_the_frames_raises(self, mixed_dataset, model):
+        rasters = dict(mixed_dataset.rasters, even=mixed_dataset.rasters["even"][:-1])
+        dataset = Dataset("short", mixed_dataset.specimens, (16, 16), rasters)
+        with pytest.raises(InputError, match="even: 5 rasters for 6 frames"):
+            build_samples(dataset, ["even"], ALIGNMENT_MODELS[model])
+
+    @pytest.mark.parametrize("model", sorted(ALIGNMENT_MODELS))
+    def test_mixed_manifest_samples_come_from_the_pgm_files(self, tmp_path, model):
+        config = SynthConfig(
+            groups=(GroupSpec("g", (1.3, 2.8), (1.6, 0.12), 4),),
+            dt=8.0, n_max=4, seed=9, raster_dims=(16, 16),
+        )
+        manifest = write_synth_output(*generate(config), tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries[1]["raster_dir"] = None
+        manifest.write_text(json.dumps(entries))
+        dataset = assemble_dataset(load_manifest(manifest))
+        bare = entries[1]["specimen_id"]
+        assert set(dataset.rasters) == {e["specimen_id"] for e in entries} - {bare}
+
+        def from_file(record, frame):
+            path = tmp_path / "rasters" / record.specimen_id / raster_name(frame)
+            return load_raster(path.read_bytes())
+
+        ids = [e["specimen_id"] for e in entries if e["specimen_id"] != bare]
+        cfg = ALIGNMENT_MODELS[model]
+        expected = expected_samples(dataset, ids, cfg, from_file)
+        assert expected
+        assert_samples_match(build_samples(dataset, ids, cfg), expected, cfg)
+        with pytest.raises(InputError, match=f"{bare}: neural models need rasters"):
+            build_samples(dataset, [bare], cfg)
 
 
 class TestTrain:

@@ -77,20 +77,30 @@ class TestValidateDataset:
         second = validate_dataset(ds)
         assert first == second
 
-    def test_misaligned_raster_refs_reported(self):
-        record = SpecimenRecord("s1", "t", 1.0, (make_frame(),), raster_refs=("a", "b"))
-        ds = Dataset("mis", (record,))
-        assert any(v.field == "raster_refs" for v in validate_dataset(ds).violations)
+    def test_stack_not_aligned_with_frames_reported(self):
+        record = SpecimenRecord("s1", "t", 1.0, (make_frame(),))
+        ds = Dataset("mis", (record,), rasters={"s1": np.zeros((2, 3, 3), dtype=np.uint8)})
+        assert [(v.specimen_id, v.field) for v in validate_dataset(ds).violations] == [
+            ("s1", "rasters")
+        ]
 
     def test_raster_shape_mismatch_reported(self):
-        record = SpecimenRecord("s1", "t", 1.0, (make_frame(),), raster_refs=("r0",))
+        record = SpecimenRecord("s1", "t", 1.0, (make_frame(),))
         ds = Dataset(
             "shape",
             (record,),
             raster_dims=(4, 4),
-            rasters={"r0": np.zeros((3, 3), dtype=np.uint8)},
+            rasters={"s1": np.zeros((1, 3, 3), dtype=np.uint8)},
         )
-        assert any(v.field == "raster_refs" for v in validate_dataset(ds).violations)
+        assert [(v.specimen_id, v.field) for v in validate_dataset(ds).violations] == [
+            ("s1", "rasters")
+        ]
+
+    def test_fitting_stack_and_specimen_without_rasters_are_legal(self):
+        records = (make_specimen(sid="s1"), make_specimen(sid="s2"))
+        stack = np.zeros((len(records[0].frames), 4, 4), dtype=np.uint8)
+        ds = Dataset("mixed", records, raster_dims=(4, 4), rasters={"s1": stack})
+        assert validate_dataset(ds).ok
 
 
 class TestFrameMeta:
@@ -105,7 +115,7 @@ class TestFrameMeta:
             frame.extra = 0
 
     def test_equal_frames_hash_equal_and_share_a_dict_key(self):
-        # training._specimen_images maps each frame to its raster by key
+        # frames compare and hash by value, like the tuples they are
         a, b = make_frame(index=2), make_frame(index=2)
         assert a is not b and a == b and hash(a) == hash(b)
         assert {a: "raster"}[b] == "raster"

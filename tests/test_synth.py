@@ -115,6 +115,11 @@ class TestGenerate:
                 groups=(GroupSpec("g", (0.0, 1.0), (2.0, 0.1), 3),)
             ).validate()
 
+    @pytest.mark.parametrize("dims", [(16, 20), (0, 0), (-16, -16), (16,)])
+    def test_raster_dims_must_be_two_equal_positive_sides(self, dims):
+        with pytest.raises(InvalidConfig, match="raster_dims must be two equal positive sides"):
+            two_group_config(raster_dims=dims).validate()
+
 
 class TestRasterize:
     def test_thresholded_pixel_count_matches_area(self):
@@ -136,6 +141,8 @@ class TestRasterize:
         dataset, _ = generate(config)
         record = dataset.specimens[0]
         rasters = rasterize_specimen(record, (32, 32), seed=config.seed)
+        assert rasters.shape == (len(record.frames), 32, 32)
+        assert np.array_equal(rasters, dataset.rasters[record.specimen_id])
         for frame, raster in zip(record.frames, rasters):
             dark = int((raster < 128).sum())
             assert abs(dark - frame.area_px) <= max(0.02 * frame.area_px, 0.51)
@@ -148,8 +155,9 @@ class TestRasterize:
         )
         dataset, _ = generate(config)
         assert dataset.rasters is not None
+        assert set(dataset.rasters) == {s.specimen_id for s in dataset.specimens}
         for record in dataset.specimens:
-            assert record.raster_refs is not None
-            for ref in record.raster_refs:
-                assert dataset.rasters[ref].shape == (32, 32)
+            stack = dataset.rasters[record.specimen_id]
+            assert stack.shape == (len(record.frames), 32, 32)
+            assert stack.dtype == np.uint8
         assert validate_dataset(dataset).ok

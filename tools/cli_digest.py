@@ -1,11 +1,12 @@
 """Digest every sinkmass CLI command, one JSON line per invocation.
 
-Runs each command in-process on two small synthetic datasets, one of frame
-CSVs only and one with 16x16 PGM rasters, inside a fresh temporary
-directory and with relative paths, so that two checkouts give comparable
-digests. For each invocation it prints the case name, the argv, the exit
-code, the SHA-256 of stdout and of stderr, and the SHA-256 of every file the
-invocation wrote or changed.
+Runs each command in-process on small synthetic datasets, one of frame CSVs
+only, one with 16x16 PGM rasters and a copy of the latter whose first
+specimen's rasters are cropped to 12x12 (so ingest mirror-pads them back to
+16x16), inside a fresh temporary directory and with relative paths, so that
+two checkouts give comparable digests. For each invocation it prints the
+case name, the argv, the exit code, the SHA-256 of stdout and of stderr, and
+the SHA-256 of every file the invocation wrote or changed.
 
 Cases marked ``ok`` are the success path; the script exits 1 if any of them
 exits non-zero. The other cases are bad flags and bad inputs, digested so
@@ -31,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 from sinkmass import cli
+from sinkmass.ingest import load_raster, save_raster
 
 GROUPS = [
     {"name": "light", "density_range": [1.3, 1.5], "size_lognormal": [1.6, 0.12],
@@ -55,10 +57,18 @@ CONFIGS = {
     "ft.json": {"train": {**TRAIN, "freeze": "encoder"}},
     "seeded_train.json": {"model": MODEL, "train": {**TRAIN, "seed": 5}},
     "mass_models.json": {"light": "linear_r/linear_model.json", "dense": "reg/checkpoint.json"},
+    "one_raster_side.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6, "raster_dims": [16]},
+    "non_square_rasters.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6, "raster_dims": [16, 20]},
+    "one_density_bound.json": {
+        "groups": [{**GROUPS[0], "density_range": [1.3]}], "dt": 8.0, "n_max": 6,
+    },
 }
+# the raster side the padded copy crops its first specimen to
+CROP = 12
 
 F = ("--manifest", "frames/manifest.json")
 R = ("--manifest", "rasters/manifest.json")
+P = ("--manifest", "padded/manifest.json")
 LINEAR = ("--model", "linear/linear_model.json")
 PIPE = ("--classifier", "cls/checkpoint.json")
 
@@ -111,6 +121,12 @@ CASES = [
      ("pipeline", *R, *PIPE, "--mass-model", "tuned/checkpoint.json", "--out", "pipe")),
     ("pipeline_mass_models", "ok",
      ("pipeline", *R, *PIPE, "--mass-models", "mass_models.json", "--out", "pipe_map")),
+    ("ingest_padded", "ok", ("ingest", *P, "--out", "ingest_padded")),
+    ("train_padded", "ok",
+     ("train", *P, "--config", "train.json", "--seed", 4, "--out", "reg_padded")),
+    ("pipeline_padded", "ok",
+     ("pipeline", *P, *PIPE, "--mass-model", "reg_padded/checkpoint.json",
+      "--out", "pipe_padded")),
     ("report", "ok",
      ("report", "eval_boot/metrics.json", "cv_area/crossval_report.json",
       "ood_neural/metrics.json", "--out", "report")),
@@ -181,6 +197,19 @@ CASES = [
     ("ood_unknown_taxon", "error",
      ("ood", *F, "--model", "linear-area", "--holdout", "krill", "--seed", 3, "--out", "x")),
     ("unknown_command", "error", ("estimate",)),
+    ("synth_one_raster_side", "error",
+     ("synth", "--seed", 1, "--config", "one_raster_side.json", "--out", "x")),
+    ("synth_non_square_rasters", "error",
+     ("synth", "--seed", 1, "--config", "non_square_rasters.json", "--out", "x")),
+    ("synth_one_density_bound", "error",
+     ("synth", "--seed", 1, "--config", "one_density_bound.json", "--out", "x")),
+    # empty paths; last, since a command that took "" as the working
+    # directory would write there
+    ("ingest_empty_manifest", "error", ("ingest", "--manifest", "", "--out", "x")),
+    ("evaluate_empty_model", "error", ("evaluate", *F, "--model", "", "--out", "x")),
+    ("features_empty_out", "error", ("features", *F, "--out", "")),
+    ("fit_linear_empty_out", "error", ("fit-linear", *F, "--out", "")),
+    ("synth_empty_out", "error", ("synth", "--seed", 1, "--config", "frames.json", "--out", "")),
 ]
 
 
@@ -208,6 +237,17 @@ def _write_bad_mass_manifests(root: Path) -> None:
         changed = [dict(e, metadata_csv=f"frames/{e['metadata_csv']}") for e in entries]
         changed[0]["dry_mass_ug"] = value
         (root / name).write_text(json.dumps(changed))
+
+
+def _write_padded_copy(root: Path) -> None:
+    """``padded``: the raster dataset with its first specimen's rasters
+    cropped to CROP x CROP about their centre."""
+    shutil.copytree(root / "rasters", root / "padded")
+    first = json.loads((root / "padded" / "manifest.json").read_text())[0]
+    for path in sorted((root / "padded" / first["raster_dir"]).glob("*.pgm")):
+        pixels = load_raster(path.read_bytes())
+        margin = (pixels.shape[0] - CROP) // 2
+        path.write_bytes(save_raster(pixels[margin : margin + CROP, margin : margin + CROP]))
 
 
 def _invoke(argv) -> tuple[int, bytes, bytes]:
@@ -243,6 +283,8 @@ def run_cases(root: Path) -> list[dict]:
         )
         if name == "synth_frames":
             _write_bad_mass_manifests(root)
+        if name == "synth_rasters":
+            _write_padded_copy(root)
     return digests
 
 
