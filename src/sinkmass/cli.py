@@ -377,9 +377,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
+    from .errors import InvalidConfig
     from .neural.training import fine_tune, save_checkpoint
 
     config = _load_config(args)
+    if "model" in config:
+        raise InvalidConfig("finetune takes its model from --base; drop the 'model' section")
     dataset = _load_dataset(args)
     base = _load_any_model(args.base)
     _, train_config, _ = _model_configs_from(config, dataset, seed=args.seed)

@@ -189,19 +189,23 @@ def pad_mirror(pixels: np.ndarray, pad: int) -> np.ndarray:
 
 
 def load_manifest(path: Path | str) -> list[ManifestEntry]:
-    """Read a manifest JSON array; paths become absolute relative to it."""
+    """Read a manifest JSON array of unique specimen ids; paths become absolute
+    relative to it."""
     path = Path(path)
     raw = read_json(path, "manifest")
     if not isinstance(raw, list):
         raise InputError("manifest must be a JSON array")
     base = path.parent
-    entries = []
+    entries, ids = [], set()
     for i, obj in enumerate(raw):
         try:
             mass = obj["dry_mass_ug"]
             for key in ("specimen_id", "taxon"):
                 if not isinstance(obj[key], str):
                     raise TypeError(f"{key} must be a string, not {type(obj[key]).__name__}")
+            if obj["specimen_id"] in ids:
+                raise ValueError(f"duplicate specimen_id {obj['specimen_id']!r}")
+            ids.add(obj["specimen_id"])
             if isinstance(mass, bool) or not isinstance(mass, (int, float, type(None))):
                 raise TypeError(f"dry_mass_ug must be a number or null, not {type(mass).__name__}")
             if mass is not None and not math.isfinite(mass):

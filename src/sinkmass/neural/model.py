@@ -1,9 +1,12 @@
 """Network definition: configs, parameter initialization, forward/backward.
 
-Architectures share one skeleton: one or two convolutional encoders and an
-optional two-layer metadata encoder produce feature vectors that are
-concatenated and passed to a one- or two-layer projection head. The head
-emits a single target-space scalar for regression or per-taxon logits for
+Architectures share one skeleton, driven by ``ModelConfig.branches``: a list
+of input branches whose feature vectors are concatenated and passed to a
+head. A branch is a convolutional encoder (``enc``, and ``enc2`` for the
+second camera's view) or the two-layer metadata encoder (``meta``). The
+metadata encoder and the one- or two-layer head are the same multilayer
+perceptron: affine layers with a ReLU between each pair. The head emits a
+single target-space scalar for regression or per-taxon logits for
 classification.
 """
 
@@ -69,56 +72,47 @@ class ModelConfig:
             raise ValueError("classification needs at least 2 classes")
 
     @property
-    def feature_width(self) -> int:
-        width = self.encoder_channels[-1]
+    def branches(self) -> tuple[str, ...]:
+        """Parameter prefixes of the input branches, in feature order."""
         if self.architecture is Architecture.MULTI_VIEW:
-            width *= 2
+            return ("enc", "enc2")
         if self.architecture is Architecture.METADATA_AWARE:
-            width += self.metadata_hidden
-        return width
+            return ("enc", "meta")
+        return ("enc",)
+
+    @property
+    def feature_width(self) -> int:
+        enc = self.encoder_channels[-1]
+        return sum(self.metadata_hidden if b == "meta" else enc for b in self.branches)
 
     @property
     def out_dim(self) -> int:
         return 1 if self.n_classes is None else self.n_classes
 
-
-def _he_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    def mlp_widths(self, prefix: str) -> tuple[int, ...]:
+        """Input then output width of each layer of the ``meta`` or ``head`` MLP."""
+        if prefix == "meta":
+            return (len(self.metadata_inputs), self.metadata_hidden, self.metadata_hidden)
+        hidden = (self.head_hidden,) if self.head is HeadKind.TWO_LAYER else ()
+        return (self.feature_width, *hidden, self.out_dim)
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """He-style fan-in uniform weights, zero biases; deterministic per rng."""
+    """He-style fan-in uniform weights, zero biases; deterministic per rng.
+
+    Layers are drawn branch by branch in feature order, then the head."""
     params: dict[str, np.ndarray] = {}
-
-    def add_encoder(prefix: str) -> None:
-        c_in = 1
-        for i, c_out in enumerate(config.encoder_channels):
-            fan_in = c_in * 9
-            params[f"{prefix}.{i}.w"] = _he_uniform(rng, (c_out, c_in, 3, 3), fan_in)
-            params[f"{prefix}.{i}.b"] = np.zeros(c_out)
-            c_in = c_out
-
-    add_encoder("enc")
-    if config.architecture is Architecture.MULTI_VIEW:
-        add_encoder("enc2")
-    if config.architecture is Architecture.METADATA_AWARE:
-        n_in = len(config.metadata_inputs)
-        hidden = config.metadata_hidden
-        params["meta.0.w"] = _he_uniform(rng, (hidden, n_in), n_in)
-        params["meta.0.b"] = np.zeros(hidden)
-        params["meta.1.w"] = _he_uniform(rng, (hidden, hidden), hidden)
-        params["meta.1.b"] = np.zeros(hidden)
-
-    feat = config.feature_width
-    if config.head is HeadKind.ONE_LAYER:
-        params["head.0.w"] = _he_uniform(rng, (config.out_dim, feat), feat)
-        params["head.0.b"] = np.zeros(config.out_dim)
-    else:
-        params["head.0.w"] = _he_uniform(rng, (config.head_hidden, feat), feat)
-        params["head.0.b"] = np.zeros(config.head_hidden)
-        params["head.1.w"] = _he_uniform(rng, (config.out_dim, config.head_hidden), config.head_hidden)
-        params["head.1.b"] = np.zeros(config.out_dim)
+    channels = (1, *config.encoder_channels)
+    for prefix in (*config.branches, "head"):
+        if prefix.startswith("enc"):
+            shapes = [(c_out, c_in, 3, 3) for c_in, c_out in zip(channels, channels[1:])]
+        else:
+            widths = config.mlp_widths(prefix)
+            shapes = [(n_out, n_in) for n_in, n_out in zip(widths, widths[1:])]
+        for i, shape in enumerate(shapes):
+            bound = np.sqrt(6.0 / int(np.prod(shape[1:])))
+            params[f"{prefix}.{i}.w"] = rng.uniform(-bound, bound, size=shape)
+            params[f"{prefix}.{i}.b"] = np.zeros(shape[0])
     return params
 
 
@@ -196,55 +190,42 @@ class NeuralNet:
             grads[f"{prefix}.{i}.w"] = dw
             grads[f"{prefix}.{i}.b"] = db
 
-    def _encode_metadata(self, v: np.ndarray):
-        h, cache0 = layers.affine_forward(v, self.params["meta.0.w"], self.params["meta.0.b"])
-        h, mask = layers.relu_forward(h)
-        z, cache1 = layers.affine_forward(h, self.params["meta.1.w"], self.params["meta.1.b"])
-        return z, (cache0, mask, cache1)
+    def _mlp(self, prefix: str, x: np.ndarray):
+        """The ``meta`` or ``head`` MLP: affine layers, a ReLU before each but the first."""
+        caches = []
+        for i in range(len(self.config.mlp_widths(prefix)) - 1):
+            mask = None
+            if i:
+                x, mask = layers.relu_forward(x)
+            w, b = self.params[f"{prefix}.{i}.w"], self.params[f"{prefix}.{i}.b"]
+            x, cache = layers.affine_forward(x, w, b)
+            caches.append((mask, cache))
+        return x, caches
 
-    def _metadata_backward(self, dz: np.ndarray, cache, grads) -> None:
-        cache0, mask, cache1 = cache
-        dh, grads["meta.1.w"], grads["meta.1.b"] = layers.affine_backward(dz, cache1)
-        dh = layers.relu_backward(dh, mask)
-        _, grads["meta.0.w"], grads["meta.0.b"] = layers.affine_backward(dh, cache0)
-
-    def _head(self, z: np.ndarray):
-        out, cache0 = layers.affine_forward(z, self.params["head.0.w"], self.params["head.0.b"])
-        if self.config.head is HeadKind.ONE_LAYER:
-            return out, (cache0, None, None)
-        h, mask = layers.relu_forward(out)
-        out, cache1 = layers.affine_forward(h, self.params["head.1.w"], self.params["head.1.b"])
-        return out, (cache0, mask, cache1)
-
-    def _head_backward(self, dout: np.ndarray, cache, grads) -> np.ndarray:
-        cache0, mask, cache1 = cache
-        if self.config.head is HeadKind.TWO_LAYER:
-            dout, grads["head.1.w"], grads["head.1.b"] = layers.affine_backward(dout, cache1)
-            dout = layers.relu_backward(dout, mask)
-        dz, grads["head.0.w"], grads["head.0.b"] = layers.affine_backward(dout, cache0)
-        return dz
+    def _mlp_backward(self, prefix: str, dx: np.ndarray, caches, grads) -> np.ndarray:
+        for i in reversed(range(len(caches))):
+            mask, cache = caches[i]
+            dx, dw, db = layers.affine_backward(dx, cache)
+            grads[f"{prefix}.{i}.w"], grads[f"{prefix}.{i}.b"] = dw, db
+            if mask is not None:
+                dx = layers.relu_backward(dx, mask)
+        return dx
 
     def forward_cached(self, batch: Batch):
         """Returns (output, cache); output is (B,) for regression models and
         (B, n_classes) logits for classifiers."""
         self._check_batch(batch)
-        cfg = self.config
-        z, enc_cache = self._encode("enc", batch.images)
-        enc2_cache = meta_cache = None
-        widths = [z.shape[1]]
-        parts = [z]
-        if cfg.architecture is Architecture.MULTI_VIEW:
-            z2, enc2_cache = self._encode("enc2", batch.images2)
-            parts.append(z2)
-            widths.append(z2.shape[1])
-        if cfg.architecture is Architecture.METADATA_AWARE:
-            zm, meta_cache = self._encode_metadata(batch.metadata)
-            parts.append(zm)
-            widths.append(zm.shape[1])
+        inputs = {"enc": batch.images, "enc2": batch.images2, "meta": batch.metadata}
+        parts, branch_caches = [], []
+        for prefix in self.config.branches:
+            encode = self._mlp if prefix == "meta" else self._encode
+            z, branch_cache = encode(prefix, inputs[prefix])
+            parts.append(z)
+            branch_caches.append(branch_cache)
         features = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-        out, head_cache = self._head(features)
-        cache = (enc_cache, enc2_cache, meta_cache, head_cache, widths)
-        if cfg.out_dim == 1:
+        out, head_cache = self._mlp("head", features)
+        cache = (branch_caches, head_cache, [z.shape[1] for z in parts])
+        if self.config.out_dim == 1:
             return out[:, 0], cache
         return out, cache
 
@@ -259,29 +240,16 @@ class NeuralNet:
         parameters receive exact zero gradients and their branch backward
         pass is skipped.
         """
-        enc_cache, enc2_cache, meta_cache, head_cache, widths = cache
+        branch_caches, head_cache, widths = cache
         if dout.ndim == 1:
             dout = dout[:, None]
         grads: dict[str, np.ndarray] = {}
-        dz = self._head_backward(dout, head_cache, grads)
-        splits = np.cumsum(widths)[:-1]
-        parts = np.split(dz, splits, axis=1)
-        part_idx = 0
-
-        def frozen(prefix: str) -> bool:
-            return any(prefix.startswith(p) for p in frozen_prefixes)
-
-        if not frozen("enc."):
-            self._encode_backward("enc", parts[part_idx], enc_cache, grads)
-        part_idx += 1
-        if enc2_cache is not None:
-            if not frozen("enc2."):
-                self._encode_backward("enc2", parts[part_idx], enc2_cache, grads)
-            part_idx += 1
-        if meta_cache is not None:
-            if not frozen("meta."):
-                self._metadata_backward(parts[part_idx], meta_cache, grads)
-            part_idx += 1
+        dz = self._mlp_backward("head", dout, head_cache, grads)
+        parts = np.split(dz, np.cumsum(widths)[:-1], axis=1)
+        for prefix, dpart, branch_cache in zip(self.config.branches, parts, branch_caches):
+            if not f"{prefix}.".startswith(tuple(frozen_prefixes)):
+                backward = self._mlp_backward if prefix == "meta" else self._encode_backward
+                backward(prefix, dpart, branch_cache, grads)
         for name, value in self.params.items():
             if name not in grads:
                 grads[name] = np.zeros_like(value)

@@ -500,8 +500,8 @@ def save_checkpoint(model: TrainedModel, path: Path | str) -> None:
 
 def load_checkpoint(path: Path | str) -> TrainedModel:
     """The model ``save_checkpoint`` wrote; a file of another format version,
-    with missing or mistyped fields, or with parameters that do not fit its
-    config, raises an InputError."""
+    with missing or mistyped fields, or with parameters, metadata stats or
+    taxa that do not fit its config, raises an InputError."""
     return decode_checkpoint(read_json(path, "checkpoint"), path)
 
 
@@ -524,14 +524,28 @@ def decode_checkpoint(payload, path: Path | str) -> TrainedModel:
         expected = init_params(config, np.random.default_rng(0))
         if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in expected.items()}:
             raise InputError(f"checkpoint {path}: parameters do not fit its config")
+        stats = [optional_array("metadata_mean"), optional_array("metadata_std")]
+        n_meta, n_classes, taxa = len(config.metadata_inputs), config.n_classes, payload["taxa"]
+        if [None if v is None else v.shape for v in stats] != [(n_meta,) if n_meta else None] * 2:
+            want = f"{n_meta} values each" if n_meta else "null without metadata inputs"
+            raise InputError(f"checkpoint {path}: metadata_mean and metadata_std must be {want}")
+        if n_meta and not (np.isfinite(np.concatenate(stats)).all() and (stats[1] > 0).all()):
+            raise InputError(f"checkpoint {path}: metadata stats must be finite, std positive")
+        if n_classes is None and taxa is not None:
+            raise InputError(f"checkpoint {path}: taxa must be null for a regression model")
+        if n_classes is not None and not (
+            isinstance(taxa, list) and all(isinstance(t, str) for t in taxa)
+            and len(set(taxa)) == len(taxa) == n_classes
+        ):
+            raise InputError(f"checkpoint {path}: taxa must be {n_classes} distinct strings")
         return TrainedModel(
             config=config,
             params=params,
             best_epoch=int(payload["best_epoch"]),
             val_loss_history=[float(v) for v in payload["val_loss_history"]],
-            metadata_mean=optional_array("metadata_mean"),
-            metadata_std=optional_array("metadata_std"),
-            taxa=None if payload["taxa"] is None else tuple(payload["taxa"]),
+            metadata_mean=stats[0],
+            metadata_std=stats[1],
+            taxa=None if taxa is None else tuple(taxa),
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from None

@@ -11,8 +11,9 @@ import pytest
 
 import sinkmass
 from sinkmass import experiments
-from sinkmass.cli import _predictions_csv, build_parser, main
+from sinkmass.cli import _load_any_model, _predictions_csv, build_parser, main
 from sinkmass.config import config_from_dict
+from sinkmass.errors import InputError
 from sinkmass.ingest import assemble_dataset, load_manifest, save_raster, serialize_frame_csv
 from sinkmass.linear import load_linear_model
 from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, init_params
@@ -797,6 +798,45 @@ def test_checkpoint_params_must_fit_its_config(synth_dir, tmp_path, capsys, chan
     assert one_error(capsys)["error"] == "InputError"
 
 
+META = {"architecture": Architecture.METADATA_AWARE,
+        "metadata_inputs": (MetadataInput.MEAN_AREA, MetadataInput.SINKING_SPEED)}
+# case: (checkpoint fields, edit to its payload, text the message must hold)
+MISFIT_CHECKPOINTS = {
+    "null_mean_with_metadata": (META, {"metadata_mean": None}, "2 values each"),
+    "stats_for_one_of_two_inputs": (
+        META, {"metadata_mean": [0.0], "metadata_std": [1.0]}, "2 values each"
+    ),
+    "stats_as_a_matrix": (META, {"metadata_std": [[1.0, 1.0]]}, "2 values each"),
+    "stats_without_metadata": ({}, {"metadata_std": [1.0]}, "null without metadata inputs"),
+    "zero_std": (META, {"metadata_std": [0.0, 1.0]}, "std positive"),
+    "negative_std": (META, {"metadata_std": [1.0, -1.0]}, "std positive"),
+    "infinite_mean": (META, {"metadata_mean": [0.0, 1e999]}, "must be finite"),
+    "taxa_shorter_than_classes": (
+        {"n_classes": 3, "taxa": ("a", "b", "c")}, {"taxa": ["a", "b"]}, "3 distinct strings"
+    ),
+    "integer_taxa": ({"n_classes": 2, "taxa": ("a", "b")}, {"taxa": [1, 2]}, "2 distinct strings"),
+    "repeated_taxon": (
+        {"n_classes": 2, "taxa": ("a", "b")}, {"taxa": ["a", "a"]}, "2 distinct strings"
+    ),
+    "classifier_without_taxa": (
+        {"n_classes": 2, "taxa": ("a", "b")}, {"taxa": None}, "2 distinct strings"
+    ),
+    "regressor_with_taxa": ({}, {"taxa": ["a", "b"]}, "null for a regression model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_CHECKPOINTS))
+def test_checkpoint_stats_and_taxa_must_fit_its_config(tmp_path, case):
+    fields, edit, named = MISFIT_CHECKPOINTS[case]
+    path = _untrained_checkpoint(tmp_path / "ckpt.json", **fields)
+    _load_any_model(path)  # the unedited checkpoint loads
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    with pytest.raises(InputError) as info:
+        _load_any_model(path)
+    assert type(info.value) is InputError
+    assert named in str(info.value)
+
+
 # every (command, flag) pair the parser accepts; a flag sits only on the
 # commands whose handler reads it
 FLAG_TABLE = {
@@ -977,6 +1017,42 @@ def test_bad_flags_exit_2_with_one_json_error(synth_dir, tmp_path, capsys, monke
     reported = one_error(capsys)
     assert reported["error"] == error
     assert named in reported["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("ingest",), ("features",), ("fit-linear",),
+     ("crossval", "--model", "linear-area", "--seed", 1)],
+)
+def test_duplicate_specimen_id_exits_2_naming_the_entry(synth_dir, tmp_path, capsys, argv):
+    entries = json.loads((synth_dir / "manifest.json").read_text())
+    for entry in entries:
+        entry["metadata_csv"] = str(synth_dir / entry["metadata_csv"])
+    entries[7]["specimen_id"] = entries[0]["specimen_id"]
+    (tmp_path / "manifest.json").write_text(json.dumps(entries))
+    code = run(*argv, "--manifest", tmp_path / "manifest.json", "--out", tmp_path / "out")
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    assert one_error(capsys) == {
+        "error": "InputError",
+        "message": f"manifest entry 7: duplicate specimen_id {entries[0]['specimen_id']!r}",
+    }
+
+
+def test_finetune_config_with_model_section_exits_2(synth_dir, tmp_path, capsys):
+    config = tmp_path / "ft.json"
+    model = {"architecture": "multi_view", "encoder_channels": [2, 4, 8], "task": "classification"}
+    config.write_text(json.dumps({"model": model, "train": TRAIN_CONFIG["train"]}))
+    base = _untrained_checkpoint(tmp_path / "base.json")
+    code = run(
+        "finetune", "--manifest", synth_dir / "manifest.json", "--base", base,
+        "--config", config, "--seed", 1, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    error = one_error(capsys)
+    assert error["error"] == "InvalidConfig"
+    assert "--base" in error["message"] and "'model'" in error["message"]
 
 
 def _library_dataset(manifest):

@@ -456,6 +456,13 @@ class TestManifest:
         with pytest.raises(InputError, match="manifest entry 0: dry_mass_ug must be finite"):
             self._assemble(text)
 
+    def test_duplicate_specimen_id_raises_input_error(self):
+        entries = [{**MANIFEST_ENTRY, "specimen_id": f"s{i}"} for i in range(8)]
+        entries[7]["specimen_id"] = "s0"
+        with pytest.raises(InputError) as info:
+            self._assemble(json.dumps(entries))
+        assert str(info.value) == "manifest entry 7: duplicate specimen_id 's0'"
+
     def test_overlong_integer_literal_raises_input_error(self):
         text = json.dumps([MANIFEST_ENTRY]).replace("12.5", "1" * 5000)
         with pytest.raises(InputError, match="cannot read manifest"):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -32,6 +34,7 @@ from sinkmass.neural.model import (
     init_params,
 )
 from sinkmass.neural.optim import AdamWState, adamw_step, cosine_lr
+from sinkmass.neural.training import FreezeMode
 from sinkmass.rng import substream
 
 ALL_META = (
@@ -188,7 +191,7 @@ class TestForward:
         params["meta.1.w"] = np.eye(4)
         params["meta.1.b"][:] = 0.0
         net = NeuralNet(config, params)
-        z, _ = net._encode_metadata(np.array([[-1.0, 2.0]]))
+        z, _ = net._mlp("meta", np.array([[-1.0, 2.0]]))
         assert z[0].tolist() == [0.0, 2.0, 0.0, 0.0]
 
 
@@ -230,20 +233,56 @@ class TestGradients:
                 fd = (lp - lm) / (2 * h)
                 assert abs(gflat[i] - fd) / (abs(gflat[i]) + 1e-8) < 1e-4
 
-    def test_frozen_encoder_gets_zero_gradients(self, rng):
-        config = tiny_config(Architecture.METADATA_AWARE, HeadKind.TWO_LAYER)
+    @pytest.mark.parametrize("arch", list(Architecture))
+    @pytest.mark.parametrize("freeze", list(FreezeMode))
+    def test_frozen_encoder_gets_zero_gradients(self, rng, arch, freeze):
+        config = tiny_config(arch, HeadKind.TWO_LAYER)
         params = init_params(config, rng)
         net = NeuralNet(config, params)
         batch = tiny_batch(rng, config)
         y = rng.uniform(1.0, 5.0, size=4)
         out, cache = net.forward_cached(batch)
         _, dout = regression_loss(LossKind.L2, LossSpace.LINEAR, y, out)
-        grads = net.backward(cache, dout, frozen_prefixes=("enc.", "meta."))
+        grads = net.backward(cache, dout, frozen_prefixes=freeze.prefixes)
+        full = net.backward(cache, dout)
+        assert set(grads) == set(params)
         for name, g in grads.items():
-            if name.startswith(("enc.", "meta.")):
+            if name.startswith(freeze.prefixes):
                 assert np.all(g == 0.0)
-            elif name.startswith("head."):
-                assert np.any(g != 0.0)
+            else:
+                assert np.array_equal(g, full[name]) and np.any(g != 0.0)
+
+
+# SHA-256 of init_params(tiny_config(arch, head) with n_classes, default_rng(15))
+# over sorted names, shapes and float64 bytes; a change to the draw order or
+# to any layer's shape or fan-in moves the hash, and so every checkpoint
+INIT_PARAMS_SHA256 = {
+    ("single_view", "one_layer", None): "d182bd614f33d86fa1b5e82c6a6ea126d0cb5e4278a1bb851f394e65269a35e6",
+    ("single_view", "one_layer", 3): "f66706a47dacaab00152b325431ae6b3f32cd618ae9ab858dc4252324a23da18",
+    ("single_view", "two_layer", None): "3e97e2d828c018782a56ee534bf32dda7c0253a2af63a95b09e95be3eef802df",
+    ("single_view", "two_layer", 3): "08b8404328af1ffc87421aa61629d9cd09500dcc5f3275c3bf47e7494b64b8ee",
+    ("multi_view", "one_layer", None): "ea962989bacdd81d66c1c099de04b651aad93fc70977d271597c421dfe85a983",
+    ("multi_view", "one_layer", 3): "5d248455fb8169e7f34e54e4399de87fe3843b8d588bac79534a5c38dab4089f",
+    ("multi_view", "two_layer", None): "2a7ffa57d682a7082e91e60954b560be20b39c198cdd37fddfa0e26226ae5729",
+    ("multi_view", "two_layer", 3): "f5fa9f7f164c59dd7cf00a497841396ff55d2e6cfb66db1fb01018f869a19d8d",
+    ("metadata_aware", "one_layer", None): "7072c1d1a970beccc39f307af9250679338f60d272524c76ce6b423c38ba6e77",
+    ("metadata_aware", "one_layer", 3): "df109fc04b2afcc7db71609716befba300d80a88fc7ee4cbec0c510c10c398d9",
+    ("metadata_aware", "two_layer", None): "d2364a569c5fa07b74173bad2599c7b0453b71dbc17d428f0d70545df8644d38",
+    ("metadata_aware", "two_layer", 3): "66dd8e572edd88ef91cd9f27c6c29a3e3d410662816027af8d5db72f9bebabb3",
+}
+
+
+@pytest.mark.parametrize("arch,head,n_classes", sorted(INIT_PARAMS_SHA256, key=str))
+def test_init_params_hash_is_pinned(arch, head, n_classes):
+    config = dataclasses.replace(
+        tiny_config(Architecture(arch), HeadKind(head)), n_classes=n_classes
+    )
+    params = init_params(config, np.random.default_rng(15))
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(f"{name}{params[name].shape}".encode())
+        digest.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+    assert digest.hexdigest() == INIT_PARAMS_SHA256[arch, head, n_classes]
 
 
 class TestLosses:

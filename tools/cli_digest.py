@@ -55,6 +55,12 @@ CONFIGS = {
     },
     "cls.json": {"model": {**MODEL, "task": "classification"}, "train": TRAIN},
     "ft.json": {"train": {**TRAIN, "freeze": "encoder"}},
+    "multi_view.json": {
+        "model": {**MODEL, "architecture": "multi_view", "head": "two_layer", "head_hidden": 8},
+        "train": TRAIN,
+    },
+    "ft_meta.json": {"train": {**TRAIN, "freeze": "encoder_metadata"}},
+    "ft_model.json": {"model": {**MODEL, "architecture": "multi_view"}, "train": TRAIN},
     "seeded_train.json": {"model": MODEL, "train": {**TRAIN, "seed": 5}},
     "mass_models.json": {"light": "linear_r/linear_model.json", "dense": "reg/checkpoint.json"},
     "one_raster_side.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6, "raster_dims": [16]},
@@ -116,9 +122,16 @@ CASES = [
     ("finetune", "ok",
      ("finetune", *R, "--base", "reg/checkpoint.json", "--config", "ft.json", "--seed", 6,
       "--out", "tuned")),
+    ("train_multi_view", "ok",
+     ("train", *R, "--config", "multi_view.json", "--seed", 4, "--out", "mv")),
+    ("finetune_multi_view", "ok",
+     ("finetune", *R, "--base", "mv/checkpoint.json", "--config", "ft_meta.json", "--seed", 6,
+      "--out", "mv_tuned")),
     ("fit_linear_rasters", "ok", ("fit-linear", *R, "--out", "linear_r")),
     ("pipeline_mass_model", "ok",
      ("pipeline", *R, *PIPE, "--mass-model", "tuned/checkpoint.json", "--out", "pipe")),
+    ("pipeline_multi_view", "ok",
+     ("pipeline", *R, *PIPE, "--mass-model", "mv/checkpoint.json", "--out", "pipe_mv")),
     ("pipeline_mass_models", "ok",
      ("pipeline", *R, *PIPE, "--mass-models", "mass_models.json", "--out", "pipe_map")),
     ("ingest_padded", "ok", ("ingest", *P, "--out", "ingest_padded")),
@@ -203,6 +216,14 @@ CASES = [
      ("synth", "--seed", 1, "--config", "non_square_rasters.json", "--out", "x")),
     ("synth_one_density_bound", "error",
      ("synth", "--seed", 1, "--config", "one_density_bound.json", "--out", "x")),
+    ("train_duplicate_id", "error",
+     ("train", "--manifest", "dup.json", "--config", "train.json", "--seed", 4, "--out", "x")),
+    ("pipeline_regressor_with_taxa", "error",
+     ("pipeline", *R, "--classifier", "reg_taxa.json", "--mass-model", "reg/checkpoint.json",
+      "--out", "x")),
+    ("finetune_model_section", "error",
+     ("finetune", *R, "--base", "reg/checkpoint.json", "--config", "ft_model.json", "--seed", 6,
+      "--out", "x")),
     # empty paths; last, since a command that took "" as the working
     # directory would write there
     ("ingest_empty_manifest", "error", ("ingest", "--manifest", "", "--out", "x")),
@@ -237,6 +258,16 @@ def _write_bad_mass_manifests(root: Path) -> None:
         changed = [dict(e, metadata_csv=f"frames/{e['metadata_csv']}") for e in entries]
         changed[0]["dry_mass_ug"] = value
         (root / name).write_text(json.dumps(changed))
+
+
+def _write_duplicate_id_manifest(root: Path) -> None:
+    """``dup.json``: the raster manifest with entry 7 renamed to entry 0's id."""
+    entries = json.loads((root / "rasters" / "manifest.json").read_text())
+    for entry in entries:
+        for key in ("metadata_csv", "raster_dir"):
+            entry[key] = f"rasters/{entry[key]}"
+    entries[7]["specimen_id"] = entries[0]["specimen_id"]
+    (root / "dup.json").write_text(json.dumps(entries))
 
 
 def _write_padded_copy(root: Path) -> None:
@@ -285,6 +316,11 @@ def run_cases(root: Path) -> list[dict]:
             _write_bad_mass_manifests(root)
         if name == "synth_rasters":
             _write_padded_copy(root)
+            _write_duplicate_id_manifest(root)
+        if name == "train_regressor":  # a regression checkpoint that names taxa
+            checkpoint = json.loads((root / "reg" / "checkpoint.json").read_text())
+            checkpoint["taxa"] = ["dense", "light"]
+            (root / "reg_taxa.json").write_text(json.dumps(checkpoint))
     return digests
 
 
