@@ -102,6 +102,10 @@ class NonFiniteLoss(NumericError):
     pass
 
 
+class NonFinitePrediction(NumericError):
+    pass
+
+
 class EmptySplit(InputError):
     pass
 

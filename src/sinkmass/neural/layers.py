@@ -1,10 +1,10 @@
 """Forward/backward primitives for the small convolutional stack.
 
 Everything works on NCHW arrays, computes in its inputs' floating dtype
-(float32 in training, float64 in inference) and returns exact analytic
-gradients. Convolutions are 3x3, stride 1, zero-padded to preserve the
-spatial size; pooling is 2x2 max with stride 2; the encoder ends with global
-average pooling.
+(float32 in training and inference alike, float64 for gradient checks) and
+returns exact analytic gradients. Convolutions are 3x3, stride 1,
+zero-padded to preserve the spatial size; pooling is 2x2 max with stride 2;
+the encoder ends with global average pooling.
 
 Each encoder block runs conv -> max-pool -> ReLU. ReLU is monotone, so it
 commutes with the max: pooling first gives the same activations and, with
@@ -12,6 +12,13 @@ ties resolved to the first window element, the same gradients as ReLU first,
 while ReLU and its mask only touch the quarter-size pooled maps. The first
 block's input is the image itself, so its backward pass skips the input
 gradient (``input_grad=False``) and never builds the col2im buffer.
+
+Every forward layer computes each sample's row from that row alone, so a
+sample's output is bit-for-bit the same whichever other samples share its
+batch. The conv's stacked matmul, the pooling, ReLU and GAP do so as they
+stand; a BLAS product over a whole batch rounds a row differently depending
+on how many rows share the call, so ``affine_forward`` runs one product per
+row.
 """
 
 from __future__ import annotations
@@ -108,8 +115,9 @@ def gap_backward(dout: np.ndarray, shape) -> np.ndarray:
 
 
 def affine_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """x: (B, N), w: (M, N), b: (M,) -> (B, M)."""
-    return x @ w.T + b, (x, w)
+    """x: (B, N), w: (M, N), b: (M,) -> (B, M), one (1, N) @ (N, M) product
+    per row."""
+    return np.matmul(x[:, None, :], w.T[None])[:, 0] + b, (x, w)
 
 
 def affine_backward(dout: np.ndarray, cache):

@@ -118,8 +118,10 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.n
 
 @dataclass
 class Batch:
-    """One forward batch, in the dtype of the net it feeds (float32 in
-    training, float64 in inference).
+    """One forward batch, in the dtype of the net it feeds: float32 in
+    training and inference, whose nets hold float32 copies of the float64
+    weights. A sample's outputs do not depend on the other samples in its
+    batch.
 
     ``images`` is (B, 1, S, S); ``images2`` carries the second camera's view
     for the multi-view architecture; ``metadata`` is (B, M) of standardized

@@ -9,8 +9,12 @@ the master seed, so training is reproducible bit for bit on one thread.
 Training is mixed precision: every forward and backward pass, including the
 per-epoch validation loss, computes in float32 on a float32 copy of the
 float64 master weights, and AdamW updates the master weights and keeps its
-moments in float64. Returned and loaded models hold float64 parameters, so
-inference computes in float64.
+moments in float64. Returned and loaded models hold float64 parameters, and
+checkpoints store them; inference computes in float32 on a float32 copy of
+them (``TrainedModel.net``) and turns the network outputs into float64 once,
+so ``exp`` and ``softmax`` keep float64's range. Every forward layer treats
+each sample on its own, so a specimen's prediction does not depend on which
+other specimens share its batches.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from ..errors import (
     InputError,
     InvalidConfig,
     NonFiniteLoss,
+    NonFinitePrediction,
     ShapeMismatch,
 )
 from ..linear import TargetSpace, target_to_mass, trimmed_median
@@ -94,7 +99,8 @@ class TrainedModel:
     taxa: tuple[str, ...] | None = None
 
     def net(self) -> NeuralNet:
-        return NeuralNet(self.config, self.params)
+        """The network on float32 copies of the parameters, for inference."""
+        return NeuralNet(self.config, _float32(self.params))
 
 
 @dataclass
@@ -445,12 +451,13 @@ def fine_tune(
 
 
 def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
-    """{specimen_id: network outputs over its samples} for every specimen the
-    model can score, from one batched pass over all their samples."""
+    """{specimen_id: float64 network outputs over its samples} for every
+    specimen the model can score, from one batched pass over all their samples."""
     samples = build_samples(dataset, specimen_ids, model.config, require_mass=False)
     if not samples.sample_slices:
         return {}
     out = _outputs(model.net(), samples, model.metadata_mean, model.metadata_std)
+    out = out.astype(np.float64)
     return {sid: out[idx[0] : idx[-1] + 1] for sid, idx in samples.sample_slices.items()}
 
 
@@ -460,22 +467,31 @@ def predict_specimen_masses(
     """Median of each specimen's per-image predictions.
 
     Specimens the model cannot score (e.g. missing speed) are omitted from
-    the result. A classifier checkpoint raises IncompatibleArchitecture.
+    the result. A classifier checkpoint raises IncompatibleArchitecture, and
+    a mass that is not finite raises NonFinitePrediction.
     """
     if model.config.n_classes is not None:
         raise IncompatibleArchitecture("mass prediction needs a regression checkpoint")
-    return {
-        sid: trimmed_median(target_to_mass(out, model.config.target_space))
-        for sid, out in _specimen_outputs(model, dataset, specimen_ids).items()
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite masses raise below
+        masses = {
+            sid: trimmed_median(target_to_mass(out, model.config.target_space))
+            for sid, out in _specimen_outputs(model, dataset, specimen_ids).items()
+        }
+    for sid, mass in masses.items():
+        if not math.isfinite(mass):
+            raise NonFinitePrediction(f"{sid}: predicted mass is {mass}")
+    return masses
 
 
 def predict_taxa(model: TrainedModel, dataset: Dataset, specimen_ids) -> dict[str, str]:
-    """Per-specimen taxon: argmax of the mean per-image class probabilities."""
+    """Per-specimen taxon: argmax of the mean per-image class probabilities;
+    a logit that is not finite raises NonFinitePrediction."""
     if getattr(model, "taxa", None) is None:
         raise IncompatibleArchitecture("classifier checkpoint carries no taxa list")
     results: dict[str, str] = {}
     for sid, logits in _specimen_outputs(model, dataset, specimen_ids).items():
+        if not np.isfinite(logits).all():
+            raise NonFinitePrediction(f"{sid}: class logits are not finite")
         mean_probs = softmax(logits).mean(axis=0)
         results[sid] = model.taxa[int(np.argmax(mean_probs))]
     return results
@@ -524,6 +540,12 @@ def decode_checkpoint(payload, path: Path | str) -> TrainedModel:
         expected = init_params(config, np.random.default_rng(0))
         if {k: v.shape for k, v in params.items()} != {k: v.shape for k, v in expected.items()}:
             raise InputError(f"checkpoint {path}: parameters do not fit its config")
+        for name, value in params.items():
+            # inference computes in float32, where a larger weight is inf
+            if not (np.abs(value) <= np.finfo(np.float32).max).all():
+                raise InputError(
+                    f"checkpoint {path}: parameter {name} must be finite and within float32 range"
+                )
         stats = [optional_array("metadata_mean"), optional_array("metadata_std")]
         n_meta, n_classes, taxa = len(config.metadata_inputs), config.n_classes, payload["taxa"]
         if [None if v is None else v.shape for v in stats] != [(n_meta,) if n_meta else None] * 2:

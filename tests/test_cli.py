@@ -837,6 +837,36 @@ def test_checkpoint_stats_and_taxa_must_fit_its_config(tmp_path, case):
     assert named in str(info.value)
 
 
+# weights a checkpoint may not hold; 1e39 is finite in float64 but inf in
+# the float32 that inference computes in
+BAD_WEIGHTS = {"nan": float("nan"), "infinity": float("inf"), "beyond_float32": 1e39}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+def test_checkpoint_weights_must_be_finite_in_float32(tmp_path, case):
+    path = _untrained_checkpoint(tmp_path / "ckpt.json")
+    _load_any_model(path)  # the unedited checkpoint loads
+    payload = json.loads(path.read_text())
+    payload["params"]["head.0.w"]["data"][0] = BAD_WEIGHTS[case]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InputError, match="head.0.w must be finite and within float32 range"):
+        _load_any_model(path)
+
+
+def test_non_finite_mass_exits_3(raster_dir, tmp_path, capsys):
+    path = _untrained_checkpoint(tmp_path / "ckpt.json", input_size=16)
+    payload = json.loads(path.read_text())
+    payload["params"]["head.0.b"]["data"] = [1000.0]  # a log mass: exp overflows float64
+    path.write_text(json.dumps(payload))
+    code = run(
+        "evaluate", "--manifest", raster_dir / "manifest.json", "--model", path,
+        "--out", tmp_path / "eval",
+    )
+    assert code == 3
+    assert one_error(capsys)["error"] == "NonFinitePrediction"
+    assert not (tmp_path / "eval").exists()
+
+
 # every (command, flag) pair the parser accepts; a flag sits only on the
 # commands whose handler reads it
 FLAG_TABLE = {
@@ -1176,10 +1206,10 @@ def _write_specimen(base, sid, taxon, tops, rng):
             "metadata_csv": f"frames/{sid}.csv", "raster_dir": f"rasters/{sid}"}
 
 
-def _untrained_checkpoint(path, taxa=None, **config_fields):
-    """A small randomly initialized checkpoint for 8x8 rasters."""
+def _untrained_checkpoint(path, taxa=None, input_size=8, **config_fields):
+    """A small randomly initialized checkpoint for rasters of side ``input_size``."""
     config = ModelConfig(
-        encoder_channels=(2,), head=HeadKind.ONE_LAYER, input_size=8, **config_fields
+        encoder_channels=(2,), head=HeadKind.ONE_LAYER, input_size=input_size, **config_fields
     )
     n_meta = len(config.metadata_inputs)
     stats = (np.zeros(n_meta), np.ones(n_meta)) if n_meta else (None, None)
@@ -1384,6 +1414,30 @@ def test_train_checkpoint_identical_across_thread_counts(raster_dir, tmp_path):
         )
     one, two = ((tmp_path / t / "checkpoint.json").read_bytes() for t in ("1", "2"))
     assert one == two
+
+
+def test_neural_inference_identical_across_thread_counts(raster_dir, tmp_path):
+    m = ("--manifest", raster_dir / "manifest.json")
+    model = {**TRAIN_CONFIG["model"], "head": "two_layer", "head_hidden": 8}
+    for name, task in (("reg", "regression"), ("cls", "classification")):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, "model": {**model, "task": task}}))
+        assert run("train", *m, "--config", config, "--seed", 4, "--out", tmp_path / name) == 0
+    reg, cls = (tmp_path / name / "checkpoint.json" for name in ("reg", "cls"))
+    outputs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        stdout = [
+            _subprocess("-m", "sinkmass.cli", *argv, "--threads", threads).stdout
+            for argv in (
+                ("evaluate", *m, "--model", reg, "--out", out / "eval"),
+                ("pipeline", *m, "--classifier", cls, "--mass-model", reg, "--out", out / "pipe"),
+            )
+        ]
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        outputs[threads] = (stdout, files)
+    assert {path.parts[0] for path in outputs[1][1]} == {"eval", "pipe"}
+    assert outputs[1] == outputs[2]
 
 
 def _run_every_command(workdir, capsys):

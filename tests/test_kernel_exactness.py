@@ -1,5 +1,5 @@
 """Property tests: the training-step kernels against straightforward
-reference formulations.
+reference formulations, and the forward pass's batch independence.
 
 Inputs are drawn from a handful of values so that 2x2 pooling windows tie
 often and pre-activations hit zero, the cases where reordering pooling and
@@ -15,7 +15,15 @@ from hypothesis.extra import numpy as hnp
 from sinkmass.errors import NonSquareRaster
 from sinkmass.neural import layers
 from sinkmass.neural.augment import augment_array
-from sinkmass.neural.model import Batch, ModelConfig, NeuralNet, init_params
+from sinkmass.neural.model import (
+    Architecture,
+    Batch,
+    HeadKind,
+    MetadataInput,
+    ModelConfig,
+    NeuralNet,
+    init_params,
+)
 
 VALUES = st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5])
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -98,6 +106,59 @@ def test_conv3_backward_without_input_grad(batch, c_in, c_out, h, w, seed):
         for dj in range(3):
             ref[:, :, di, dj] = np.einsum("bohw,bihw->oi", dout, xp[:, :, di : di + h, dj : dj + w])
     np.testing.assert_allclose(dw, ref, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def row_slices(draw):
+    """(n, rows): a batch size and a contiguous slice of its rows."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.integers(0, n - 1))
+    return n, slice(start, draw(st.integers(start + 1, n)))
+
+
+@SETTINGS
+@given(
+    row_slices(),
+    st.sampled_from([(96, 64), (64, 1), (16, 64), (64, 3), (3, 6)]),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_affine_rows_do_not_depend_on_the_batch(sliced, shape, dtype, seed):
+    (n, rows), (n_in, n_out) = sliced, shape
+    rng = np.random.default_rng(seed)
+    x, w, b = (rng.normal(size=size).astype(dtype) for size in ((n, n_in), (n_out, n_in), n_out))
+    full, _ = layers.affine_forward(x, w, b)
+    part, _ = layers.affine_forward(x[rows], w, b)
+    assert full.dtype == part.dtype == dtype
+    np.testing.assert_array_equal(part, full[rows])
+
+
+@SETTINGS
+@given(
+    row_slices(),
+    st.sampled_from(list(Architecture)),
+    st.sampled_from(list(HeadKind)),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_forward_rows_do_not_depend_on_the_batch(sliced, arch, head, dtype, seed):
+    n, rows = sliced
+    metadata_inputs = tuple(MetadataInput) if arch is Architecture.METADATA_AWARE else ()
+    config = ModelConfig(architecture=arch, encoder_channels=(8, 16), head=head, head_hidden=64,
+                         metadata_inputs=metadata_inputs, input_size=16)
+    rng = np.random.default_rng(seed)
+    net = NeuralNet(config, {k: v.astype(dtype) for k, v in init_params(config, rng).items()})
+    images = rng.random((2, n, 1, 16, 16)).astype(dtype)
+    batch = Batch(
+        images=images[0],
+        images2=images[1] if arch is Architecture.MULTI_VIEW else None,
+        metadata=rng.normal(size=(n, 3)).astype(dtype) if metadata_inputs else None,
+    )
+    part = Batch(*(None if a is None else a[rows]
+                   for a in (batch.images, batch.images2, batch.metadata)))
+    full = net.forward(batch)
+    assert full.dtype == dtype
+    np.testing.assert_array_equal(net.forward(part), full[rows])
 
 
 def test_first_block_skips_input_gradient(monkeypatch):

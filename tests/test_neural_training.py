@@ -12,7 +12,9 @@ from sinkmass.errors import (
     InputError,
     InvalidConfig,
     NonFiniteLoss,
+    NonFinitePrediction,
 )
+from sinkmass import experiments
 from sinkmass.linear import TargetSpace, trimmed_median
 from sinkmass.neural import training
 from sinkmass.neural.losses import LossKind, LossSpace, cross_entropy, regression_loss, softmax
@@ -385,6 +387,23 @@ class TestPredict:
         masses = predict_specimen_masses(model, dataset, test_ids)
         assert len(masses) == len(test_ids)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_output_raises(self, raster_dataset, monkeypatch, value):
+        dataset = raster_dataset[0]
+        taxa = tuple(sorted(dataset.taxon_set))
+        regressor = untrained_model(dataset, small_model(), seed=0)
+        classifier = untrained_model(dataset, small_model(n_classes=len(taxa)), 0, taxa)
+        outputs = {"s": np.array([[1.0, 2.0], [value, 0.0], [3.0, 1.0]])}
+        monkeypatch.setattr(training, "_specimen_outputs", lambda *args: outputs)
+        with pytest.raises(NonFinitePrediction, match="^s: class logits are not finite$"):
+            predict_taxa(classifier, dataset, ["s"])
+        outputs["s"] = np.full(3, value)
+        if value == -np.inf:  # exp(-inf) is 0, which the mass floor lifts
+            assert predict_specimen_masses(regressor, dataset, ["s"]) == {"s": MASS_FLOOR_UG}
+        else:
+            with pytest.raises(NonFinitePrediction, match=f"^s: predicted mass is {value}$"):
+                predict_specimen_masses(regressor, dataset, ["s"])
+
     def test_underflowing_log_outputs_floored(self, raster_dataset, monkeypatch):
         dataset = raster_dataset[0]
         model = untrained_model(dataset, small_model(), seed=0)
@@ -405,13 +424,16 @@ def untrained_model(dataset, config, seed, taxa=None):
 
 
 def one_specimen_outputs(model, dataset, sid):
-    """Reference: the network over one specimen's samples in a single batch."""
+    """Reference: the network over one specimen's samples in a single batch
+    of the net's dtype, as float64."""
+    net = model.net()
     samples = build_samples(dataset, [sid], model.config, require_mass=False)
     metadata = None
     if samples.metadata is not None:
-        metadata = (samples.metadata - model.metadata_mean) / model.metadata_std
-    images2 = None if samples.images2 is None else samples.images2 / 255.0
-    return model.net().forward(Batch(samples.images / 255.0, images2, metadata))
+        metadata = ((samples.metadata - model.metadata_mean) / model.metadata_std).astype(net.dtype)
+    images, images2 = (None if a is None else a.astype(net.dtype) / 255.0
+                       for a in (samples.images, samples.images2))
+    return net.forward(Batch(images, images2, metadata)).astype(np.float64)
 
 
 class TestBatchedInference:
@@ -439,8 +461,8 @@ class TestBatchedInference:
             (alone,) = predict_specimen_masses(regressor, dataset, [sid]).values()
             outputs = one_specimen_outputs(regressor, dataset, sid)
             reference = trimmed_median(np.maximum(np.exp(outputs), MASS_FLOOR_UG))
-            assert masses[sid] == pytest.approx(alone, rel=1e-12, abs=0)
-            assert masses[sid] == pytest.approx(reference, rel=1e-12, abs=0)
+            assert masses[sid] == alone
+            assert masses[sid] == reference
             probs = softmax(one_specimen_outputs(classifier, dataset, sid)).mean(axis=0)
             assert predict_taxa(classifier, dataset, [sid]) == {sid: predicted[sid]}
             assert predicted[sid] == taxa[int(np.argmax(probs))]
@@ -571,8 +593,8 @@ class TestSlicedTrainingStep:
 
 
 class TestMixedPrecision:
-    """Training computes in float32; master weights, AdamW moments, returned
-    and saved models, and inference stay float64."""
+    """Training and inference compute in float32; master weights, AdamW
+    moments, and returned, saved and loaded models stay float64."""
 
     @pytest.mark.parametrize("arch", list(Architecture))
     @pytest.mark.parametrize("classify", [False, True])
@@ -645,6 +667,47 @@ class TestMixedPrecision:
         monkeypatch.setattr(training, "_epoch_loss", epoch_loss_spy)
         train(dataset, train_ids, val_ids, small_model(), small_train_config())
         assert len(checked) == 3
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_inference_computes_in_float32(self, raster_dataset, monkeypatch, tmp_path, arch):
+        dataset, train_ids, val_ids, test_ids = raster_dataset
+        taxa = tuple(sorted(dataset.taxon_set))
+        tc = small_train_config(epochs=1)
+        regressor = train(dataset, train_ids, val_ids, small_model(arch), tc)
+        classifier = train(dataset, train_ids, val_ids,
+                           small_model(arch, n_classes=len(taxa)), tc, taxa=taxa)
+        dtypes, models, predicting = set(), [], []
+        real_forward = NeuralNet.forward_cached
+
+        def forward_spy(self, batch):
+            if predicting:
+                arrays = (batch.images, batch.images2, batch.metadata)
+                dtypes.update(("batch", a.dtype) for a in arrays if a is not None)
+                dtypes.update(("param", w.dtype) for w in self.params.values())
+            return real_forward(self, batch)
+
+        def inference(predict):
+            def spy(model, *args):
+                models.append(model)
+                predicting.append(predict)
+                try:
+                    return predict(model, *args)
+                finally:
+                    predicting.pop()
+            return spy
+
+        monkeypatch.setattr(NeuralNet, "forward_cached", forward_spy)
+        monkeypatch.setattr(experiments, "predict_specimen_masses",
+                            inference(predict_specimen_masses))
+        inference(predict_specimen_masses)(regressor, dataset, test_ids)
+        inference(predict_taxa)(classifier, dataset, test_ids)
+        experiments.crossval(dataset, experiments.NeuralEstimator(small_model(arch), tc), k=3)
+        assert len(models) == 2 + 3  # three test folds
+        assert dtypes == {("batch", np.dtype(np.float32)), ("param", np.dtype(np.float32))}
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(regressor, path)
+        for model in (*models, load_checkpoint(path)):
+            assert {w.dtype for w in model.params.values()} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_forward_on_float64_params_is_float64(self, arch):

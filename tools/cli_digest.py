@@ -127,6 +127,10 @@ CASES = [
     ("finetune_multi_view", "ok",
      ("finetune", *R, "--base", "mv/checkpoint.json", "--config", "ft_meta.json", "--seed", 6,
       "--out", "mv_tuned")),
+    ("evaluate_regressor", "ok",
+     ("evaluate", *R, "--model", "reg/checkpoint.json", "--out", "eval_reg")),
+    ("evaluate_multi_view", "ok",
+     ("evaluate", *R, "--model", "mv/checkpoint.json", "--out", "eval_mv")),
     ("fit_linear_rasters", "ok", ("fit-linear", *R, "--out", "linear_r")),
     ("pipeline_mass_model", "ok",
      ("pipeline", *R, *PIPE, "--mass-model", "tuned/checkpoint.json", "--out", "pipe")),
@@ -221,6 +225,12 @@ CASES = [
     ("pipeline_regressor_with_taxa", "error",
      ("pipeline", *R, "--classifier", "reg_taxa.json", "--mass-model", "reg/checkpoint.json",
       "--out", "x")),
+    ("evaluate_nan_weight", "error",
+     ("evaluate", *R, "--model", "reg_nan.json", "--out", "x")),
+    ("evaluate_infinite_weight", "error",
+     ("evaluate", *R, "--model", "reg_inf.json", "--out", "x")),
+    ("evaluate_weight_beyond_float32", "error",
+     ("evaluate", *R, "--model", "reg_1e39.json", "--out", "x")),
     ("finetune_model_section", "error",
      ("finetune", *R, "--base", "reg/checkpoint.json", "--config", "ft_model.json", "--seed", 6,
       "--out", "x")),
@@ -270,6 +280,19 @@ def _write_duplicate_id_manifest(root: Path) -> None:
     (root / "dup.json").write_text(json.dumps(entries))
 
 
+def _write_bad_checkpoints(root: Path) -> None:
+    """Copies of the regression checkpoint: ``reg_taxa.json`` names taxa, and
+    ``reg_nan.json``, ``reg_inf.json`` and ``reg_1e39.json`` hold that value
+    as their first ``head.0.w`` weight."""
+    text = (root / "reg" / "checkpoint.json").read_text()
+    checkpoint = json.loads(text)
+    (root / "reg_taxa.json").write_text(json.dumps({**checkpoint, "taxa": ["dense", "light"]}))
+    for name, value in (("nan", float("nan")), ("inf", float("inf")), ("1e39", 1e39)):
+        changed = json.loads(text)
+        changed["params"]["head.0.w"]["data"][0] = value
+        (root / f"reg_{name}.json").write_text(json.dumps(changed))
+
+
 def _write_padded_copy(root: Path) -> None:
     """``padded``: the raster dataset with its first specimen's rasters
     cropped to CROP x CROP about their centre."""
@@ -317,10 +340,8 @@ def run_cases(root: Path) -> list[dict]:
         if name == "synth_rasters":
             _write_padded_copy(root)
             _write_duplicate_id_manifest(root)
-        if name == "train_regressor":  # a regression checkpoint that names taxa
-            checkpoint = json.loads((root / "reg" / "checkpoint.json").read_text())
-            checkpoint["taxa"] = ["dense", "light"]
-            (root / "reg_taxa.json").write_text(json.dumps(checkpoint))
+        if name == "train_regressor":
+            _write_bad_checkpoints(root)
     return digests
 
 
