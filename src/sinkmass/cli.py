@@ -46,11 +46,11 @@ def _load_config(args) -> dict:
     return config
 
 
-def _reject_config_seed(section: dict, where: str) -> None:
+def _reject_config_key(section: dict, key: str, where: str, reason: str) -> None:
     from .errors import InvalidConfig
 
-    if "seed" in section:
-        raise InvalidConfig(f"{where} holds a seed key; the seed comes from --seed")
+    if key in section:
+        raise InvalidConfig(f"{where} holds a {key} key; {reason}")
 
 
 def _out_dir(args) -> Path:
@@ -156,7 +156,8 @@ def _model_configs_from(config: dict, dataset, seed: int):
 
     Missing keys take the config dataclasses' defaults, and the seed is the
     command's. An unknown section, a section that is not a JSON object, an
-    unknown ``task`` or a ``train.seed`` key raises InvalidConfig.
+    unknown ``task``, a ``model.n_classes`` key or a ``train.seed`` key
+    raises InvalidConfig.
     """
     from .config import config_from_dict
     from .errors import InvalidConfig
@@ -171,12 +172,15 @@ def _model_configs_from(config: dict, dataset, seed: int):
         if not isinstance(section, dict):
             raise InvalidConfig(f"config section {name!r} must be a JSON object")
     m = dict(sections["model"])
+    _reject_config_key(m, "n_classes", "config section 'model'",
+                       'set "task": "classification" to train a taxon classifier')
     task = m.pop("task", "regression")
     if task not in TASKS:
         raise InvalidConfig(f"task must be one of {', '.join(TASKS)}, got {task!r}")
     taxa = tuple(sorted(dataset.taxon_set)) if task == "classification" else None
     m["n_classes"] = None if taxa is None else len(taxa)
-    _reject_config_seed(sections["train"], "config section 'train'")
+    _reject_config_key(sections["train"], "seed", "config section 'train'",
+                       "the seed comes from --seed")
     train_config = config_from_dict(TrainConfig, {**sections["train"], "seed": seed})
     return config_from_dict(ModelConfig, m), train_config, taxa
 
@@ -226,7 +230,7 @@ def cmd_synth(args) -> int:
     from .synth import SynthConfig, generate, write_synth_output
 
     config_dict = _load_config(args)
-    _reject_config_seed(config_dict, "the synth config")
+    _reject_config_key(config_dict, "seed", "the synth config", "the seed comes from --seed")
     config = config_from_dict(SynthConfig, {**config_dict, "seed": args.seed})
     out = _out_dir(args)
     dataset, truth = generate(config, name=out.name)

@@ -254,24 +254,18 @@ class SplitPlan:
         }
 
 
-def _proportional_allocation(weights: list[int], total: int, caps: list[int]) -> list[int]:
-    """Largest-remainder allocation of ``total`` slots, respecting caps."""
+def _proportional_allocation(weights: list[int], total: int) -> list[int]:
+    """Largest-remainder allocation of ``total`` slots in proportion to
+    ``weights``; with ``total <= sum(weights)``, no slot count exceeds its
+    weight."""
     weight_sum = sum(weights)
     if weight_sum == 0:
         return [0] * len(weights)
     ideal = [total * w / weight_sum for w in weights]
-    alloc = [min(int(math.floor(v)), c) for v, c in zip(ideal, caps)]
-    remainders = sorted(
-        range(len(weights)), key=lambda i: (alloc[i] - ideal[i], i)
-    )
-    short = total - sum(alloc)
-    j = 0
-    while short > 0 and j < 10 * len(weights):
-        i = remainders[j % len(weights)]
-        if alloc[i] < caps[i]:
-            alloc[i] += 1
-            short -= 1
-        j += 1
+    alloc = [int(math.floor(v)) for v in ideal]
+    order = sorted(range(len(weights)), key=lambda i: (alloc[i] - ideal[i], i))
+    for i in order[: total - sum(alloc)]:
+        alloc[i] += 1
     return alloc
 
 
@@ -337,7 +331,7 @@ def make_cv_splits(dataset: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
         n_val = max(0, min(m, n_val))
         taxa = sorted(rest_by_taxon)
         weights = [len(rest_by_taxon[t]) for t in taxa]
-        val_counts = _proportional_allocation(weights, n_val, weights)
+        val_counts = _proportional_allocation(weights, n_val)
         fold_rng = substream(seed, "split", f)
         val_ids: list[str] = []
         train_ids: list[str] = []

@@ -23,6 +23,7 @@ from .linear import (
     LinearModel,
     TargetSpace,
     build_rows,
+    finite_masses,
     fit_ols,
     predict_specimen,
 )
@@ -103,12 +104,12 @@ def predict_linear(model: LinearModel, dataset: Dataset, specimen_ids) -> Predic
     features = dataset.features
     records = dataset.subset(specimen_ids)
     needs_speed = model.feature_spec is FeatureSpec.AREA_PLUS_SPEED
-    masses = {
+    masses = finite_masses(lambda: {
         r.specimen_id: predict_specimen(model, r, features[r.specimen_id])
         for r in records
         if r.dry_mass_ug is not None
         and not (needs_speed and features[r.specimen_id].sinking_speed is None)
-    }
+    })
     return _prediction_set(records, masses)
 
 

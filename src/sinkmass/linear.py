@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -25,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_from_dict, config_to_dict, read_json
-from .errors import EmptyInput, InputError, MissingSpeed, RankDeficient, TooFewRows
+from .errors import (
+    EmptyInput,
+    InputError,
+    MissingSpeed,
+    NonFinitePrediction,
+    RankDeficient,
+    TooFewRows,
+)
 from .features import SpecimenFeatures
 from .records import MASS_FLOOR_UG, SpecimenRecord
 
@@ -130,6 +138,18 @@ def predict_specimen(
     return trimmed_median(predict_per_image(model, specimen, features))
 
 
+def finite_masses(masses_of: Callable[[], dict[str, float]]) -> dict[str, float]:
+    """The ``{specimen_id: mass}`` that ``masses_of()`` computes, with
+    floating-point overflow and invalid-value warnings silenced; a mass that
+    is not finite raises NonFinitePrediction."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = masses_of()
+    for sid, mass in masses.items():
+        if not math.isfinite(mass):
+            raise NonFinitePrediction(f"{sid}: predicted mass is {mass}")
+    return masses
+
+
 def build_rows(
     records: list[SpecimenRecord] | tuple[SpecimenRecord, ...],
     feature_table: dict[str, SpecimenFeatures],
@@ -171,8 +191,8 @@ def save_linear_model(model: LinearModel, path: Path | str) -> None:
 
 def load_linear_model(path: Path | str) -> LinearModel:
     """The model ``save_linear_model`` wrote; a file of another format
-    version, or with missing, unknown or mistyped fields, raises an
-    InputError."""
+    version, with missing, unknown or mistyped fields, or with a non-finite
+    intercept or coefficient, raises an InputError."""
     return decode_linear_model(read_json(path, "linear model file"), path)
 
 
@@ -184,4 +204,7 @@ def decode_linear_model(payload, path: Path | str) -> LinearModel:
     version = fields.pop("format_version", None)
     if version != MODEL_FORMAT_VERSION:
         raise InputError(f"unsupported linear model version {version}")
-    return config_from_dict(LinearModel, fields)
+    model = config_from_dict(LinearModel, fields)
+    if not all(math.isfinite(v) for v in (model.intercept, *model.coefficients)):
+        raise InputError(f"linear model file {path}: intercept and coefficients must be finite")
+    return model

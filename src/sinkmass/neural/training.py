@@ -37,7 +37,7 @@ from ..errors import (
     NonFinitePrediction,
     ShapeMismatch,
 )
-from ..linear import TargetSpace, target_to_mass, trimmed_median
+from ..linear import TargetSpace, finite_masses, target_to_mass, trimmed_median
 from ..records import CAMERAS, Dataset, SpecimenRecord
 from ..rng import substream
 from .augment import AugmentPolicy, augment_array
@@ -250,28 +250,6 @@ def _outputs(net: NeuralNet, samples: SampleSet, mean, std) -> np.ndarray:
     ])
 
 
-def _objective(samples: SampleSet, tc: TrainConfig, classify: bool):
-    """The per-sample targets of ``samples`` and the batch loss
-    ``loss(out, targets) -> (mean loss, its gradient w.r.t. out)``."""
-    if classify:
-        return samples.labels, cross_entropy
-    return samples.masses, lambda out, masses: regression_loss(
-        tc.loss, tc.loss_space, masses, out
-    )
-
-
-def _epoch_loss(
-    net: NeuralNet,
-    samples: SampleSet,
-    tc: TrainConfig,
-    mean,
-    std,
-    classify: bool,
-) -> float:
-    targets, loss = _objective(samples, tc, classify)
-    return loss(_outputs(net, samples, mean, std), targets)[0]
-
-
 def _batch_rows(batch: Batch, rows: slice) -> Batch:
     return Batch(
         images=batch.images[rows],
@@ -315,35 +293,67 @@ def _float32(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: w.astype(np.float32) for name, w in params.items()}
 
 
-def _run_training(
+def train(
+    dataset: Dataset,
+    train_ids,
+    val_ids,
     config: ModelConfig,
-    tc: TrainConfig,
-    params: dict[str, np.ndarray],
-    train_samples: SampleSet,
-    val_samples: SampleSet,
-    mean,
-    std,
-    taxa: tuple[str, ...] | None,
+    train_config: TrainConfig,
+    taxa: tuple[str, ...] | None = None,
+    base: TrainedModel | None = None,
 ) -> TrainedModel:
+    """Train ``config`` on ``train_ids``, returning the min-validation-loss
+    checkpoint.
+
+    Classification models (config.n_classes set) need ``taxa`` and train
+    with softmax cross-entropy; regression models use the configured loss.
+    Training starts from freshly initialized parameters, or from a copy of
+    ``base.params`` when a ``base`` model is given; then the metadata
+    standardization statistics are ``base``'s too, so that frozen metadata
+    encoders keep seeing inputs on the scale they were trained with.
+    """
+    tc = train_config
     classify = config.n_classes is not None
-    if not classify:
-        want_log = config.target_space is TargetSpace.LOG
-        if want_log != (tc.loss_space is LossSpace.LOG):
+    if classify and (taxa is None or len(taxa) != config.n_classes):
+        raise InvalidConfig("classification needs a taxa list matching n_classes")
+    train_samples = build_samples(dataset, train_ids, config, taxa=taxa)
+    val_samples = build_samples(dataset, val_ids, config, taxa=taxa)
+    if len(train_samples) == 0 or len(val_samples) == 0:
+        raise EmptySplit("train and validation splits must both yield samples")
+    # targets of the train and validation samples, and the batch loss
+    # loss(out, targets) -> (mean loss, its gradient w.r.t. out)
+    if classify:
+        targets, val_targets, loss = train_samples.labels, val_samples.labels, cross_entropy
+    else:
+        if (config.target_space is TargetSpace.LOG) != (tc.loss_space is LossSpace.LOG):
             raise IncompatibleArchitecture(
                 f"loss space {tc.loss_space.value} does not match "
                 f"model target space {config.target_space.value}"
             )
+        targets, val_targets = train_samples.masses, val_samples.masses
+
+        def loss(out, masses):
+            return regression_loss(tc.loss, tc.loss_space, masses, out)
+
+    mean = std = None
+    if train_samples.metadata is not None:
+        if base is not None:
+            mean, std = base.metadata_mean, base.metadata_std
+        else:
+            mean, std = _standardization(train_samples.metadata)
+    if base is None:
+        params = init_params(config, substream(tc.seed, "init"))
+    else:
+        params = {k: v.copy() for k, v in base.params.items()}
     net = NeuralNet(config, _float32(params))
     frozen = tc.freeze.prefixes
     state = AdamWState()
     n = len(train_samples)
-    steps_per_epoch = math.ceil(n / tc.batch_size)
-    total_steps = tc.epochs * steps_per_epoch
+    total_steps = tc.epochs * math.ceil(n / tc.batch_size)
     history: list[float] = []
     best_loss = math.inf
     best_epoch = -1
     best_params = {k: v.copy() for k, v in params.items()}
-    targets, loss = _objective(train_samples, tc, classify)
     step = 0
     for epoch in range(tc.epochs):
         order = substream(tc.seed, "shuffle", epoch).permutation(n)
@@ -359,7 +369,7 @@ def _run_training(
             adamw_step(params, grads, state, lr, weight_decay=tc.weight_decay, skip=frozen)
             net.params = _float32(params)
             step += 1
-        val_loss = _epoch_loss(net, val_samples, tc, mean, std, classify)
+        val_loss = loss(_outputs(net, val_samples, mean, std), val_targets)[0]
         history.append(val_loss)
         if val_loss < best_loss:
             best_loss = val_loss
@@ -376,43 +386,6 @@ def _run_training(
     )
 
 
-def train(
-    dataset: Dataset,
-    train_ids,
-    val_ids,
-    config: ModelConfig,
-    train_config: TrainConfig,
-    taxa: tuple[str, ...] | None = None,
-    initial_params: dict[str, np.ndarray] | None = None,
-    metadata_stats: tuple[np.ndarray, np.ndarray] | None = None,
-) -> TrainedModel:
-    """Train from scratch, returning the min-validation-loss checkpoint.
-
-    Classification models (config.n_classes set) need ``taxa`` and train
-    with softmax cross-entropy; regression models use the configured loss.
-    """
-    if config.n_classes is not None:
-        if taxa is None or len(taxa) != config.n_classes:
-            raise InvalidConfig("classification needs a taxa list matching n_classes")
-    train_samples = build_samples(dataset, train_ids, config, taxa=taxa)
-    val_samples = build_samples(dataset, val_ids, config, taxa=taxa)
-    if len(train_samples) == 0 or len(val_samples) == 0:
-        raise EmptySplit("train and validation splits must both yield samples")
-    mean = std = None
-    if train_samples.metadata is not None:
-        if metadata_stats is not None:
-            mean, std = metadata_stats
-        else:
-            mean, std = _standardization(train_samples.metadata)
-    if initial_params is None:
-        initial_params = init_params(config, substream(train_config.seed, "init"))
-    else:
-        initial_params = {k: v.copy() for k, v in initial_params.items()}
-    return _run_training(
-        config, train_config, initial_params, train_samples, val_samples, mean, std, taxa
-    )
-
-
 def fine_tune(
     base: TrainedModel,
     dataset: Dataset,
@@ -420,12 +393,8 @@ def fine_tune(
     val_ids,
     train_config: TrainConfig,
 ) -> TrainedModel:
-    """Continue training from ``base`` with the configured freeze mode.
-
-    Metadata standardization statistics are inherited from the base model so
-    frozen metadata encoders keep seeing inputs on the scale they were
-    trained with.
-    """
+    """Continue training from ``base`` with the configured freeze mode: ``train``
+    from ``base``, after checking that the data can serve its architecture."""
     if not isinstance(base, TrainedModel):
         raise IncompatibleArchitecture("fine-tuning needs a neural checkpoint as its base")
     if dataset.rasters is None:
@@ -435,19 +404,7 @@ def fine_tune(
             s.frames_for("A") and s.frames_for("B") for s in dataset.specimens
         ):
             raise IncompatibleArchitecture("multi-view base needs two-camera data")
-    stats = None
-    if base.metadata_mean is not None:
-        stats = (base.metadata_mean, base.metadata_std)
-    return train(
-        dataset,
-        train_ids,
-        val_ids,
-        base.config,
-        train_config,
-        taxa=base.taxa,
-        initial_params=base.params,
-        metadata_stats=stats,
-    )
+    return train(dataset, train_ids, val_ids, base.config, train_config, taxa=base.taxa, base=base)
 
 
 def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
@@ -472,15 +429,11 @@ def predict_specimen_masses(
     """
     if model.config.n_classes is not None:
         raise IncompatibleArchitecture("mass prediction needs a regression checkpoint")
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite masses raise below
-        masses = {
-            sid: trimmed_median(target_to_mass(out, model.config.target_space))
-            for sid, out in _specimen_outputs(model, dataset, specimen_ids).items()
-        }
-    for sid, mass in masses.items():
-        if not math.isfinite(mass):
-            raise NonFinitePrediction(f"{sid}: predicted mass is {mass}")
-    return masses
+    outputs = _specimen_outputs(model, dataset, specimen_ids)
+    return finite_masses(lambda: {
+        sid: trimmed_median(target_to_mass(out, model.config.target_space))
+        for sid, out in outputs.items()
+    })
 
 
 def predict_taxa(model: TrainedModel, dataset: Dataset, specimen_ids) -> dict[str, str]:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -698,6 +699,13 @@ BAD_CONFIGS = {
     "misspelt_section": {**TRAIN_CONFIG, "modle": {}},
     "unknown_task": {**TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "task": "nope"}},
     "train_seed": {**TRAIN_CONFIG, "train": {**TRAIN_CONFIG["train"], "seed": 5}},
+    "n_classes_for_regression": {
+        **TRAIN_CONFIG, "model": {**TRAIN_CONFIG["model"], "n_classes": 7}
+    },
+    "n_classes_for_classification": {
+        **TRAIN_CONFIG,
+        "model": {**TRAIN_CONFIG["model"], "task": "classification", "n_classes": 2},
+    },
 }
 NEURAL_COMMANDS = {
     "train": ("train",),
@@ -765,6 +773,9 @@ MALFORMED_MODELS = {
     "linear_coefficient_count": {**LINEAR_MODEL, "coefficients": [0.5, 2.0]},
     "linear_future_version": {**LINEAR_MODEL, "format_version": 99},
     "linear_mistyped_intercept": {**LINEAR_MODEL, "intercept": "x"},
+    "linear_nan_intercept": {**LINEAR_MODEL, "intercept": float("nan")},
+    "linear_infinite_intercept": {**LINEAR_MODEL, "intercept": float("inf")},
+    "linear_infinite_coefficient": {**LINEAR_MODEL, "coefficients": [float("-inf")]},
     "checkpoint_fields_missing": {"format_version": 1},
 }
 
@@ -862,6 +873,21 @@ def test_non_finite_mass_exits_3(raster_dir, tmp_path, capsys):
         "evaluate", "--manifest", raster_dir / "manifest.json", "--model", path,
         "--out", tmp_path / "eval",
     )
+    assert code == 3
+    assert one_error(capsys)["error"] == "NonFinitePrediction"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_non_finite_linear_mass_exits_3_without_a_warning(synth_dir, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    # a log mass: exp overflows float64
+    path.write_text(json.dumps({**LINEAR_MODEL, "target_space": "log", "intercept": 1000.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning escapes as an exception
+        code = run(
+            "evaluate", "--manifest", synth_dir / "manifest.json", "--model", path,
+            "--out", tmp_path / "eval",
+        )
     assert code == 3
     assert one_error(capsys)["error"] == "NonFinitePrediction"
     assert not (tmp_path / "eval").exists()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinkmass import evaluation
 from sinkmass.errors import (
     DuplicateSpecimenAcrossFolds,
     EmptyInput,
@@ -287,6 +288,18 @@ class TestMakeCvSplits:
         for taxon in set(taxon_of.values()):
             counts = [sum(taxon_of[sid] == taxon for sid in fold.test) for fold in plan.folds]
             assert max(counts) - min(counts) <= 1, (taxon, counts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_validation_allocation_is_largest_remainder_within_weights(self, data):
+        weights = data.draw(st.lists(st.integers(0, 400), min_size=1, max_size=12))
+        total = data.draw(st.integers(0, sum(weights)))
+        alloc = evaluation._proportional_allocation(weights, total)
+        assert sum(alloc) == total
+        for a, w in zip(alloc, weights):
+            ideal = total * w / sum(weights) if sum(weights) else 0.0
+            assert math.floor(ideal) <= a <= math.floor(ideal) + 1
+            assert a <= w
 
     def test_small_taxon_rejected(self):
         ds = dataset_with_taxa({"a": 10, "b": 3})

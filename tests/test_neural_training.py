@@ -563,9 +563,11 @@ class TestSlicedTrainingStep:
                                      {"s": list(range(n))})
         updates = []
         monkeypatch.setattr(training, "adamw_step", lambda *a, **k: updates.append(a[3]))
+        monkeypatch.setattr(training, "build_samples", lambda *a, **k: samples)
         tc = small_train_config(loss=LossKind.APE, batch_size=batch_size, seed=seed)
+        base = TrainedModel(net.config, net.params, 0, [])
         with np.errstate(divide="ignore"), pytest.raises(NonFiniteLoss, match=f"at step {bad_step}$"):
-            training._run_training(net.config, tc, net.params, samples, samples, None, None, None)
+            training.train(None, [], [], net.config, tc, base=base)
         assert len(updates) == bad_step
 
     @pytest.mark.parametrize("arch", list(Architecture))
@@ -651,20 +653,20 @@ class TestMixedPrecision:
     def test_validation_sees_the_updated_master_weights(self, raster_dataset, monkeypatch):
         dataset, train_ids, val_ids, _ = raster_dataset
         masters, checked = [], []
-        real_step, real_epoch_loss = training.adamw_step, training._epoch_loss
+        real_step, real_outputs = training.adamw_step, training._outputs
 
         def step_spy(params, *args, **kwargs):
             masters.append(params)
             return real_step(params, *args, **kwargs)
 
-        def epoch_loss_spy(net, *args):
+        def outputs_spy(net, *args):
             for name, w in masters[-1].items():
                 assert np.array_equal(net.params[name], w.astype(np.float32)), name
             checked.append(net)
-            return real_epoch_loss(net, *args)
+            return real_outputs(net, *args)
 
         monkeypatch.setattr(training, "adamw_step", step_spy)
-        monkeypatch.setattr(training, "_epoch_loss", epoch_loss_spy)
+        monkeypatch.setattr(training, "_outputs", outputs_spy)
         train(dataset, train_ids, val_ids, small_model(), small_train_config())
         assert len(checked) == 3
 

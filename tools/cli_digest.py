@@ -62,6 +62,7 @@ CONFIGS = {
     "ft_meta.json": {"train": {**TRAIN, "freeze": "encoder_metadata"}},
     "ft_model.json": {"model": {**MODEL, "architecture": "multi_view"}, "train": TRAIN},
     "seeded_train.json": {"model": MODEL, "train": {**TRAIN, "seed": 5}},
+    "n_classes.json": {"model": {**MODEL, "n_classes": 2}, "train": TRAIN},
     "mass_models.json": {"light": "linear_r/linear_model.json", "dense": "reg/checkpoint.json"},
     "one_raster_side.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6, "raster_dims": [16]},
     "non_square_rasters.json": {"groups": GROUPS, "dt": 8.0, "n_max": 6, "raster_dims": [16, 20]},
@@ -147,6 +148,10 @@ CASES = [
     ("report", "ok",
      ("report", "eval_boot/metrics.json", "cv_area/crossval_report.json",
       "ood_neural/metrics.json", "--out", "report")),
+    ("train_metadata", "ok", ("train", *R, "--config", "meta.json", "--seed", 4, "--out", "meta")),
+    ("finetune_metadata", "ok",
+     ("finetune", *R, "--base", "meta/checkpoint.json", "--config", "ft_meta.json", "--seed", 6,
+      "--out", "meta_tuned")),
     # flags a command does not read
     ("ingest_seed", "error", ("ingest", *F, "--seed", 1, "--out", "x")),
     ("ingest_config", "error", ("ingest", *F, "--config", "train.json", "--out", "x")),
@@ -231,6 +236,14 @@ CASES = [
      ("evaluate", *R, "--model", "reg_inf.json", "--out", "x")),
     ("evaluate_weight_beyond_float32", "error",
      ("evaluate", *R, "--model", "reg_1e39.json", "--out", "x")),
+    ("train_n_classes", "error",
+     ("train", *R, "--config", "n_classes.json", "--seed", 4, "--out", "x")),
+    ("evaluate_linear_nan_intercept", "error",
+     ("evaluate", *F, "--model", "linear_nan.json", "--out", "x")),
+    ("evaluate_linear_infinite_intercept", "error",
+     ("evaluate", *F, "--model", "linear_inf.json", "--out", "x")),
+    ("evaluate_linear_mass_overflow", "error",
+     ("evaluate", *F, "--model", "linear_1000.json", "--out", "x")),
     ("finetune_model_section", "error",
      ("finetune", *R, "--base", "reg/checkpoint.json", "--config", "ft_model.json", "--seed", 6,
       "--out", "x")),
@@ -293,6 +306,15 @@ def _write_bad_checkpoints(root: Path) -> None:
         (root / f"reg_{name}.json").write_text(json.dumps(changed))
 
 
+def _write_bad_linear_models(root: Path) -> None:
+    """Copies of the log-target linear model whose intercept is NaN
+    (``linear_nan.json``), Infinity (``linear_inf.json``) or 1000
+    (``linear_1000.json``, whose masses overflow to infinity)."""
+    model = json.loads((root / "linear_log" / "linear_model.json").read_text())
+    for name, value in (("nan", float("nan")), ("inf", float("inf")), ("1000", 1000.0)):
+        (root / f"linear_{name}.json").write_text(json.dumps({**model, "intercept": value}))
+
+
 def _write_padded_copy(root: Path) -> None:
     """``padded``: the raster dataset with its first specimen's rasters
     cropped to CROP x CROP about their centre."""
@@ -337,6 +359,8 @@ def run_cases(root: Path) -> list[dict]:
         )
         if name == "synth_frames":
             _write_bad_mass_manifests(root)
+        if name == "fit_linear_log":
+            _write_bad_linear_models(root)
         if name == "synth_rasters":
             _write_padded_copy(root)
             _write_duplicate_id_manifest(root)
