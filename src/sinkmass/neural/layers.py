@@ -19,6 +19,12 @@ batch. The conv's stacked matmul, the pooling, ReLU and GAP do so as they
 stand; a BLAS product over a whole batch rounds a row differently depending
 on how many rows share the call, so ``affine_forward`` runs one product per
 row.
+
+The conv functions take their padded input, im2col, patch-gradient and
+padded input-gradient arrays from a ``ConvScratch``. Without a ``scratch``
+argument they use a fresh one and are pure; given one, they reuse its
+arrays and give the same bits, but the cache's patch matrix and the
+returned ``dx`` then live in the scratch and hold only until its next call.
 """
 
 from __future__ import annotations
@@ -28,21 +34,43 @@ import numpy as np
 _OFFSETS = [(di, dj) for di in range(3) for dj in range(3)]
 
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
+class ConvScratch:
+    """Work arrays of one conv layer, reused from call to call.
+
+    Each named array grows to the largest batch it has been asked for and
+    lends its leading rows; it is zero when made and otherwise holds what
+    the last call left there.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        array = self._arrays.get(name)
+        if (array is None or array.dtype != dtype or array.shape[1:] != shape[1:]
+                or len(array) < shape[0]):
+            array = self._arrays[name] = np.zeros(shape, dtype)
+        return array[: shape[0]]
+
+
+def _im2col3(x: np.ndarray, scratch: ConvScratch) -> np.ndarray:
     """(B, C, H, W) -> (B, C*9, H*W) patch matrix for a same-padded 3x3 conv."""
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = np.empty((b, c, 9, h, w), dtype=x.dtype)
+    # only the interior is ever written, so the border stays zero
+    xp = scratch.take("xp", (b, c, h + 2, w + 2), x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x
+    cols = scratch.take("cols", (b, c, 9, h, w), x.dtype)
     for k, (di, dj) in enumerate(_OFFSETS):
         cols[:, :, k] = xp[:, :, di : di + h, dj : dj + w]
     return cols.reshape(b, c * 9, h * w)
 
 
-def conv3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def conv3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
+                  scratch: ConvScratch | None = None):
     """3x3 same conv. w: (C_out, C_in, 3, 3), b: (C_out,)."""
     batch, c_in, h, width = x.shape
     c_out = w.shape[0]
-    cols = _im2col3(x)
+    cols = _im2col3(x, ConvScratch() if scratch is None else scratch)
     wmat = w.reshape(c_out, c_in * 9)
     out = np.matmul(wmat[None, :, :], cols).reshape(batch, c_out, h, width)
     out += b[None, :, None, None]
@@ -50,7 +78,8 @@ def conv3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out, cache
 
 
-def conv3_backward(dout: np.ndarray, cache, *, input_grad: bool = True):
+def conv3_backward(dout: np.ndarray, cache, *, input_grad: bool = True,
+                   scratch: ConvScratch | None = None):
     """Gradients (dx, dw, db) of a conv3_forward call; dx is None when
     ``input_grad`` is false."""
     (batch, c_in, h, width), cols, wmat = cache
@@ -61,9 +90,13 @@ def conv3_backward(dout: np.ndarray, cache, *, input_grad: bool = True):
     db = dout.sum(axis=(0, 2, 3))
     if not input_grad:
         return None, dw, db
-    dcols = np.matmul(wmat.T[None, :, :], dflat)  # (B, C_in*9, H*W)
+    if scratch is None:
+        scratch = ConvScratch()
+    dcols = scratch.take("dcols", (batch, c_in * 9, h * width), np.result_type(wmat, dout))
+    np.matmul(wmat.T[None, :, :], dflat, out=dcols)
     dcols = dcols.reshape(batch, c_in, 9, h, width)
-    dxp = np.zeros((batch, c_in, h + 2, width + 2), dtype=dout.dtype)
+    dxp = scratch.take("dxp", (batch, c_in, h + 2, width + 2), dout.dtype)
+    dxp.fill(0)
     for k, (di, dj) in enumerate(_OFFSETS):
         dxp[:, :, di : di + h, dj : dj + width] += dcols[:, :, k]
     dx = dxp[:, :, 1 : 1 + h, 1 : 1 + width]

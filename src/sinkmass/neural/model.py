@@ -137,11 +137,21 @@ class Batch:
 
 
 class NeuralNet:
-    """Config + parameters with exact reverse-mode gradients."""
+    """Config + parameters with exact reverse-mode gradients.
+
+    The net owns one ``layers.ConvScratch`` per encoder block of each
+    branch, so the conv work arrays are made once, grow to the largest
+    batch the net has served and are reused by every later call.
+    """
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
         self.config = config
         self.params = params
+        self._scratch = {
+            (prefix, i): layers.ConvScratch()
+            for prefix in config.branches if prefix != "meta"
+            for i in range(len(config.encoder_channels))
+        }
 
     @property
     def dtype(self) -> np.dtype:
@@ -173,7 +183,8 @@ class NeuralNet:
         blocks = []
         for i in range(len(self.config.encoder_channels)):
             x, conv_cache = layers.conv3_forward(
-                x, self.params[f"{prefix}.{i}.w"], self.params[f"{prefix}.{i}.b"]
+                x, self.params[f"{prefix}.{i}.w"], self.params[f"{prefix}.{i}.b"],
+                scratch=self._scratch[prefix, i],
             )
             x, pool_cache = layers.maxpool2_forward(x)
             x, mask = layers.relu_forward(x)
@@ -188,7 +199,9 @@ class NeuralNet:
             conv_cache, pool_cache, mask = blocks[i]
             dx = layers.relu_backward(dx, mask)
             dx = layers.maxpool2_backward(dx, pool_cache)
-            dx, dw, db = layers.conv3_backward(dx, conv_cache, input_grad=i > 0)
+            dx, dw, db = layers.conv3_backward(
+                dx, conv_cache, input_grad=i > 0, scratch=self._scratch[prefix, i]
+            )
             grads[f"{prefix}.{i}.w"] = dw
             grads[f"{prefix}.{i}.b"] = db
 
@@ -215,7 +228,11 @@ class NeuralNet:
 
     def forward_cached(self, batch: Batch):
         """Returns (output, cache); output is (B,) for regression models and
-        (B, n_classes) logits for classifiers."""
+        (B, n_classes) logits for classifiers.
+
+        The cache lends from the net's conv work arrays, so it is valid for
+        ``backward`` only until the next forward call on the same net. The
+        output is the caller's own."""
         self._check_batch(batch)
         inputs = {"enc": batch.images, "enc2": batch.images2, "meta": batch.metadata}
         parts, branch_caches = [], []

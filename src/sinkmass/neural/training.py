@@ -105,10 +105,14 @@ class TrainedModel:
 
 @dataclass
 class SampleSet:
-    """Flattened per-image samples for a set of specimens."""
+    """Flattened per-image samples for a set of specimens.
 
-    images: np.ndarray  # (N, 1, S, S), float64, 0..255
-    images2: np.ndarray | None
+    Images are kept as the datasets' ``uint8`` pixels, an eighth of their
+    float64 size; ``_make_batch`` scales each batch to the net's dtype.
+    """
+
+    images: np.ndarray  # (N, 1, S, S), uint8
+    images2: np.ndarray | None  # the same for the second camera (multi-view)
     metadata: np.ndarray | None  # raw (unstandardized) values
     masses: np.ndarray  # (N,) true masses (zeros for inference-only)
     labels: np.ndarray | None  # (N,) class indices for classification
@@ -195,8 +199,9 @@ def build_samples(
         slices.setdefault(record.specimen_id, []).extend(range(start, len(masses)))
 
     return SampleSet(
-        images=np.concatenate(images)[:, None].astype(float) if images else np.zeros((0, 1, 1, 1)),
-        images2=np.concatenate(images2)[:, None].astype(float) if images2 else None,
+        images=(np.concatenate(images)[:, None] if images
+                else np.zeros((0, 1, side, side), dtype=np.uint8)),
+        images2=np.concatenate(images2)[:, None] if images2 else None,
         metadata=np.asarray(metadata, dtype=float) if metadata else None,
         masses=np.asarray(masses, dtype=float),
         labels=np.asarray(labels, dtype=int) if taxa is not None else None,
@@ -221,7 +226,9 @@ def _make_batch(
     rng: np.random.Generator | None = None,
 ) -> Batch:
     """The ``idx`` samples as a ``dtype`` batch: augmented images scaled to
-    [0, 1] and standardized metadata."""
+    [0, 1] and standardized metadata. The images are gathered and augmented
+    as stored (``uint8``; the rotation and photometric policies give float64) and
+    cast to ``dtype`` once, before the division by 255."""
     images = samples.images[idx]
     images2 = samples.images2[idx] if samples.images2 is not None else None
     if policy is not AugmentPolicy.NONE:

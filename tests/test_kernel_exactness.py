@@ -24,6 +24,7 @@ from sinkmass.neural.model import (
     NeuralNet,
     init_params,
 )
+from sinkmass.neural.training import FORWARD_BATCH
 
 VALUES = st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5])
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -169,12 +170,12 @@ def test_first_block_skips_input_gradient(monkeypatch):
     original = layers.conv3_backward
 
     def spy(dout, conv_cache, **kwargs):
-        seen.append((conv_cache[0][1], kwargs))
+        seen.append((conv_cache[0][1], kwargs["input_grad"]))
         return original(dout, conv_cache, **kwargs)
 
     monkeypatch.setattr(layers, "conv3_backward", spy)
     net.backward(cache, np.ones_like(out))
-    assert seen == [(3, {"input_grad": True}), (2, {"input_grad": True}), (1, {"input_grad": False})]
+    assert seen == [(3, True), (2, True), (1, False)]
 
 
 @SETTINGS
@@ -201,3 +202,160 @@ def test_stacked_augment_equals_per_image_calls(policy, dtype, n, size, seed):
 def test_stacked_augment_rejects_non_square_images(rng):
     with pytest.raises(NonSquareRaster):
         augment_array(np.zeros((3, 4, 5)), "flips90", rng)
+
+
+def _conv3_reference(x, weights, bias, dout):
+    """(out, patch matrix, dx) of a same-padded 3x3 conv, each array made
+    fresh: np.pad, then the same products and the same summation order as
+    the kernels."""
+    batch, c_in, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.stack([xp[:, :, di : di + h, dj : dj + w] for di in range(3) for dj in range(3)],
+                    axis=2).reshape(batch, c_in * 9, h * w)
+    wmat = weights.reshape(len(weights), -1)
+    out = np.matmul(wmat[None], cols).reshape(batch, -1, h, w) + bias[None, :, None, None]
+    dcols = np.matmul(wmat.T[None], dout.reshape(batch, -1, h * w)).reshape(batch, c_in, 9, h, w)
+    dxp = np.zeros(xp.shape, dtype=dout.dtype)
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        dxp[:, :, di : di + h, dj : dj + w] += dcols[:, :, k]
+    return out, cols, dxp[:, :, 1:-1, 1:-1]
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_conv_with_and_without_scratch_give_the_reference_bits(batches, c_in, c_out, dtype, seed):
+    """One scratch serving batches of several sizes in turn; every call, and
+    the same call without a scratch, against the fresh-array reference."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(c_out, c_in, 3, 3)).astype(dtype)
+    bias = rng.normal(size=c_out).astype(dtype)
+    scratch = layers.ConvScratch()
+    for n in batches:
+        x = rng.normal(size=(n, c_in, 4, 6)).astype(dtype)
+        dout = rng.normal(size=(n, c_out, 4, 6)).astype(dtype)
+        want_out, want_cols, want_dx = _conv3_reference(x, weights, bias, dout)
+        for kwargs in ({}, {"scratch": scratch}):
+            out, cache = layers.conv3_forward(x, weights, bias, **kwargs)
+            dx, _, _ = layers.conv3_backward(dout, cache, **kwargs)
+            assert cache[0] == x.shape
+            for got, want in ((out, want_out), (cache[1], want_cols), (dx, want_dx)):
+                assert got.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(got, want)
+
+
+def scratch_net(arch):
+    """A small net of ``arch`` on float32 weights."""
+    config = ModelConfig(
+        architecture=arch,
+        encoder_channels=(2, 3),
+        head=HeadKind.TWO_LAYER,
+        head_hidden=4,
+        metadata_inputs=(
+            (MetadataInput.FRAME_AREA, MetadataInput.MEAN_AREA)
+            if arch is Architecture.METADATA_AWARE else ()
+        ),
+        input_size=8,
+    )
+    params = init_params(config, np.random.default_rng(0))
+    return NeuralNet(config, {k: v.astype(np.float32) for k, v in params.items()})
+
+
+def random_batch(net, n, seed):
+    cfg = net.config
+    rng = np.random.default_rng(seed)
+    images = rng.random((2, n, 1, cfg.input_size, cfg.input_size)).astype(np.float32)
+    return Batch(
+        images=images[0],
+        images2=images[1] if cfg.architecture is Architecture.MULTI_VIEW else None,
+        metadata=(rng.normal(size=(n, len(cfg.metadata_inputs))).astype(np.float32)
+                  if cfg.metadata_inputs else None),
+    )
+
+
+def gradients(net, batch):
+    out, cache = net.forward_cached(batch)
+    return out, net.backward(cache, np.linspace(-1, 1, out.size, dtype=out.dtype).reshape(out.shape))
+
+
+def pure_layers(monkeypatch):
+    """Route the net's conv calls to the layer functions without scratch."""
+    for name in ("conv3_forward", "conv3_backward"):
+        original = getattr(layers, name)
+        monkeypatch.setattr(
+            layers, name, lambda *args, scratch=None, _f=original, **kwargs: _f(*args, **kwargs)
+        )
+
+
+def conv_cols(net, cache):
+    """{(branch, block): the im2col matrix} of a forward_cached cache."""
+    return {
+        (prefix, i): block[0][1]
+        for prefix, branch_cache in zip(net.config.branches, cache[0]) if prefix != "meta"
+        for i, block in enumerate(branch_cache[0])
+    }
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+class TestNetWorkBuffers:
+    def test_forward_output_survives_later_calls(self, arch):
+        net = scratch_net(arch)
+        out = net.forward(random_batch(net, 32, 1))
+        kept = out.copy()
+        for n, seed in ((7, 2), (45, 3), (32, 4)):
+            gradients(net, random_batch(net, n, seed))
+        np.testing.assert_array_equal(out, kept)
+
+    @pytest.mark.parametrize("n", [7, 32])
+    def test_gradients_after_other_batch_sizes_match_a_fresh_net(self, arch, n, monkeypatch):
+        used = scratch_net(arch)
+        for size, seed in ((32, 1), (7, 2), (32, 3)):
+            gradients(used, random_batch(used, size, seed))
+        batch = random_batch(used, n, 9)
+        out, grads = gradients(used, batch)
+        fresh_out, fresh = gradients(scratch_net(arch), batch)
+        with monkeypatch.context() as m:
+            pure_layers(m)
+            pure_out, pure = gradients(scratch_net(arch), batch)
+        for reference_out, reference in ((fresh_out, fresh), (pure_out, pure)):
+            np.testing.assert_array_equal(out, reference_out)
+            assert grads.keys() == reference.keys()
+            for name in grads:
+                np.testing.assert_array_equal(grads[name], reference[name], err_msg=name)
+
+    def test_batch_larger_than_forward_batch(self, arch, monkeypatch):
+        net = scratch_net(arch)
+        gradients(net, random_batch(net, FORWARD_BATCH, 1))
+        n = FORWARD_BATCH + 9
+        batch = random_batch(net, n, 2)
+        out, grads = gradients(net, batch)
+        assert out.shape == (n,)
+        parts = [net.forward(Batch(*(None if a is None else a[rows] for a in
+                                     (batch.images, batch.images2, batch.metadata))))
+                 for rows in (slice(0, FORWARD_BATCH), slice(FORWARD_BATCH, n))]
+        np.testing.assert_array_equal(np.concatenate(parts), out)
+        with monkeypatch.context() as m:
+            pure_layers(m)
+            _, pure = gradients(scratch_net(arch), batch)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], pure[name], err_msg=name)
+
+    def test_same_size_forward_calls_share_their_cols(self, arch):
+        """Two same-size passes reuse the im2col memory instead of
+        allocating it anew, and no two conv layers share theirs."""
+        net = scratch_net(arch)
+        _, first = net.forward_cached(random_batch(net, 16, 1))
+        first_cols = conv_cols(net, first)
+        _, second = net.forward_cached(random_batch(net, 16, 2))
+        second_cols = conv_cols(net, second)
+        assert first_cols.keys() == second_cols.keys()
+        for key, cols in second_cols.items():
+            assert np.shares_memory(cols, first_cols[key]), key
+            assert not any(np.shares_memory(cols, other)
+                           for k, other in second_cols.items() if k != key), key

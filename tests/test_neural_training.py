@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -128,6 +129,13 @@ class TestBuildSamples:
         record = dataset.specimen(next(iter(samples.sample_slices)))
         assert samples.metadata[0, 0] == record.frames[0].area_px
 
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_no_samples_give_empty_uint8_images_of_the_input_size(self, raster_dataset, arch):
+        samples = build_samples(raster_dataset[0], [], small_model(arch))
+        assert len(samples) == 0
+        assert samples.images.shape == (0, 1, 16, 16)
+        assert samples.images.dtype == np.uint8
+
 
 def frames_of(*cameras):
     """Frames in the given camera order, indices and areas counting up per
@@ -216,7 +224,7 @@ def assert_samples_match(samples, expected, config):
             assert samples.labels[i] == label
     if not config.metadata_inputs:
         assert samples.metadata is None
-    assert samples.images.dtype == np.float64
+    assert samples.images.dtype == np.uint8
     assert samples.sample_slices == slices
 
 
@@ -235,6 +243,32 @@ ALIGNMENT_MODELS = {
         metadata_inputs=(MetadataInput.MEAN_AREA, MetadataInput.FRAME_AREA),
     ),
 }
+
+
+class TestMakeBatch:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("policy", list(AugmentPolicy))
+    def test_uint8_samples_give_the_bits_of_their_float64_copy(
+        self, raster_dataset, policy, dtype
+    ):
+        dataset = raster_dataset[0]
+        ids = [s.specimen_id for s in dataset.specimens]
+        samples = build_samples(dataset, ids, small_model(Architecture.MULTI_VIEW))
+        assert samples.images.dtype == samples.images2.dtype == np.uint8
+        as_float = dataclasses.replace(
+            samples,
+            images=samples.images.astype(np.float64),
+            images2=samples.images2.astype(np.float64),
+        )
+        idx = substream(3, "make_batch").permutation(len(samples))[:40]
+        got, want = (
+            training._make_batch(s, idx, None, None, dtype, policy, np.random.default_rng(7))
+            for s in (samples, as_float)
+        )
+        for view, reference in ((got.images, want.images), (got.images2, want.images2)):
+            assert view.dtype == reference.dtype == dtype
+            assert view.shape == (len(idx), 1, 16, 16)
+            assert view.tobytes() == reference.tobytes()
 
 
 class TestSampleAlignment:

@@ -60,6 +60,12 @@ CONFIGS = {
         "train": TRAIN,
     },
     "ft_meta.json": {"train": {**TRAIN, "freeze": "encoder_metadata"}},
+    # the two augmentations whose images come out float64
+    "rotation.json": {"model": MODEL, "train": {**TRAIN, "augmentation": "continuous_rotation"}},
+    "photometric_multi_view.json": {
+        "model": {**MODEL, "architecture": "multi_view"},
+        "train": {**TRAIN, "augmentation": "photometric_lite"},
+    },
     "ft_model.json": {"model": {**MODEL, "architecture": "multi_view"}, "train": TRAIN},
     "seeded_train.json": {"model": MODEL, "train": {**TRAIN, "seed": 5}},
     "n_classes.json": {"model": {**MODEL, "n_classes": 2}, "train": TRAIN},
@@ -152,6 +158,11 @@ CASES = [
     ("finetune_metadata", "ok",
      ("finetune", *R, "--base", "meta/checkpoint.json", "--config", "ft_meta.json", "--seed", 6,
       "--out", "meta_tuned")),
+    ("train_rotation", "ok",
+     ("train", *R, "--config", "rotation.json", "--seed", 4, "--out", "rotation")),
+    ("train_photometric_multi_view", "ok",
+     ("train", *R, "--config", "photometric_multi_view.json", "--seed", 4,
+      "--out", "photometric_mv")),
     # flags a command does not read
     ("ingest_seed", "error", ("ingest", *F, "--seed", 1, "--out", "x")),
     ("ingest_config", "error", ("ingest", *F, "--config", "train.json", "--out", "x")),
