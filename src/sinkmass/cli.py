@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 usage, input or validation error, 3 numeric
 failure. Errors, usage errors included, are emitted as one JSON object on
 stderr.
 
-Heavy imports happen inside command handlers so that --threads can cap the
-BLAS thread pools before numpy is loaded.
+Imports that load numpy happen inside command handlers, so that --threads
+can cap the BLAS thread pools before numpy is loaded.
 """
 
 from __future__ import annotations
@@ -22,6 +22,18 @@ import json
 import os
 import sys
 from pathlib import Path
+
+from .config import config_from_dict, read_json
+from .errors import (
+    InputError,
+    InvalidConfig,
+    MissingSecondView,
+    MissingSpeed,
+    ModelMissing,
+    NoResults,
+    NumericError,
+    UsageError,
+)
 
 ABSOLUTE_METRICS = ("mae", "rmse")
 METRIC_ORDER = ("mape", "mdape", "mae", "rmse", "r2_log")
@@ -35,9 +47,6 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _load_config(args) -> dict:
-    from .config import read_json
-    from .errors import InvalidConfig
-
     if args.config is None:
         return {}
     config = read_json(args.config, "config")
@@ -47,15 +56,16 @@ def _load_config(args) -> dict:
 
 
 def _reject_config_key(section: dict, key: str, where: str, reason: str) -> None:
-    from .errors import InvalidConfig
-
     if key in section:
         raise InvalidConfig(f"{where} holds a {key} key; {reason}")
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {out}: {exc}") from None
     return out
 
 
@@ -129,9 +139,6 @@ def _predictions_csv(predictions) -> str:
 
 
 def _read_model_json(path):
-    from .config import read_json
-    from .errors import ModelMissing
-
     if not Path(path).exists():
         raise ModelMissing(f"model file {path} does not exist")
     return read_json(path, "model file")
@@ -140,7 +147,6 @@ def _read_model_json(path):
 def _load_any_model(path):
     """A linear model JSON or a neural checkpoint, told apart by content;
     the file is read once."""
-    from .errors import InputError
     from .linear import decode_linear_model
     from .neural.training import decode_checkpoint
 
@@ -159,8 +165,6 @@ def _model_configs_from(config: dict, dataset, seed: int):
     unknown ``task``, a ``model.n_classes`` key or a ``train.seed`` key
     raises InvalidConfig.
     """
-    from .config import config_from_dict
-    from .errors import InvalidConfig
     from .neural.model import ModelConfig
     from .neural.training import TrainConfig
 
@@ -196,8 +200,6 @@ def _linear_estimator(args, feature_spec):
 
 def _reject_ignored_flags(args) -> None:
     """UsageError for a flag the chosen ``--model`` of crossval/ood ignores."""
-    from .errors import UsageError
-
     if args.model == "neural":
         ignored = [("--target", args.target is not None), ("--per-specimen", args.per_specimen)]
     else:
@@ -226,7 +228,6 @@ def _estimator(args, config: dict, dataset):
 
 
 def cmd_synth(args) -> int:
-    from .config import config_from_dict
     from .synth import SynthConfig, generate, write_synth_output
 
     config_dict = _load_config(args)
@@ -243,6 +244,9 @@ def cmd_ingest(args) -> int:
     from .records import validate_dataset
 
     raster_dims = tuple(args.raster_size) if args.raster_size else None
+    if raster_dims is not None and not 0 < raster_dims[0] == raster_dims[1]:
+        raise UsageError("sinkmass ingest: --raster-size must be two equal positive sides, "
+                         f"got {args.raster_size}")
     dataset = _load_dataset(args, raster_dims=raster_dims)
     report = validate_dataset(dataset)
     out = _out_dir(args)
@@ -302,7 +306,6 @@ def cmd_fit_linear(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from . import experiments
-    from .errors import UsageError
     from .evaluation import attach_bootstrap, compute_metrics
 
     if args.bootstrap > 0 and args.seed is None:
@@ -349,7 +352,6 @@ def cmd_crossval(args) -> int:
 
 def _fold(dataset, args):
     """The train/validation split of CV fold ``--fold`` out of ``--folds``."""
-    from .errors import InvalidConfig
     from .evaluation import make_cv_splits
 
     plan = make_cv_splits(dataset, k=args.folds, seed=args.seed)
@@ -381,7 +383,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    from .errors import InvalidConfig
     from .neural.training import fine_tune, save_checkpoint
 
     config = _load_config(args)
@@ -426,7 +427,6 @@ def _unscored(record, model, role: str):
     Models skip such specimens for one reason only: a multi-view model needs
     frames from both cameras, any other model a sinking speed.
     """
-    from .errors import MissingSecondView, MissingSpeed
     from .neural.model import Architecture
 
     config = getattr(model, "config", None)
@@ -442,7 +442,6 @@ def _unscored(record, model, role: str):
 
 def cmd_pipeline(args) -> int:
     from . import experiments
-    from .errors import InputError, ModelMissing
     from .neural.training import predict_taxa
 
     dataset = _load_dataset(args)
@@ -498,9 +497,6 @@ def _has_numbers(obj, keys) -> bool:
 def _metric_payload(path) -> dict:
     """The metrics.json object at ``path``; NoResults unless it names its
     dataset and method and its report holds every metric in METRIC_ORDER."""
-    from .config import read_json
-    from .errors import NoResults
-
     payload = read_json(path, "metric report")
     report = payload.get("report") if isinstance(payload, dict) else None
     intervals = (report.get("bootstrap") or {}) if _has_numbers(report, METRIC_ORDER) else None
@@ -517,8 +513,6 @@ def _metric_payload(path) -> dict:
 
 
 def cmd_report(args) -> int:
-    from .errors import NoResults
-
     labeled = [_metric_payload(path) for path in args.inputs]
     if not labeled:
         raise NoResults("no metric reports given")
@@ -537,8 +531,6 @@ class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so that main reports them as one JSON line."""
 
     def error(self, message):
-        from .errors import UsageError
-
         raise UsageError(f"{self.prog}: {message}")
 
 
@@ -656,8 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import InputError, NumericError
-
     try:
         args = build_parser().parse_args(argv)
         if args.threads is not None:

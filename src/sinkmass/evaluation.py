@@ -293,21 +293,19 @@ def make_cv_splits(dataset: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
     rng = substream(seed, "split")
     n_total = len(specimens)
     fold_members: list[list[str]] = [[] for _ in range(k)]
-    fold_loads = [0] * k
     for taxon in sorted(by_taxon):
         ids = sorted(by_taxon[taxon])
         rng.shuffle(ids)
         base, extra = divmod(len(ids), k)
         # extras go to the currently lightest folds, keeping global sizes
         # within one of each other
-        order = sorted(range(k), key=lambda f: (fold_loads[f], f))
+        order = sorted(range(k), key=lambda f: (len(fold_members[f]), f))
         counts = [base] * k
         for f in order[:extra]:
             counts[f] += 1
         pos = 0
         for f in range(k):
             fold_members[f].extend(ids[pos : pos + counts[f]])
-            fold_loads[f] += counts[f]
             pos += counts[f]
 
     global_val = (1.0 - 1.0 / k) * VAL_FRACTION_WITHIN_TRAIN

@@ -292,5 +292,5 @@ def assemble_dataset(
         name=name,
         specimens=tuple(specimens),
         raster_dims=target,
-        rasters=stacks if stacks else None,
+        rasters=stacks,
     )

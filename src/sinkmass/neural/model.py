@@ -73,7 +73,8 @@ class ModelConfig:
 
     @property
     def branches(self) -> tuple[str, ...]:
-        """Parameter prefixes of the input branches, in feature order."""
+        """Names of the input branches, in feature order; each is the
+        prefix of its parameters' names."""
         if self.architecture is Architecture.MULTI_VIEW:
             return ("enc", "enc2")
         if self.architecture is Architecture.METADATA_AWARE:
@@ -252,12 +253,13 @@ class NeuralNet:
         out, _ = self.forward_cached(batch)
         return out
 
-    def backward(self, cache, dout: np.ndarray, frozen_prefixes: tuple[str, ...] = ()):
-        """Gradients of the loss w.r.t. every parameter.
+    def backward(self, cache, dout: np.ndarray, frozen: tuple[str, ...] = ()):
+        """Gradients of the loss w.r.t. the parameters of every branch not
+        in ``frozen`` and of the head.
 
-        ``dout`` is the loss gradient w.r.t. the network output. Frozen
-        parameters receive exact zero gradients and their branch backward
-        pass is skipped.
+        ``dout`` is the loss gradient w.r.t. the network output; ``frozen``
+        names branches of ``config.branches``. A frozen branch's backward
+        pass is skipped, and the result holds no key for its parameters.
         """
         branch_caches, head_cache, widths = cache
         if dout.ndim == 1:
@@ -266,10 +268,7 @@ class NeuralNet:
         dz = self._mlp_backward("head", dout, head_cache, grads)
         parts = np.split(dz, np.cumsum(widths)[:-1], axis=1)
         for prefix, dpart, branch_cache in zip(self.config.branches, parts, branch_caches):
-            if not f"{prefix}.".startswith(tuple(frozen_prefixes)):
+            if prefix not in frozen:
                 backward = self._mlp_backward if prefix == "meta" else self._encode_backward
                 backward(prefix, dpart, branch_cache, grads)
-        for name, value in self.params.items():
-            if name not in grads:
-                grads[name] = np.zeros_like(value)
         return grads

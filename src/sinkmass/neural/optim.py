@@ -29,24 +29,23 @@ def adamw_step(
     state: AdamWState,
     lr: float,
     weight_decay: float = 0.0,
-    skip: tuple[str, ...] = (),
 ) -> None:
-    """One in-place update with bias-corrected moments.
+    """One in-place update with bias-corrected moments of exactly the
+    parameters named in ``grads``; the others, and their moments, are left
+    untouched.
 
     Weight decay is decoupled: it shrinks the weights directly instead of
     flowing through the gradient moments, so a zero-gradient parameter with
-    decay lambda still contracts by (1 - lr*lambda) per step. Parameters
-    whose name starts with a ``skip`` prefix are left untouched entirely
-    (used for frozen branches during fine-tuning). Gradients are cast to
-    the weights' dtype, so the moments and the update run in its precision.
+    decay lambda still contracts by (1 - lr*lambda) per step. Gradients are
+    cast to the weights' dtype, so the moments and the update run in its
+    precision.
     """
     state.t += 1
     bc1 = 1.0 - BETA1**state.t
     bc2 = 1.0 - BETA2**state.t
-    for name, w in params.items():
-        if any(name.startswith(p) for p in skip):
-            continue
-        g = grads[name].astype(w.dtype, copy=False)
+    for name, g in grads.items():
+        w = params[name]
+        g = g.astype(w.dtype, copy=False)
         if g.shape != w.shape:
             raise ShapeMismatch(f"gradient for {name} has shape {g.shape}, want {w.shape}")
         if name not in state.m:

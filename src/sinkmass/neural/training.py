@@ -58,11 +58,12 @@ class FreezeMode(str, Enum):
     ENCODER_AND_METADATA = "encoder_metadata"
 
     @property
-    def prefixes(self) -> tuple[str, ...]:
+    def branches(self) -> tuple[str, ...]:
+        """The frozen branches, named as in ``ModelConfig.branches``."""
         if self is FreezeMode.ENCODER:
-            return ("enc.", "enc2.")
+            return ("enc", "enc2")
         if self is FreezeMode.ENCODER_AND_METADATA:
-            return ("enc.", "enc2.", "meta.")
+            return ("enc", "enc2", "meta")
         return ()
 
 
@@ -123,7 +124,7 @@ class SampleSet:
 
 
 def _specimen_images(dataset: Dataset, record: SpecimenRecord) -> np.ndarray:
-    stack = (dataset.rasters or {}).get(record.specimen_id)
+    stack = dataset.rasters.get(record.specimen_id)
     if stack is None:
         raise InputError(f"{record.specimen_id}: neural models need rasters")
     n = len(record.frames)
@@ -266,8 +267,9 @@ def _batch_rows(batch: Batch, rows: slice) -> Batch:
 
 
 def _step_gradients(net: NeuralNet, batch: Batch, targets: np.ndarray, loss, frozen):
-    """(loss, parameter gradients) of one optimizer batch, from back-to-back
-    forward and backward passes over slices of at most FORWARD_BATCH samples.
+    """(loss, gradients of the parameters outside the ``frozen`` branches) of
+    one optimizer batch, from back-to-back forward and backward passes over
+    slices of at most FORWARD_BATCH samples.
 
     Every loss is a mean of per-sample terms and no layer mixes samples, so
     scaling each slice's loss gradient by its share of the batch and summing
@@ -353,7 +355,6 @@ def train(
     else:
         params = {k: v.copy() for k, v in base.params.items()}
     net = NeuralNet(config, _float32(params))
-    frozen = tc.freeze.prefixes
     state = AdamWState()
     n = len(train_samples)
     total_steps = tc.epochs * math.ceil(n / tc.batch_size)
@@ -369,11 +370,11 @@ def train(
             idx = order[start : start + tc.batch_size]
             batch = _make_batch(samples=train_samples, idx=idx, mean=mean, std=std,
                                 dtype=net.dtype, policy=tc.augmentation, rng=aug_rng)
-            value, grads = _step_gradients(net, batch, targets[idx], loss, frozen)
+            value, grads = _step_gradients(net, batch, targets[idx], loss, tc.freeze.branches)
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"training loss became {value} at step {step}")
             lr = cosine_lr(step, total_steps, tc.lr_max, tc.lr_min)
-            adamw_step(params, grads, state, lr, weight_decay=tc.weight_decay, skip=frozen)
+            adamw_step(params, grads, state, lr, weight_decay=tc.weight_decay)
             net.params = _float32(params)
             step += 1
         val_loss = loss(_outputs(net, val_samples, mean, std), val_targets)[0]
@@ -401,10 +402,11 @@ def fine_tune(
     train_config: TrainConfig,
 ) -> TrainedModel:
     """Continue training from ``base`` with the configured freeze mode: ``train``
-    from ``base``, after checking that the data can serve its architecture."""
+    from ``base``, after checking that the data can serve its architecture.
+    Frozen branches get no gradients, so AdamW leaves them as they were."""
     if not isinstance(base, TrainedModel):
         raise IncompatibleArchitecture("fine-tuning needs a neural checkpoint as its base")
-    if dataset.rasters is None:
+    if not dataset.rasters:
         raise IncompatibleArchitecture("fine-tuning needs a dataset with rasters")
     if base.config.architecture is Architecture.MULTI_VIEW:
         if not any(

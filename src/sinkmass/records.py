@@ -61,16 +61,16 @@ class Dataset:
 
     ``rasters`` maps a specimen id to one ``uint8`` array of shape
     ``(len(record.frames), *raster_dims)`` whose row i is the silhouette of
-    frame i; a specimen without rasters is absent from it. The mapping is
-    filled by ingest (or the synthetic generator) and treated as read-only
-    afterwards. ``features`` is derived from the specimens on
-    first access and cached.
+    frame i; a specimen without rasters is absent from it, so the mapping
+    is empty when no specimen has rasters. It is filled by ingest (or the
+    synthetic generator) and treated as read-only afterwards. ``features``
+    is derived from the specimens on first access and cached.
     """
 
     name: str
     specimens: tuple[SpecimenRecord, ...]
     raster_dims: tuple[int, int] | None = None
-    rasters: dict | None = None
+    rasters: dict = field(default_factory=dict)
 
     @property
     def taxon_set(self) -> set[str]:
@@ -211,7 +211,7 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
                 )
         for frame in record.frames:
             _validate_frame(sid, frame, violations)
-        stack = (dataset.rasters or {}).get(sid)
+        stack = dataset.rasters.get(sid)
         if stack is not None:
             expected = (len(record.frames), *(dataset.raster_dims or stack.shape[1:]))
             if stack.shape != expected:

@@ -234,7 +234,7 @@ def generate(config: SynthConfig, name: str = "synthetic") -> tuple[Dataset, Gro
         name=name,
         specimens=tuple(specimens),
         raster_dims=config.raster_dims,
-        rasters=raster_store if raster_store else None,
+        rasters=raster_store,
     )
     return dataset, GroundTruth(truths)
 
@@ -246,16 +246,16 @@ def write_synth_output(dataset: Dataset, truth: GroundTruth, out_dir: Path | str
     frames_dir = out / "frames"
     frames_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    rasters = dataset.rasters or {}
     for record in dataset.specimens:
         csv_rel = f"frames/{record.specimen_id}.csv"
         (out / csv_rel).write_bytes(serialize_frame_csv(record.frames))
         raster_rel = None
-        if record.specimen_id in rasters:
+        stack = dataset.rasters.get(record.specimen_id)
+        if stack is not None:
             raster_rel = f"rasters/{record.specimen_id}"
             rdir = out / raster_rel
             rdir.mkdir(parents=True, exist_ok=True)
-            for frame, pixels in zip(record.frames, rasters[record.specimen_id]):
+            for frame, pixels in zip(record.frames, stack):
                 (rdir / raster_name(frame)).write_bytes(save_raster(pixels))
         manifest.append(
             {

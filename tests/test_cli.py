@@ -248,6 +248,21 @@ class TestSynthAndIngest:
         assert summary["raster_dims"] == [16, 16]
         assert summary["violations"] == []
 
+    @pytest.mark.parametrize("size", [(-5, 7), (16, 20), (0, 0), (-16, -16)])
+    @pytest.mark.parametrize("data", ["synth_dir", "raster_dir"])
+    def test_raster_size_must_be_two_equal_positive_sides(
+        self, request, tmp_path, capsys, data, size
+    ):
+        manifest = request.getfixturevalue(data) / "manifest.json"
+        out = tmp_path / "out"
+        assert run("ingest", "--manifest", manifest, "--raster-size", *size, "--out", out) == 2
+        assert not out.exists()
+        reported = one_error(capsys)
+        assert reported["error"] == "UsageError"
+        assert reported["message"] == (
+            f"sinkmass ingest: --raster-size must be two equal positive sides, got {list(size)}"
+        )
+
 
 class TestFeatures:
     def test_header_and_row_shape(self, synth_dir, capsys):
@@ -1057,6 +1072,15 @@ BAD_FLAGS = {
     "report_empty_input": (
         "UsageError", "argument inputs: path must not be empty",
         ("report", "eval/metrics.json", ""),
+    ),
+    # an --out that is an existing file, or lies under one
+    "out_is_a_file": (
+        "InputError", f"cannot make output directory {__file__}: [Errno 17] File exists",
+        ("features", "--out", __file__),
+    ),
+    "out_under_a_file": (
+        "InputError", f"cannot make output directory {__file__}/sub: [Errno 20] Not a directory",
+        ("ingest", "--out", f"{__file__}/sub"),
     ),
 }
 

@@ -293,6 +293,7 @@ class TestAssembleDataset:
         manifest.write_text(json.dumps(entries))
         dataset = assemble_dataset(load_manifest(manifest), name="two")
         assert len(dataset.specimens) == 2
+        assert dataset.rasters == {}
         assert validate_dataset(dataset).ok
 
     def test_missing_csv_names_specimen(self, tmp_path):

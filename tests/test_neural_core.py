@@ -235,7 +235,7 @@ class TestGradients:
 
     @pytest.mark.parametrize("arch", list(Architecture))
     @pytest.mark.parametrize("freeze", list(FreezeMode))
-    def test_frozen_encoder_gets_zero_gradients(self, rng, arch, freeze):
+    def test_frozen_branches_get_no_gradients(self, rng, arch, freeze):
         config = tiny_config(arch, HeadKind.TWO_LAYER)
         params = init_params(config, rng)
         net = NeuralNet(config, params)
@@ -243,14 +243,13 @@ class TestGradients:
         y = rng.uniform(1.0, 5.0, size=4)
         out, cache = net.forward_cached(batch)
         _, dout = regression_loss(LossKind.L2, LossSpace.LINEAR, y, out)
-        grads = net.backward(cache, dout, frozen_prefixes=freeze.prefixes)
+        grads = net.backward(cache, dout, freeze.branches)
         full = net.backward(cache, dout)
-        assert set(grads) == set(params)
+        assert set(full) == set(params)
+        frozen = {name for name in params if name.split(".")[0] in freeze.branches}
+        assert set(grads) == set(params) - frozen
         for name, g in grads.items():
-            if name.startswith(freeze.prefixes):
-                assert np.all(g == 0.0)
-            else:
-                assert np.array_equal(g, full[name]) and np.any(g != 0.0)
+            assert np.array_equal(g, full[name]) and np.any(g != 0.0)
 
 
 # SHA-256 of init_params(tiny_config(arch, head) with n_classes, default_rng(15))
@@ -400,13 +399,20 @@ class TestAdamW:
             adamw_step(params, {"w": np.array([3.7])}, state, lr=lr)
         assert abs(abs(params["w"][0] - last) - lr) < 1e-4
 
-    def test_skip_prefix_freezes_parameter(self):
-        params = {"enc.0.w": np.array([1.0]), "head.0.w": np.array([1.0])}
-        grads = {"enc.0.w": np.array([5.0]), "head.0.w": np.array([5.0])}
-        state = AdamWState()
-        adamw_step(params, grads, state, lr=0.1, weight_decay=0.1, skip=("enc.",))
-        assert params["enc.0.w"][0] == 1.0
-        assert params["head.0.w"][0] != 1.0
+    def test_parameter_without_gradient_is_left_untouched(self):
+        params = {"enc.0.w": np.array([1.0, -2.0]), "head.0.w": np.array([1.0, 0.5])}
+        full = {name: w.copy() for name, w in params.items()}
+        grads = {"enc.0.w": np.array([5.0, 1.0]), "head.0.w": np.array([5.0, -3.0])}
+        state, full_state = AdamWState(), AdamWState()
+        for _ in range(3):
+            adamw_step(params, {"head.0.w": grads["head.0.w"]}, state, lr=0.1, weight_decay=0.1)
+            adamw_step(full, grads, full_state, lr=0.1, weight_decay=0.1)
+        # bit-identical despite the weight decay, and no moments made for it
+        assert params["enc.0.w"].tobytes() == np.array([1.0, -2.0]).tobytes()
+        assert set(state.m) == set(state.v) == {"head.0.w"}
+        # the parameter with a gradient gets the update it gets among all
+        assert params["head.0.w"].tobytes() == full["head.0.w"].tobytes()
+        assert not np.array_equal(params["head.0.w"], [1.0, 0.5])
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(3)}

@@ -547,14 +547,15 @@ class TestSlicedTrainingStep:
     )
     def test_matches_one_full_batch_pass(self, arch, head, loss_kind, n, freeze, seed):
         net, batch, targets, loss = random_step(arch, head, loss_kind, n, seed)
-        frozen = freeze.prefixes
+        frozen = freeze.branches
         out, cache = net.forward_cached(batch)
         value, dout = loss(out, targets)
         grads = net.backward(cache, dout, frozen)
 
         sliced_value, sliced_grads = training._step_gradients(net, batch, targets, loss, frozen)
 
-        assert sliced_grads.keys() == grads.keys() == net.params.keys()
+        trainable = {name for name in net.params if name.split(".")[0] not in frozen}
+        assert sliced_grads.keys() == grads.keys() == trainable
         if n <= FORWARD_BATCH:
             assert sliced_value == value
             for name, g in grads.items():
@@ -564,8 +565,6 @@ class TestSlicedTrainingStep:
         for name, g in grads.items():
             scale = np.abs(g).max()
             assert np.abs(sliced_grads[name] - g).max() <= 1e-12 * scale, name
-            if any(name.startswith(prefix) for prefix in frozen):
-                assert not sliced_grads[name].any(), name
 
     def test_stops_at_the_first_non_finite_slice(self, monkeypatch):
         net, batch, masses, loss = random_step(
@@ -799,6 +798,14 @@ class TestFineTune:
             for n in base.params
             if n.startswith("enc.")
         )
+
+    def test_dataset_without_rasters_rejected(self, raster_dataset):
+        dataset, train_ids, val_ids, _ = raster_dataset
+        base = TrainedModel(small_model(), init_params(small_model(), substream(0, "init")), 0, [])
+        frames_only = Dataset(dataset.name, dataset.specimens, dataset.raster_dims)
+        assert frames_only.rasters == {}
+        with pytest.raises(IncompatibleArchitecture, match="needs a dataset with rasters"):
+            fine_tune(base, frames_only, train_ids, val_ids, small_train_config())
 
     def test_metadata_stats_inherited(self, raster_dataset):
         dataset, train_ids, val_ids, _ = raster_dataset

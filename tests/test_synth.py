@@ -29,6 +29,7 @@ def two_group_config(**overrides):
 class TestGenerate:
     def test_dataset_passes_validation(self):
         dataset, _ = generate(two_group_config())
+        assert dataset.rasters == {}
         assert validate_dataset(dataset).ok
 
     def test_mass_is_exact_density_volume_product(self):
@@ -154,7 +155,6 @@ class TestRasterize:
             seed=3,
         )
         dataset, _ = generate(config)
-        assert dataset.rasters is not None
         assert set(dataset.rasters) == {s.specimen_id for s in dataset.specimens}
         for record in dataset.specimens:
             stack = dataset.rasters[record.specimen_id]

@@ -258,6 +258,12 @@ CASES = [
     ("finetune_model_section", "error",
      ("finetune", *R, "--base", "reg/checkpoint.json", "--config", "ft_model.json", "--seed", 6,
       "--out", "x")),
+    ("features_out_is_a_file", "error", ("features", *F, "--out", "frames.json")),
+    ("ingest_out_under_a_file", "error", ("ingest", *F, "--out", "frames.json/sub")),
+    ("ingest_negative_raster_size", "error",
+     ("ingest", *F, "--raster-size", -5, 7, "--out", "x")),
+    ("ingest_rasters_unequal_raster_size", "error",
+     ("ingest", *R, "--raster-size", 16, 20, "--out", "x")),
     # empty paths; last, since a command that took "" as the working
     # directory would write there
     ("ingest_empty_manifest", "error", ("ingest", "--manifest", "", "--out", "x")),
