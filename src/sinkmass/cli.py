@@ -7,9 +7,9 @@ take --config; evaluate reads its optional --seed only for --bootstrap.
 --seed is the only seed: a config holding one is rejected. Identical inputs
 plus an identical seed produce byte-identical primary output files.
 
-Exit codes: 0 success, 2 usage, input or validation error, 3 numeric
-failure. Errors, usage errors included, are emitted as one JSON object on
-stderr.
+Exit codes: 0 success, 2 usage, input, validation or output-path error, 3
+numeric failure. Errors, usage errors included, are emitted as one JSON
+object on stderr. Every output file goes through ``config.write_files``.
 
 Imports that load numpy happen inside command handlers, so that --threads
 can cap the BLAS thread pools before numpy is loaded.
@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import config_from_dict, read_json
+from .config import config_from_dict, read_json, write_files
 from .errors import (
     InputError,
     InvalidConfig,
@@ -33,17 +33,13 @@ from .errors import (
     NoResults,
     NumericError,
     UsageError,
+    ValidationFailed,
 )
 
 ABSOLUTE_METRICS = ("mae", "rmse")
 METRIC_ORDER = ("mape", "mdape", "mae", "rmse", "r2_log")
 CONFIG_SECTIONS = ("model", "train")
 TASKS = ("regression", "classification")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_config(args) -> dict:
@@ -58,15 +54,6 @@ def _load_config(args) -> dict:
 def _reject_config_key(section: dict, key: str, where: str, reason: str) -> None:
     if key in section:
         raise InvalidConfig(f"{where} holds a {key} key; {reason}")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot make output directory {out}: {exc}") from None
-    return out
 
 
 def _load_dataset(args, raster_dims=None):
@@ -233,7 +220,7 @@ def cmd_synth(args) -> int:
     config_dict = _load_config(args)
     _reject_config_key(config_dict, "seed", "the synth config", "the seed comes from --seed")
     config = config_from_dict(SynthConfig, {**config_dict, "seed": args.seed})
-    out = _out_dir(args)
+    out = Path(args.out)
     dataset, truth = generate(config, name=out.name)
     manifest_path = write_synth_output(dataset, truth, out)
     print(json.dumps({"manifest": str(manifest_path), "specimens": len(dataset.specimens)}))
@@ -249,25 +236,18 @@ def cmd_ingest(args) -> int:
                          f"got {args.raster_size}")
     dataset = _load_dataset(args, raster_dims=raster_dims)
     report = validate_dataset(dataset)
-    out = _out_dir(args)
     summary = {
         "name": dataset.name,
         "specimens": len(dataset.specimens),
         "taxa": sorted(dataset.taxon_set),
         "total_frames": sum(len(s.frames) for s in dataset.specimens),
-        "raster_dims": list(dataset.raster_dims) if dataset.raster_dims else None,
-        "violations": [
-            {"specimen_id": v.specimen_id, "field": v.field, "message": v.message}
-            for v in report.violations
-        ],
+        "raster_dims": dataset.raster_dims,
+        "violations": report.violations,
     }
-    _write_json(out / "dataset_summary.json", summary)
+    path = Path(args.out) / "dataset_summary.json"
+    write_files([(path, summary)])
     if not report.ok:
-        print(
-            json.dumps({"error": "ValidationFailed", "violations": len(report)}),
-            file=sys.stderr,
-        )
-        return 2
+        raise ValidationFailed(f"{len(report)} violation(s), listed in {path}")
     print(json.dumps({"specimens": len(dataset.specimens), "valid": True}))
     return 0
 
@@ -285,8 +265,7 @@ def cmd_features(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        out = _out_dir(args)
-        (out / "features.csv").write_text(text)
+        write_files([(Path(args.out) / "features.csv", text)])
     else:
         sys.stdout.write(text)
     return 0
@@ -298,9 +277,9 @@ def cmd_fit_linear(args) -> int:
     dataset = _load_dataset(args)
     estimator = _linear_estimator(args, FeatureSpec(args.features))
     model = estimator.fit(dataset, [s.specimen_id for s in dataset.specimens])
-    out = _out_dir(args)
-    save_linear_model(model, out / "linear_model.json")
-    print(json.dumps({"model": str(out / "linear_model.json")}))
+    path = Path(args.out) / "linear_model.json"
+    save_linear_model(model, path)
+    print(json.dumps({"model": str(path)}))
     return 0
 
 
@@ -319,10 +298,12 @@ def cmd_evaluate(args) -> int:
         report = attach_bootstrap(report, predictions, args.bootstrap, args.level, args.seed)
     method = args.method or experiments.model_family(model)
     payload = {"dataset": dataset.name, "method": method, "report": report.to_dict()}
-    out = _out_dir(args)
-    _write_json(out / "metrics.json", payload)
-    (out / "metrics.csv").write_text(_rows_to_csv(_report_rows([payload])))
-    (out / "predictions.csv").write_text(_predictions_csv(predictions))
+    out = Path(args.out)
+    write_files([
+        (out / "metrics.json", payload),
+        (out / "metrics.csv", _rows_to_csv(_report_rows([payload]))),
+        (out / "predictions.csv", _predictions_csv(predictions)),
+    ])
     print(json.dumps({"n": report.n, "mdape": report.mdape}))
     return 0
 
@@ -336,16 +317,18 @@ def cmd_crossval(args) -> int:
     estimator, label = _estimator(args, config, dataset)
     result = experiments.crossval(dataset, estimator, k=args.folds, seed=args.seed)
     method = args.method or label
-    out = _out_dir(args)
-    _write_json(out / "splits.json", result.plan.to_dict())
     payload = {
         "dataset": dataset.name,
         "method": method,
         "folds": [r.to_dict() for r in result.fold_reports],
         "report": result.pooled_report.to_dict(),
     }
-    _write_json(out / "crossval_report.json", payload)
-    (out / "predictions.csv").write_text(_predictions_csv(result.pooled_predictions))
+    out = Path(args.out)
+    write_files([
+        (out / "splits.json", result.plan),
+        (out / "crossval_report.json", payload),
+        (out / "predictions.csv", _predictions_csv(result.pooled_predictions)),
+    ])
     print(json.dumps({"pooled_mdape": result.pooled_report.mdape, "n": result.pooled_report.n}))
     return 0
 
@@ -368,12 +351,12 @@ def cmd_train(args) -> int:
     model_config, train_config, taxa = _model_configs_from(config, dataset, seed=args.seed)
     fold = _fold(dataset, args)
     model = train(dataset, fold.train, fold.val, model_config, train_config, taxa=taxa)
-    out = _out_dir(args)
-    save_checkpoint(model, out / "checkpoint.json")
+    path = Path(args.out) / "checkpoint.json"
+    save_checkpoint(model, path)
     print(
         json.dumps(
             {
-                "checkpoint": str(out / "checkpoint.json"),
+                "checkpoint": str(path),
                 "best_epoch": model.best_epoch,
                 "best_val_loss": min(model.val_loss_history),
             }
@@ -393,9 +376,9 @@ def cmd_finetune(args) -> int:
     _, train_config, _ = _model_configs_from(config, dataset, seed=args.seed)
     fold = _fold(dataset, args)
     model = fine_tune(base, dataset, fold.train, fold.val, train_config)
-    out = _out_dir(args)
-    save_checkpoint(model, out / "checkpoint.json")
-    print(json.dumps({"checkpoint": str(out / "checkpoint.json"), "best_epoch": model.best_epoch}))
+    path = Path(args.out) / "checkpoint.json"
+    save_checkpoint(model, path)
+    print(json.dumps({"checkpoint": str(path), "best_epoch": model.best_epoch}))
     return 0
 
 
@@ -408,15 +391,17 @@ def cmd_ood(args) -> int:
     estimator, label = _estimator(args, config, dataset)
     report, predictions = experiments.ood(dataset, args.holdout, estimator, seed=args.seed)
     method = args.method or f"ood-{label}"
-    out = _out_dir(args)
     payload = {
         "dataset": dataset.name,
         "method": method,
         "holdout_taxon": args.holdout,
         "report": report.to_dict(),
     }
-    _write_json(out / "metrics.json", payload)
-    (out / "predictions.csv").write_text(_predictions_csv(predictions))
+    out = Path(args.out)
+    write_files([
+        (out / "metrics.json", payload),
+        (out / "predictions.csv", _predictions_csv(predictions)),
+    ])
     print(json.dumps({"holdout": args.holdout, "n": report.n, "mdape": report.mdape}))
     return 0
 
@@ -483,9 +468,11 @@ def cmd_pipeline(args) -> int:
             raise _unscored(record, models[slot[taxon]], f"mass model for taxon {taxon!r}")
 
     report = experiments.run_pipeline(dataset, predicted, masses, taxa=classifier.taxa)
-    out = _out_dir(args)
-    _write_json(out / "pipeline_report.json", report.to_dict())
-    (out / "predictions.csv").write_text(_predictions_csv(report.predictions))
+    out = Path(args.out)
+    write_files([
+        (out / "pipeline_report.json", {"accuracy": report.accuracy, "groups": report.groups}),
+        (out / "predictions.csv", _predictions_csv(report.predictions)),
+    ])
     print(json.dumps({"accuracy": report.accuracy, "groups": len(report.groups)}))
     return 0
 
@@ -517,9 +504,8 @@ def cmd_report(args) -> int:
     if not labeled:
         raise NoResults("no metric reports given")
     rows = _report_rows(labeled)
-    out = _out_dir(args)
-    _write_json(out / "report.json", rows)
-    (out / "report.csv").write_text(_rows_to_csv(rows))
+    out = Path(args.out)
+    write_files([(out / "report.json", rows), (out / "report.csv", _rows_to_csv(rows))])
     print(json.dumps({"rows": len(rows)}))
     return 0
 

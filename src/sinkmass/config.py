@@ -1,10 +1,12 @@
 """The JSON layer: files into values, objects into config dataclasses and
-back. The defaults live on the dataclasses."""
+back, and the one writer every output file goes through. The defaults live
+on the dataclasses."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import typing
 from enum import Enum
 from pathlib import Path
@@ -20,6 +22,37 @@ def read_json(path, what: str):
         return json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from None
+
+
+def write_files(pairs) -> None:
+    """Write each ``(path, content)`` pair, in order, as ``pairs`` yields it.
+
+    ``bytes`` content is written as it is and ``str`` content as UTF-8; any
+    other value as its canonical JSON text (sorted keys, two-space indent,
+    dataclasses through ``config_to_dict``, a final newline). Each parent
+    directory is made once. A directory or file that cannot be made or
+    written raises InputError naming its path.
+    """
+    made = set()
+    for path, content in pairs:
+        directory = os.path.dirname(path)
+        if directory not in made:
+            parent = Path(path).parent
+            try:
+                parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InputError(f"cannot make output directory {parent}: {exc}") from None
+            made.add(directory)
+        if isinstance(content, str):
+            content = content.encode()
+        elif not isinstance(content, bytes):
+            text = json.dumps(content, sort_keys=True, indent=2, default=config_to_dict)
+            content = (text + "\n").encode()
+        try:
+            with open(path, "wb") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def config_from_dict(cls, obj: dict):

@@ -152,6 +152,10 @@ class SilhouetteTooLarge(InputError):
 
 # --- cli / experiments ---
 
+class ValidationFailed(InputError):
+    """A dataset that ingest parsed but whose records break an invariant."""
+
+
 class UnknownTaxon(InputError):
     pass
 

@@ -32,9 +32,10 @@ from .records import Dataset, PredictionEntry, PredictionSet
 from .rng import substream
 
 METRIC_NAMES = ("mape", "mdape", "mae", "rmse", "r2_log")
-# Share of each fold's non-test specimens that validates; with k=5 the roles
-# come out 64/16/20 train/validation/test.
-VAL_FRACTION_WITHIN_TRAIN = 0.2
+# Share of the training specimens that validates: of each fold's non-test
+# specimens (with k=5 the roles come out 64/16/20 train/validation/test), and
+# of each taxon when a neural fit is given no validation split.
+VAL_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,12 @@ class MetricReport:
         return out
 
 
-def _median(values: np.ndarray) -> float:
-    return float(np.median(values))
-
-
 def mape(y: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.mean(np.abs((y - yhat) / y)))
 
 
 def mdape(y: np.ndarray, yhat: np.ndarray) -> float:
-    return _median(np.abs((y - yhat) / y))
+    return float(np.median(np.abs((y - yhat) / y)))
 
 
 def mae(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -244,15 +241,6 @@ class SplitPlan:
     folds: tuple[FoldSplit, ...]
     fold_assignments: dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "folds": [
-                {"train": list(f.train), "val": list(f.val), "test": list(f.test)}
-                for f in self.folds
-            ],
-            "fold_assignments": dict(sorted(self.fold_assignments.items())),
-        }
-
 
 def _proportional_allocation(weights: list[int], total: int) -> list[int]:
     """Largest-remainder allocation of ``total`` slots in proportion to
@@ -274,7 +262,7 @@ def make_cv_splits(dataset: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
 
     The k >= 2 test folds partition the dataset; within each fold the
     remaining specimens are divided into train and validation, reserving
-    VAL_FRACTION_WITHIN_TRAIN of the non-test portion for validation.
+    VAL_FRACTION of the non-test portion for validation.
     With k=5 every role lands within one specimen of the global 64/16/20
     proportions. No specimen ever appears in two roles of the same fold, and
     each taxon's test appearances differ by at most one across folds.
@@ -308,7 +296,7 @@ def make_cv_splits(dataset: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
             fold_members[f].extend(ids[pos : pos + counts[f]])
             pos += counts[f]
 
-    global_val = (1.0 - 1.0 / k) * VAL_FRACTION_WITHIN_TRAIN
+    global_val = (1.0 - 1.0 / k) * VAL_FRACTION
     folds: list[FoldSplit] = []
     assignments: dict[str, int] = {}
     for f in range(k):
@@ -371,22 +359,6 @@ class ClassificationReport:
     per_class: dict[str, ClassMetrics]
     confusion_pct: np.ndarray  # row-normalized percentages, rows = true class
     accuracy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "accuracy": self.accuracy,
-            "per_class": {
-                lbl: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for lbl, m in self.per_class.items()
-            },
-            "confusion_pct": self.confusion_pct.tolist(),
-        }
 
 
 def classification_report(true_taxa, predicted_taxa, labels=None) -> ClassificationReport:

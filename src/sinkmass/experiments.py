@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 from .errors import EmptyPredictions, UnknownTaxon, ZeroVariance
 from .evaluation import (
+    VAL_FRACTION,
     MetricReport,
     SplitPlan,
     compute_metrics,
@@ -31,9 +32,6 @@ from .neural.model import ModelConfig
 from .neural.training import TrainConfig, TrainedModel, predict_specimen_masses, train
 from .records import Dataset, PredictionEntry, PredictionSet
 from .rng import derive_seed, substream
-
-
-VAL_FRACTION = 0.2  # of each taxon, when a neural fit is given no validation split
 
 
 @dataclass(frozen=True)
@@ -219,7 +217,7 @@ class PipelineGroup:
     n_misclassified: int
     ks_d: float | None
     ks_p: float | None
-    pearson: float | None
+    pearson_r: float | None
 
 
 @dataclass(frozen=True)
@@ -227,22 +225,6 @@ class PipelineReport:
     groups: tuple[PipelineGroup, ...]
     predictions: PredictionSet
     accuracy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "groups": [
-                {
-                    "taxon": g.taxon,
-                    "n": g.n,
-                    "n_misclassified": g.n_misclassified,
-                    "ks_d": g.ks_d,
-                    "ks_p": g.ks_p,
-                    "pearson_r": g.pearson,
-                }
-                for g in self.groups
-            ],
-        }
 
 
 def run_pipeline(
@@ -305,7 +287,7 @@ def run_pipeline(
                 n_misclassified=n_mis,
                 ks_d=ks_d,
                 ks_p=ks_p,
-                pearson=pearson,
+                pearson_r=pearson,
             )
         )
     return PipelineReport(

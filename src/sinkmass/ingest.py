@@ -168,7 +168,7 @@ def load_raster(payload: bytes) -> np.ndarray:
 def save_raster(pixels: np.ndarray) -> bytes:
     height, width = pixels.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    return header + pixels.astype(np.uint8).tobytes()
+    return header + pixels.astype(np.uint8, copy=False).tobytes()
 
 
 def pad_mirror(pixels: np.ndarray, pad: int) -> np.ndarray:

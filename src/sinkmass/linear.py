@@ -10,13 +10,12 @@ Every per-image prediction of a specimen is one array expression, turned
 into masses by ``target_to_mass`` (exponentiated for log-target models,
 then clamped to MASS_FLOOR_UG); the neural regressors use the same step.
 Per-specimen estimates aggregate per-image predictions with their median
-(``trimmed_median``), which makes a single wild per-image prediction
+(``median``), which makes a single wild per-image prediction
 inconsequential.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import config_from_dict, config_to_dict, read_json
+from .config import config_from_dict, config_to_dict, read_json, write_files
 from .errors import (
     EmptyInput,
     InputError,
@@ -122,10 +121,8 @@ def predict_per_image(
     return target_to_mass(values, model.target_space)
 
 
-def trimmed_median(values) -> float:
-    """Median of the values (for an even count, the mean of the central two).
-
-    No trim: trimming both ends equally would leave the median in place."""
+def median(values) -> float:
+    """Median of the values (for an even count, the mean of the central two)."""
     if len(values) == 0:
         raise EmptyInput("cannot aggregate zero predictions")
     return float(np.median(np.asarray(values, dtype=float)))
@@ -135,7 +132,7 @@ def predict_specimen(
     model: LinearModel, specimen: SpecimenRecord, features: SpecimenFeatures
 ) -> float:
     """Median of the per-image predictions; always positive."""
-    return trimmed_median(predict_per_image(model, specimen, features))
+    return median(predict_per_image(model, specimen, features))
 
 
 def finite_masses(masses_of: Callable[[], dict[str, float]]) -> dict[str, float]:
@@ -185,8 +182,7 @@ def build_rows(
 
 
 def save_linear_model(model: LinearModel, path: Path | str) -> None:
-    payload = {"format_version": MODEL_FORMAT_VERSION, **config_to_dict(model)}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_files([(path, {"format_version": MODEL_FORMAT_VERSION, **config_to_dict(model)})])
 
 
 def load_linear_model(path: Path | str) -> LinearModel:

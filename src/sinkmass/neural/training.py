@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import config_from_dict, config_to_dict, read_json
+from ..config import config_from_dict, config_to_dict, read_json, write_files
 from ..errors import (
     EmptySplit,
     IncompatibleArchitecture,
@@ -37,7 +37,7 @@ from ..errors import (
     NonFinitePrediction,
     ShapeMismatch,
 )
-from ..linear import TargetSpace, finite_masses, target_to_mass, trimmed_median
+from ..linear import TargetSpace, finite_masses, median, target_to_mass
 from ..records import CAMERAS, Dataset, SpecimenRecord
 from ..rng import substream
 from .augment import AugmentPolicy, augment_array
@@ -440,7 +440,7 @@ def predict_specimen_masses(
         raise IncompatibleArchitecture("mass prediction needs a regression checkpoint")
     outputs = _specimen_outputs(model, dataset, specimen_ids)
     return finite_masses(lambda: {
-        sid: trimmed_median(target_to_mass(out, model.config.target_space))
+        sid: median(target_to_mass(out, model.config.target_space))
         for sid, out in outputs.items()
     })
 
@@ -473,7 +473,7 @@ def save_checkpoint(model: TrainedModel, path: Path | str) -> None:
         "metadata_std": None if model.metadata_std is None else model.metadata_std.tolist(),
         "taxa": None if model.taxa is None else list(model.taxa),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_files([(path, json.dumps(payload, sort_keys=True) + "\n")])
 
 
 def load_checkpoint(path: Path | str) -> TrainedModel:

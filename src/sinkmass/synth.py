@@ -3,10 +3,10 @@ optional rasterized silhouettes.
 
 Each specimen draws a size s (lognormal) and a density rho (uniform within
 its group's range, relative to the fluid). Volume scales as s^3, silhouette
-area as s^2, mass is exactly rho * mass_coeff * s^3, and the terminal speed
-follows the viscous-drag form v = speed_coeff * (rho - 1) * s^2. The frame
-count is the time to cross the cuvette at that speed, so heavier-per-area
-specimens produce fewer frames, mirroring the imaging device.
+area as AREA_COEFF * s^2, mass is exactly rho * MASS_COEFF * s^3, and the
+terminal speed follows the viscous-drag form v = SPEED_COEFF * (rho - 1) * s^2.
+The frame count is the time to cross the cuvette at that speed, so
+heavier-per-area specimens produce fewer frames, mirroring the imaging device.
 
 With ``raster_dims`` set, each specimen also gets one ``uint8`` stack of
 silhouettes, a row per frame, and ``write_synth_output`` writes one PGM per
@@ -19,14 +19,13 @@ one is attributable to the sinking-speed feature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import config_to_dict
+from .config import write_files
 from .errors import InvalidConfig, SilhouetteTooLarge
 from .ingest import raster_name, save_raster, serialize_frame_csv
 from .records import CAMERAS, Dataset, FrameMeta, SpecimenRecord
@@ -34,6 +33,9 @@ from .rng import substream
 
 DEFAULT_ASPECT_RANGE = (1.2, 2.2)
 CENTER_JITTER_PX = 2
+MASS_COEFF = 0.05
+AREA_COEFF = 0.6
+SPEED_COEFF = 0.32
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,6 @@ class SynthConfig:
     area_noise_cv: float = 0.05
     seed: int = 0
     n_max: int = 200
-    mass_coeff: float = 0.05
-    area_coeff: float = 0.6
-    speed_coeff: float = 0.32
     raster_dims: tuple[int, int] | None = None
 
     def validate(self) -> None:
@@ -77,8 +76,6 @@ class SynthConfig:
             raise InvalidConfig("area_noise_cv must be >= 0")
         if self.n_max < 1:
             raise InvalidConfig("n_max must be >= 1")
-        if min(self.mass_coeff, self.area_coeff, self.speed_coeff) <= 0:
-            raise InvalidConfig("physics coefficients must be positive")
         dims = self.raster_dims
         if dims is not None and not (len(dims) == 2 and 0 < dims[0] == dims[1]):
             raise InvalidConfig(f"raster_dims must be two equal positive sides, got {list(dims)}")
@@ -95,9 +92,6 @@ class GroundTruthEntry:
 @dataclass(frozen=True)
 class GroundTruth:
     entries: dict[str, GroundTruthEntry]
-
-    def to_dict(self) -> dict:
-        return {sid: config_to_dict(e) for sid, e in sorted(self.entries.items())}
 
 
 def _ellipse_raster(
@@ -170,9 +164,9 @@ def _make_specimen(
     size = rng.lognormal(mean=group.size_lognormal[0], sigma=group.size_lognormal[1])
     density = rng.uniform(*group.density_range)
     volume = size**3
-    mass = density * config.mass_coeff * volume
-    base_area = config.area_coeff * size**2
-    step = config.speed_coeff * (density - 1.0) * size**2 * config.dt
+    mass = density * MASS_COEFF * volume
+    base_area = AREA_COEFF * size**2
+    step = SPEED_COEFF * (density - 1.0) * size**2 * config.dt
     if step > 0:
         n = int(math.ceil(config.cuvette_height_px / step))
     else:
@@ -241,22 +235,26 @@ def generate(config: SynthConfig, name: str = "synthetic") -> tuple[Dataset, Gro
 
 def write_synth_output(dataset: Dataset, truth: GroundTruth, out_dir: Path | str) -> Path:
     """Write manifest, frame CSVs, PGM rasters, and ground truth to disk in
-    the exact ingest schema. Returns the manifest path."""
+    the exact ingest schema, one file at a time. Returns the manifest path."""
     out = Path(out_dir)
-    frames_dir = out / "frames"
-    frames_dir.mkdir(parents=True, exist_ok=True)
+    write_files(_synth_files(dataset, truth, out))
+    return out / "manifest.json"
+
+
+def _synth_files(dataset: Dataset, truth: GroundTruth, out: Path):
+    """The ``(path, content)`` pairs of ``write_synth_output``, each encoded
+    only when it is asked for."""
     manifest = []
     for record in dataset.specimens:
         csv_rel = f"frames/{record.specimen_id}.csv"
-        (out / csv_rel).write_bytes(serialize_frame_csv(record.frames))
+        yield out / csv_rel, serialize_frame_csv(record.frames)
         raster_rel = None
         stack = dataset.rasters.get(record.specimen_id)
         if stack is not None:
             raster_rel = f"rasters/{record.specimen_id}"
             rdir = out / raster_rel
-            rdir.mkdir(parents=True, exist_ok=True)
             for frame, pixels in zip(record.frames, stack):
-                (rdir / raster_name(frame)).write_bytes(save_raster(pixels))
+                yield rdir / raster_name(frame), save_raster(pixels)
         manifest.append(
             {
                 "specimen_id": record.specimen_id,
@@ -266,9 +264,5 @@ def write_synth_output(dataset: Dataset, truth: GroundTruth, out_dir: Path | str
                 "raster_dir": raster_rel,
             }
         )
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    (out / "groundtruth.json").write_text(
-        json.dumps(truth.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    return manifest_path
+    yield out / "manifest.json", manifest
+    yield out / "groundtruth.json", truth.entries

@@ -180,12 +180,17 @@ class TestSynthAndIngest:
                 ({"raster_dims": dims}, f"raster_dims must be two equal positive sides, got {dims}")
                 for dims in ([16, 20], [0, 0], [-16, -16])
             ),
+            # the physics coefficients are module constants, not options
+            *(
+                ({key: 0.5}, f"unknown SynthConfig keys: {key}")
+                for key in ("mass_coeff", "area_coeff", "speed_coeff")
+            ),
         ],
         ids=[
             "unknown_key", "uncoercible_value", "unknown_group_key", "group_missing_count",
             "one_density_bound", "one_size_parameter", "one_aspect_bound", "one_raster_side",
             "three_raster_sides", "non_square_rasters", "zero_raster_sides",
-            "negative_raster_sides",
+            "negative_raster_sides", "mass_coeff", "area_coeff", "speed_coeff",
         ],
     )
     def test_bad_synth_config_exits_2(self, tmp_path, capsys, change, message):
@@ -235,8 +240,12 @@ class TestSynthAndIngest:
             )
         )
         assert run("ingest", "--manifest", manifest, "--out", tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert json.loads(err.strip())["error"] == "ValidationFailed"
+        summary = tmp_path / "o" / "dataset_summary.json"
+        assert one_error(capsys) == {
+            "error": "ValidationFailed",
+            "message": f"1 violation(s), listed in {summary}",
+        }
+        assert len(json.loads(summary.read_text())["violations"]) == 1
 
     def test_missing_manifest_is_input_error(self, tmp_path, capsys):
         assert run("ingest", "--manifest", tmp_path / "nope.json", "--out", tmp_path) == 2
@@ -1097,6 +1106,49 @@ def test_bad_flags_exit_2_with_one_json_error(synth_dir, tmp_path, capsys, monke
     reported = one_error(capsys)
     assert reported["error"] == error
     assert named in reported["message"]
+
+
+# (argv without --manifest and --out, the output file name the test makes a
+# directory); "model" and "metrics" stand for a linear model file and a
+# metric report that the test writes
+OUTPUT_COLLISIONS = {
+    "evaluate": (("evaluate", "--model", "model"), "metrics.json"),
+    "crossval": (("crossval", "--model", "linear-area", "--seed", 1), "splits.json"),
+    "features": (("features",), "features.csv"),
+    "fit-linear": (("fit-linear",), "linear_model.json"),
+    "ingest": (("ingest",), "dataset_summary.json"),
+    "report": (("report", "metrics"), "report.csv"),
+}
+
+
+@pytest.mark.parametrize("command", [*sorted(OUTPUT_COLLISIONS), "synth"])
+def test_output_path_that_cannot_be_written_exits_2(synth_dir, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    files = {
+        "model": tmp_path / "model.json",
+        "metrics": tmp_path / "metrics.json",
+        "config": tmp_path / "synth.json",
+    }
+    files["model"].write_text(json.dumps(LINEAR_MODEL))
+    files["metrics"].write_text(json.dumps(FULL_REPORT))
+    files["config"].write_text(json.dumps(SYNTH_CONFIG))
+    if command == "synth":
+        out.mkdir()
+        blocked = out / "frames"
+        blocked.write_text("a file where synth puts its frame CSVs\n")
+        argv = ("synth", "--seed", 1, "--config", files["config"])
+        expected = f"cannot make output directory {blocked}: [Errno 17] File exists"
+    else:
+        args, name = OUTPUT_COLLISIONS[command]
+        blocked = out / name
+        blocked.mkdir(parents=True)
+        manifest = () if command == "report" else ("--manifest", synth_dir / "manifest.json")
+        argv = (*(files.get(a, a) for a in args), *manifest)
+        expected = f"cannot write {blocked}: [Errno 21] Is a directory"
+    assert run(*argv, "--out", out) == 2
+    reported = one_error(capsys)
+    assert reported["error"] == "InputError"
+    assert reported["message"].startswith(expected)
 
 
 @pytest.mark.parametrize(

@@ -15,11 +15,11 @@ from sinkmass.linear import (
     build_rows,
     fit_ols,
     load_linear_model,
+    median,
     predict_per_image,
     predict_specimen,
     save_linear_model,
     target_to_mass,
-    trimmed_median,
 )
 from sinkmass.records import MASS_FLOOR_UG, SpecimenRecord
 
@@ -164,29 +164,29 @@ _VALUES = st.lists(
 class TestTrimmedMedian:
     def test_twenty_values_trims_one_per_end(self):
         values = list(range(1, 21))
-        assert trimmed_median(values) == 10.5
+        assert median(values) == 10.5
 
     def test_singleton(self):
-        assert trimmed_median([5]) == 5
+        assert median([5]) == 5
 
     def test_even_count_of_numpy_values_gives_python_float(self):
-        result = trimmed_median(np.array([1.0, 2.0, 4.0, 8.0]))
+        result = median(np.array([1.0, 2.0, 4.0, 8.0]))
         assert type(result) is float and result == 3.0
 
     def test_five_values_no_trim_at_five_percent(self):
-        assert trimmed_median([1, 1, 1, 1, 1000]) == 1
+        assert median([1, 1, 1, 1, 1000]) == 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
-            trimmed_median([])
+            median([])
         with pytest.raises(EmptyInput):
-            trimmed_median(np.empty(0))
+            median(np.empty(0))
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)
     def test_list_and_array_give_the_same_float(self, values):
-        from_list = trimmed_median(values)
-        from_array = trimmed_median(np.array(values))
+        from_list = median(values)
+        from_array = median(np.array(values))
         assert type(from_list) is type(from_array) is float
         assert from_list == from_array
 
@@ -194,24 +194,24 @@ class TestTrimmedMedian:
     @given(st.data(), _VALUES)
     def test_permutation_invariant(self, data, values):
         shuffled = data.draw(st.permutations(values))
-        assert trimmed_median(shuffled) == trimmed_median(values)
+        assert median(shuffled) == median(values)
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)
     def test_equals_numpy_median(self, values):
-        assert trimmed_median(values) == float(np.median(values))
+        assert median(values) == float(np.median(values))
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)
     def test_lies_between_min_and_max(self, values):
-        assert min(values) <= trimmed_median(values) <= max(values)
+        assert min(values) <= median(values) <= max(values)
 
     def test_corrupting_max_of_thirty_changes_nothing(self, rng):
         values = list(rng.uniform(10, 20, size=30))
-        baseline = trimmed_median(values)
+        baseline = median(values)
         corrupted = list(values)
         corrupted[int(np.argmax(corrupted))] *= 100.0
-        assert trimmed_median(corrupted) == baseline
+        assert median(corrupted) == baseline
 
 
 class TestPredictSpecimen:

@@ -16,7 +16,7 @@ from sinkmass.errors import (
     NonFinitePrediction,
 )
 from sinkmass import experiments
-from sinkmass.linear import TargetSpace, trimmed_median
+from sinkmass.linear import TargetSpace, median
 from sinkmass.neural import training
 from sinkmass.neural.losses import LossKind, LossSpace, cross_entropy, regression_loss, softmax
 from sinkmass.neural.model import (
@@ -494,7 +494,7 @@ class TestBatchedInference:
         for sid in ids:
             (alone,) = predict_specimen_masses(regressor, dataset, [sid]).values()
             outputs = one_specimen_outputs(regressor, dataset, sid)
-            reference = trimmed_median(np.maximum(np.exp(outputs), MASS_FLOOR_UG))
+            reference = median(np.maximum(np.exp(outputs), MASS_FLOOR_UG))
             assert masses[sid] == alone
             assert masses[sid] == reference
             probs = softmax(one_specimen_outputs(classifier, dataset, sid)).mean(axis=0)

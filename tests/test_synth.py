@@ -5,6 +5,7 @@ from sinkmass.errors import InvalidConfig, SilhouetteTooLarge
 from sinkmass.linear import FeatureSpec, fit_ols, build_rows
 from sinkmass.records import validate_dataset
 from sinkmass.synth import (
+    MASS_COEFF,
     GroupSpec,
     SynthConfig,
     _ellipse_raster,
@@ -33,11 +34,10 @@ class TestGenerate:
         assert validate_dataset(dataset).ok
 
     def test_mass_is_exact_density_volume_product(self):
-        config = two_group_config()
-        dataset, truth = generate(config)
+        dataset, truth = generate(two_group_config())
         for record in dataset.specimens:
             entry = truth.entries[record.specimen_id]
-            assert entry.mass == entry.density * config.mass_coeff * entry.volume
+            assert entry.mass == entry.density * MASS_COEFF * entry.volume
             assert record.dry_mass_ug == entry.mass
 
     def test_deterministic_per_seed(self):

@@ -9,8 +9,9 @@ case name, the argv, the exit code, the SHA-256 of stdout and of stderr, and
 the SHA-256 of every file the invocation wrote or changed.
 
 Cases marked ``ok`` are the success path; the script exits 1 if any of them
-exits non-zero. The other cases are bad flags and bad inputs, digested so
-that a change to the CLI contract shows up as a differing line.
+exits non-zero. The other cases are bad flags, bad inputs and output paths
+that cannot be written, digested so that a change to the CLI contract shows
+up as a differing line.
 
     PYTHONPATH=src python3 tools/cli_digest.py > change.jsonl
     PYTHONPATH=<parent checkout>/src python3 tools/cli_digest.py > parent.jsonl
@@ -78,6 +79,17 @@ CONFIGS = {
 }
 # the raster side the padded copy crops its first specimen to
 CROP = 12
+# output trees with a directory at one output file name, and one with a file
+# where synth makes its frames directory
+BLOCKED_DIRS = (
+    "blocked_evaluate/metrics.json",
+    "blocked_crossval/splits.json",
+    "blocked_features/features.csv",
+    "blocked_fit_linear/linear_model.json",
+    "blocked_ingest/dataset_summary.json",
+    "blocked_report/report.csv",
+)
+BLOCKED_FILE = "blocked_synth/frames"
 
 F = ("--manifest", "frames/manifest.json")
 R = ("--manifest", "rasters/manifest.json")
@@ -86,7 +98,8 @@ LINEAR = ("--model", "linear/linear_model.json")
 PIPE = ("--classifier", "cls/checkpoint.json")
 
 # (name, expected outcome, argv); later cases read what earlier ones wrote,
-# and the error cases write to "x", which is emptied before each case
+# and the error cases write to "x", which is emptied before each case, or to
+# one of the blocked trees
 CASES = [
     ("synth_frames", "ok", ("synth", "--seed", 11, "--config", "frames.json", "--out", "frames")),
     ("synth_rasters", "ok",
@@ -264,6 +277,19 @@ CASES = [
      ("ingest", *F, "--raster-size", -5, 7, "--out", "x")),
     ("ingest_rasters_unequal_raster_size", "error",
      ("ingest", *R, "--raster-size", 16, 20, "--out", "x")),
+    # an output file name that is a directory, or a file where synth makes one
+    ("evaluate_metrics_is_a_directory", "error",
+     ("evaluate", *F, *LINEAR, "--out", "blocked_evaluate")),
+    ("crossval_splits_is_a_directory", "error",
+     ("crossval", *F, "--model", "linear-area", "--seed", 3, "--out", "blocked_crossval")),
+    ("features_csv_is_a_directory", "error", ("features", *F, "--out", "blocked_features")),
+    ("fit_linear_model_is_a_directory", "error",
+     ("fit-linear", *F, "--out", "blocked_fit_linear")),
+    ("ingest_summary_is_a_directory", "error", ("ingest", *F, "--out", "blocked_ingest")),
+    ("report_csv_is_a_directory", "error",
+     ("report", "eval/metrics.json", "--out", "blocked_report")),
+    ("synth_frames_is_a_file", "error",
+     ("synth", "--seed", 1, "--config", "frames.json", "--out", "blocked_synth")),
     # empty paths; last, since a command that took "" as the working
     # directory would write there
     ("ingest_empty_manifest", "error", ("ingest", "--manifest", "", "--out", "x")),
@@ -289,6 +315,10 @@ def _snapshot(root: Path) -> dict[str, str]:
 def _write_inputs(root: Path) -> None:
     for name, payload in CONFIGS.items():
         (root / name).write_text(json.dumps(payload))
+    for name in BLOCKED_DIRS:
+        (root / name).mkdir(parents=True)
+    (root / BLOCKED_FILE).parent.mkdir()
+    (root / BLOCKED_FILE).write_text("")
 
 
 def _write_bad_mass_manifests(root: Path) -> None:
