@@ -285,7 +285,7 @@ def cmd_fit_linear(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from . import experiments
-    from .evaluation import attach_bootstrap, compute_metrics
+    from .evaluation import CONFIDENCE_LEVEL, attach_bootstrap, compute_metrics
 
     if args.bootstrap > 0 and args.seed is None:
         raise UsageError("sinkmass evaluate: --bootstrap above 0 requires --seed")
@@ -295,7 +295,8 @@ def cmd_evaluate(args) -> int:
     predictions = experiments.predict(model, dataset, ids)
     report = compute_metrics(predictions)
     if args.bootstrap > 0:
-        report = attach_bootstrap(report, predictions, args.bootstrap, args.level, args.seed)
+        level = CONFIDENCE_LEVEL if args.level is None else args.level
+        report = attach_bootstrap(report, predictions, args.bootstrap, level, args.seed)
     method = args.method or experiments.model_family(model)
     payload = {"dataset": dataset.name, "method": method, "report": report.to_dict()}
     out = Path(args.out)
@@ -310,12 +311,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_crossval(args) -> int:
     from . import experiments
+    from .evaluation import CV_FOLDS
 
     _reject_ignored_flags(args)
     config = _load_config(args)
     dataset = _load_dataset(args)
     estimator, label = _estimator(args, config, dataset)
-    result = experiments.crossval(dataset, estimator, k=args.folds, seed=args.seed)
+    k = CV_FOLDS if args.folds is None else args.folds
+    result = experiments.crossval(dataset, estimator, k=k, seed=args.seed)
     method = args.method or label
     payload = {
         "dataset": dataset.name,
@@ -335,11 +338,12 @@ def cmd_crossval(args) -> int:
 
 def _fold(dataset, args):
     """The train/validation split of CV fold ``--fold`` out of ``--folds``."""
-    from .evaluation import make_cv_splits
+    from .evaluation import CV_FOLDS, make_cv_splits
 
-    plan = make_cv_splits(dataset, k=args.folds, seed=args.seed)
-    if not 0 <= args.fold < args.folds:
-        raise InvalidConfig(f"--fold must lie in [0, {args.folds}), got {args.fold}")
+    k = CV_FOLDS if args.folds is None else args.folds
+    plan = make_cv_splits(dataset, k=k, seed=args.seed)
+    if not 0 <= args.fold < k:
+        raise InvalidConfig(f"--fold must lie in [0, {k}), got {args.fold}")
     return plan.folds[args.fold]
 
 
@@ -574,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fold = (
         _flag("--fold", type=int, default=0, help="which CV fold supplies train/val"),
-        _flag("--folds", type=int, default=5),
+        _flag("--folds", type=int, default=None),
     )
 
     parser = _Parser(
@@ -605,13 +609,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bootstrap", type=_bootstrap_count, default=0, help="bootstrap draws (0 = off)"
     )
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=float, default=None)
     p.add_argument("--seed", type=int, default=None, help="bootstrap seed")
 
     p = command(
         "crossval", cmd_crossval, "k-fold protocol", *seeded, manifest, name, *estimator, out
     )
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=None)
 
     command("train", cmd_train, "train a neural model", *seeded, manifest, *fold, out)
 

@@ -32,6 +32,10 @@ from .records import Dataset, PredictionEntry, PredictionSet
 from .rng import substream
 
 METRIC_NAMES = ("mape", "mdape", "mae", "rmse", "r2_log")
+# Cross-validation folds, and the bootstrap intervals' confidence level, when
+# the caller names none.
+CV_FOLDS = 5
+CONFIDENCE_LEVEL = 0.95
 # Share of the training specimens that validates: of each fold's non-test
 # specimens (with k=5 the roles come out 64/16/20 train/validation/test), and
 # of each taxon when a neural fit is given no validation split.
@@ -200,7 +204,7 @@ def bootstrap(
     metric_fn,
     predictions: PredictionSet,
     n_draws: int = 1000,
-    level: float = 0.95,
+    level: float = CONFIDENCE_LEVEL,
     seed: int = 0,
 ) -> BootstrapInterval:
     """Percentile bootstrap interval and standard deviation of a metric.
@@ -216,7 +220,7 @@ def attach_bootstrap(
     report: MetricReport,
     predictions: PredictionSet,
     n_draws: int = 1000,
-    level: float = 0.95,
+    level: float = CONFIDENCE_LEVEL,
     seed: int = 0,
 ) -> MetricReport:
     """Return a copy of ``report`` with bootstrap intervals for each metric.
@@ -257,7 +261,7 @@ def _proportional_allocation(weights: list[int], total: int) -> list[int]:
     return alloc
 
 
-def make_cv_splits(dataset: Dataset, k: int = 5, seed: int = 0) -> SplitPlan:
+def make_cv_splits(dataset: Dataset, k: int = CV_FOLDS, seed: int = 0) -> SplitPlan:
     """Specimen-level, taxon-stratified k-fold split plan.
 
     The k >= 2 test folds partition the dataset; within each fold the

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 from .errors import EmptyPredictions, UnknownTaxon, ZeroVariance
 from .evaluation import (
+    CV_FOLDS,
     VAL_FRACTION,
     MetricReport,
     SplitPlan,
@@ -140,7 +141,8 @@ class CrossvalResult:
 
 
 def crossval(
-    dataset: Dataset, estimator: LinearEstimator | NeuralEstimator, k: int = 5, seed: int = 0
+    dataset: Dataset, estimator: LinearEstimator | NeuralEstimator, k: int = CV_FOLDS,
+    seed: int = 0,
 ) -> CrossvalResult:
     """k-fold protocol: fit on each fold's train split (and validation split)
     with a fold-derived seed, score its test fold, then pool the test
@@ -167,7 +169,7 @@ def crossval_linear(
     dataset: Dataset,
     feature_spec: FeatureSpec,
     target_space: TargetSpace = TargetSpace.RAW,
-    k: int = 5,
+    k: int = CV_FOLDS,
     seed: int = 0,
     per_image: bool = True,
 ) -> CrossvalResult:
@@ -179,7 +181,7 @@ def crossval_neural(
     dataset: Dataset,
     model_config: ModelConfig,
     train_config: TrainConfig,
-    k: int = 5,
+    k: int = CV_FOLDS,
     seed: int = 0,
 ) -> CrossvalResult:
     estimator = NeuralEstimator(model_config, train_config)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TooFewFrames
-from .records import FrameMeta, SpecimenRecord
+from .records import SpecimenRecord
 
 # Camera used for the speed formula and the image-count convention. If it
 # has fewer than two frames we fall back to the other camera; if both fail,
@@ -29,7 +31,7 @@ class SpecimenFeatures:
     pseudo_mass: float
 
 
-def sinking_speed(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> float:
+def sinking_speed(frames: np.ndarray) -> float:
     """Speed in pixels per frame over one camera's sequence.
 
     Computed as (top border of first frame - top border of last frame) / n.
@@ -39,24 +41,28 @@ def sinking_speed(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> float:
     n = len(frames)
     if n < 2:
         raise TooFewFrames(n)
-    return (frames[0].top - frames[-1].top) / n
+    tops = frames["top"]
+    # Python ints: an int64 difference could wrap
+    return (int(tops[0]) - int(tops[-1])) / n
 
 
-def mean_area(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> float:
-    """Arithmetic mean of area_px over all frames (both cameras)."""
-    if not frames:
+def mean_area(frames: np.ndarray) -> float:
+    """Arithmetic mean of area_px over all frames (both cameras), summed left
+    to right as Python floats; np.mean's pairwise sum can differ in the last
+    bit."""
+    if len(frames) == 0:
         raise ValueError("mean_area needs at least one frame")
-    return sum(f.area_px for f in frames) / len(frames)
+    return sum(frames["area_px"].tolist()) / len(frames)
 
 
-def _reference_frames(record: SpecimenRecord) -> tuple[FrameMeta, ...]:
+def _reference_frames(record: SpecimenRecord) -> np.ndarray:
     primary = record.frames_for(REFERENCE_CAMERA)
     if len(primary) >= 2:
         return primary
     fallback = record.frames_for(FALLBACK_CAMERA)
     if len(fallback) >= 2:
         return fallback
-    return primary if primary else fallback
+    return primary if len(primary) else fallback
 
 
 def compute_features(record: SpecimenRecord) -> SpecimenFeatures:

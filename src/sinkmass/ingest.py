@@ -5,15 +5,16 @@ export to this schema):
 
 * Frame CSV: header ``camera_id,frame_index,top,bottom,left,right,area_px``,
   LF line endings, decimal point ``.``. ``camera_id`` is ``A`` or ``B``,
-  ``frame_index`` a non-negative integer, the four borders integers and
-  ``area_px`` a finite number (``nan`` and ``inf`` are rejected).
+  ``frame_index`` a non-negative integer, the four borders integers (both
+  within the ``int64`` range) and ``area_px`` a finite number (``nan`` and
+  ``inf`` are rejected).
   Whitespace around the header and around each field is ignored, so a file
   with CRLF line endings parses too.
 * Manifest: JSON array of objects with keys ``specimen_id``, ``taxon``,
   ``dry_mass_ug`` (nullable), ``metadata_csv``, ``raster_dir`` (nullable).
   Paths are resolved relative to the manifest file.
 * Rasters: binary PGM (P5), maxval 255, one square image per frame named
-  ``<camera_id>_<frame_index>.pgm`` (``raster_name``). ``assemble_dataset``
+  ``<camera_id>_<frame_index>.pgm`` (``raster_names``). ``assemble_dataset``
   stacks a specimen's rasters, mirror-padded to one size, into one ``uint8``
   array with a row per frame in frame-CSV order.
 """
@@ -21,6 +22,7 @@ export to this schema):
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from .errors import (
     RasterLargerThanTarget,
     UnsupportedFormat,
 )
-from .records import CAMERAS, Dataset, FrameMeta, SpecimenRecord
+from .records import CAMERAS, FRAME_DTYPE, Dataset, SpecimenRecord, frame_table
 
 FRAME_CSV_HEADER = "camera_id,frame_index,top,bottom,left,right,area_px"
 
@@ -51,14 +53,56 @@ class ManifestEntry:
     raster_dir: Path | None = None
 
 
-def parse_frame_csv(payload: bytes) -> list[FrameMeta]:
-    """Decode a frame-metadata CSV into FrameMeta rows, preserving order.
+def parse_frame_csv(payload: bytes) -> np.ndarray:
+    """Decode a frame-metadata CSV into a read-only frame table, preserving
+    order: with one ``np.loadtxt`` when the columns pass, else with
+    ``parse_frame_rows``, which gives the same table or raises."""
+    table = _parse_columns(payload)
+    return parse_frame_rows(payload) if table is None else table
 
-    Raises MalformedRow(line_no) on a bad header, wrong arity, an unknown
-    camera, a non-numeric field, a negative frame_index or a non-finite
-    area_px; EmptyFile when there are no data rows. Gaps in frame_index are
-    permitted here (ordering is a dataset-level invariant).
-    """
+
+# loadtxt reads two camera characters, so that no longer field is cut to a
+# valid camera. Control characters other than whitespace go to the rows: the
+# U dtype drops trailing NULs, and loadtxt strips \x1c-\x1f, which int() and
+# float() reject.
+_LOADTXT_DTYPE = np.dtype([("camera_id", "U2"), *FRAME_DTYPE.descr[1:]])
+_CONTROL = bytes([*range(0x00, 0x09), *range(0x0E, 0x20)])
+
+
+def _parse_columns(payload: bytes) -> np.ndarray | None:
+    """The frame table of a UTF-8 payload with the header, data lines that
+    loadtxt reads without error or warning, one row per line (it skips blank
+    lines), cameras A or B, no negative frame_index and finite areas; None
+    for any other payload."""
+    if len(payload.translate(None, _CONTROL)) != len(payload):
+        return None
+    try:  # a UnicodeDecodeError is a ValueError
+        lines = payload.decode("utf-8").removesuffix("\n").split("\n")
+        if len(lines) < 2 or lines[0].strip() != FRAME_CSV_HEADER:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = np.loadtxt(lines[1:], _LOADTXT_DTYPE, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if not (
+        len(raw) == len(lines) - 1
+        and set(raw["camera_id"].tolist()) <= set(CAMERAS)
+        and raw["frame_index"].min() >= 0
+        and np.isfinite(raw["area_px"]).all()
+    ):
+        return None
+    table = raw.astype(FRAME_DTYPE)
+    table.flags.writeable = False
+    return table
+
+
+def parse_frame_rows(payload: bytes) -> np.ndarray:
+    """``parse_frame_csv`` one row at a time, for every spelling ``int()``
+    and ``float()`` accept. Raises MalformedRow(line_no) on a bad header,
+    wrong arity, an unknown camera, a non-numeric field, a negative
+    frame_index, a non-finite area_px or an integer outside int64, and
+    EmptyFile without data rows. Gaps in frame_index are permitted here."""
     try:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -69,7 +113,7 @@ def parse_frame_csv(payload: bytes) -> list[FrameMeta]:
         lines.pop()
     if not lines or lines[0].strip() != FRAME_CSV_HEADER:
         raise MalformedRow(1, f"expected header {FRAME_CSV_HEADER!r}")
-    frames: list[FrameMeta] = []
+    rows = []
     for offset, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         try:
@@ -80,36 +124,35 @@ def parse_frame_csv(payload: bytes) -> list[FrameMeta]:
         if camera_id not in CAMERAS:
             raise MalformedRow(offset, f"unknown camera_id {camera_id!r}")
         try:
-            frame = FrameMeta(
-                camera_id, int(frame_index), int(top), int(bottom), int(left), int(right),
-                float(area_px),
-            )
+            ints = [int(frame_index), int(top), int(bottom), int(left), int(right)]
+            area_px = float(area_px)
         except ValueError as exc:
             raise MalformedRow(offset, str(exc)) from None
-        if frame.frame_index < 0:
-            raise MalformedRow(offset, f"negative frame_index {frame.frame_index}")
-        if not math.isfinite(frame.area_px):
-            raise MalformedRow(offset, f"non-finite area_px {frame.area_px}")
-        frames.append(frame)
-    if not frames:
+        if ints[0] < 0:
+            raise MalformedRow(offset, f"negative frame_index {ints[0]}")
+        if not math.isfinite(area_px):
+            raise MalformedRow(offset, f"non-finite area_px {area_px}")
+        for name, value in zip(FRAME_DTYPE.names[1:], ints):
+            if not -(2**63) <= value < 2**63:
+                raise MalformedRow(offset, f"{name} {value} outside the int64 range")
+        rows.append((camera_id, *ints, area_px))
+    if not rows:
         raise EmptyFile("no data rows")
-    return frames
+    return frame_table(rows)
 
 
-def serialize_frame_csv(frames: list[FrameMeta] | tuple[FrameMeta, ...]) -> bytes:
+def serialize_frame_csv(frames: np.ndarray) -> bytes:
     """Inverse of parse_frame_csv; for frames with finite areas the round
     trip is the identity."""
-    lines = [FRAME_CSV_HEADER]
-    for f in frames:
-        lines.append(
-            f"{f.camera_id},{f.frame_index},{f.top},{f.bottom},{f.left},{f.right},{f.area_px!r}"
-        )
+    rows = (",".join([row[0], *map(repr, row[1:])]) for row in frames.tolist())
+    lines = [FRAME_CSV_HEADER, *rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def raster_name(frame: FrameMeta) -> str:
-    """The PGM file name of ``frame``'s silhouette in its specimen's raster_dir."""
-    return f"{frame.camera_id}_{frame.frame_index}.pgm"
+def raster_names(frames: np.ndarray) -> list[str]:
+    """The PGM file name of each frame's silhouette in its specimen's raster_dir."""
+    cameras, indices = frames["camera_id"].tolist(), frames["frame_index"].tolist()
+    return [f"{camera}_{index}.pgm" for camera, index in zip(cameras, indices)]
 
 
 def _pgm_tokens(payload: bytes, count: int) -> tuple[list[bytes], int]:
@@ -260,13 +303,13 @@ def assemble_dataset(
         except InputError as exc:
             exc.args = (f"{entry.specimen_id}: {exc}",)
             raise exc from None
-        record = SpecimenRecord(entry.specimen_id, entry.taxon, entry.dry_mass_ug, tuple(frames))
+        record = SpecimenRecord(entry.specimen_id, entry.taxon, entry.dry_mass_ug, frames)
         specimens.append(record)
         if entry.raster_dir is None:
             continue
         rasters = []
-        for frame in frames:
-            fpath = entry.raster_dir / raster_name(frame)
+        for file_name in raster_names(frames):
+            fpath = entry.raster_dir / file_name
             try:
                 raster = load_raster(fpath.read_bytes())
             except (OSError, ValueError) as exc:
@@ -284,8 +327,8 @@ def assemble_dataset(
     for record, rasters in pending:
         sid = record.specimen_id
         stacks[sid] = np.stack([
-            _pad_to_target(raster, target, f"{sid}/{raster_name(frame)}")
-            for frame, raster in zip(record.frames, rasters)
+            _pad_to_target(raster, target, f"{sid}/{file_name}")
+            for file_name, raster in zip(raster_names(record.frames), rasters)
         ])
         rasters.clear()
     return Dataset(

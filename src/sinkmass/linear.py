@@ -112,8 +112,7 @@ def predict_per_image(
 
     Each frame contributes its own area; the sinking speed is specimen-level.
     """
-    areas = np.fromiter((f.area_px for f in specimen.frames), float, len(specimen.frames))
-    values = model.intercept + model.coefficients[0] * areas
+    values = model.intercept + model.coefficients[0] * specimen.frames["area_px"]
     if model.feature_spec is FeatureSpec.AREA_PLUS_SPEED:
         if features.sinking_speed is None:
             raise MissingSpeed(f"{specimen.specimen_id}: no sinking speed available")
@@ -174,11 +173,11 @@ def build_rows(
             math.log(record.dry_mass_ug) if target_space is TargetSpace.LOG else record.dry_mass_ug
         )
         per_specimen.append((feats.sinking_speed, target) if needs_speed else (target,))
-        frame_areas = [f.area_px for f in record.frames] if per_image else [feats.mean_area_px]
-        areas.extend(frame_areas)
-        counts.append(len(frame_areas))
+        areas.append(record.frames["area_px"] if per_image else [feats.mean_area_px])
+        counts.append(len(areas[-1]))
     columns = np.array(per_specimen, dtype=float).reshape(len(counts), feature_spec.n_features)
-    return np.column_stack([np.asarray(areas, dtype=float), np.repeat(columns, counts, axis=0)])
+    area_column = np.concatenate(areas) if areas else np.zeros(0)
+    return np.column_stack([area_column, np.repeat(columns, counts, axis=0)])
 
 
 def save_linear_model(model: LinearModel, path: Path | str) -> None:

@@ -173,10 +173,9 @@ def build_samples(
         if needs_speed and feats.sinking_speed is None:
             continue
         stack = _specimen_images(dataset, record)
+        frames = record.frames
         if multi_view:
-            rows, rows2 = (
-                [i for i, f in enumerate(record.frames) if f.camera_id == c] for c in CAMERAS
-            )
+            rows, rows2 = (np.flatnonzero(frames["camera_id"] == c) for c in CAMERAS)
             count = min(len(rows), len(rows2))
             if count == 0:
                 continue
@@ -184,12 +183,12 @@ def build_samples(
             images.append(stack[rows])
             images2.append(stack[rows2])
         else:
-            rows = range(len(record.frames))
+            rows = np.arange(len(frames))
             images.append(stack)
         if config.metadata_inputs:
-            for row in rows:
+            for area in frames["area_px"][rows].tolist():
                 values = {
-                    MetadataInput.FRAME_AREA: record.frames[row].area_px,
+                    MetadataInput.FRAME_AREA: area,
                     MetadataInput.MEAN_AREA: feats.mean_area_px,
                     MetadataInput.SINKING_SPEED: feats.sinking_speed,
                 }
@@ -410,7 +409,7 @@ def fine_tune(
         raise IncompatibleArchitecture("fine-tuning needs a dataset with rasters")
     if base.config.architecture is Architecture.MULTI_VIEW:
         if not any(
-            s.frames_for("A") and s.frames_for("B") for s in dataset.specimens
+            len(s.frames_for("A")) and len(s.frames_for("B")) for s in dataset.specimens
         ):
             raise IncompatibleArchitecture("multi-view base needs two-camera data")
     return train(dataset, train_ids, val_ids, base.config, train_config, taxa=base.taxa, base=base)

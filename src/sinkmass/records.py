@@ -1,10 +1,18 @@
 """Core domain types shared by every other module.
 
-Masses are stored in micrograms. A dataset's silhouettes are one ``uint8``
-stack per specimen, one row per frame in frame order. All types are
-immutable after construction and safe to share read-only across parallel
-workers. ``validate_dataset`` reports invariant violations as data instead
-of raising, so callers can surface every problem in one pass.
+Masses are stored in micrograms. A specimen's frames are one frame table, a
+structured array of dtype ``FRAME_DTYPE`` (one-character ``camera_id``,
+``int64`` frame_index and crop borders, ``float64`` area_px) with a row per
+saved crop in file order. Tables that ingest, synth and ``frame_table`` make
+are read-only (``flags.writeable`` is False). Border positions are recorded
+the way the imaging device emits them: values decrease as the specimen
+descends, so the first frame of a sinking sequence carries the largest
+``top`` value. Only differences between frames matter downstream. A
+dataset's silhouettes are one ``uint8`` stack per specimen, one row per
+frame in frame order. All types are immutable after construction and safe
+to share read-only across parallel workers. ``validate_dataset`` reports
+invariant violations as data instead of raising, so callers can surface
+every problem in one pass.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,37 +29,32 @@ MASS_FLOOR_UG = 1e-3
 
 CAMERAS = ("A", "B")
 
-
-class FrameMeta(NamedTuple):
-    """One saved crop: position of the crop box in cuvette coordinates plus
-    the specimen area visible in that frame.
-
-    Border positions are recorded the way the imaging device emits them:
-    values decrease as the specimen descends, so the first frame of a sinking
-    sequence carries the largest ``top`` value. Only differences between
-    frames matter downstream.
-    """
-
-    camera_id: str
-    frame_index: int
-    top: int
-    bottom: int
-    left: int
-    right: int
-    area_px: float
+FRAME_DTYPE = np.dtype([
+    ("camera_id", "U1"),
+    *((name, np.int64) for name in ("frame_index", "top", "bottom", "left", "right")),
+    ("area_px", np.float64),
+])
 
 
-@dataclass(frozen=True)
+def frame_table(rows) -> np.ndarray:
+    """A read-only frame table from rows of FRAME_DTYPE's fields, in order."""
+    table = np.array([tuple(row) for row in rows], dtype=FRAME_DTYPE)
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class SpecimenRecord:
-    """One weighed (or inference-only) individual with its frame sequences."""
+    """One weighed (or inference-only) individual with its frame table;
+    records compare by identity, as tables have no single truth value."""
 
     specimen_id: str
     taxon: str
     dry_mass_ug: float | None
-    frames: tuple[FrameMeta, ...]
+    frames: np.ndarray
 
-    def frames_for(self, camera_id: str) -> tuple[FrameMeta, ...]:
-        return tuple(f for f in self.frames if f.camera_id == camera_id)
+    def frames_for(self, camera_id: str) -> np.ndarray:
+        return self.frames[self.frames["camera_id"] == camera_id]
 
 
 @dataclass(frozen=True)
@@ -151,33 +153,53 @@ class ValidationReport:
         return len(self.violations)
 
 
-def _validate_frame(specimen_id: str, frame: FrameMeta, out: list[Violation]) -> None:
-    if frame.camera_id not in CAMERAS:
-        out.append(Violation(specimen_id, "camera_id", f"unknown camera {frame.camera_id!r}"))
-    if frame.frame_index < 0:
-        out.append(Violation(specimen_id, "frame_index", f"negative index {frame.frame_index}"))
-    if not frame.top < frame.bottom:
-        out.append(
-            Violation(specimen_id, "top", f"top {frame.top} must be < bottom {frame.bottom}")
-        )
-    if not frame.left < frame.right:
-        out.append(
-            Violation(specimen_id, "left", f"left {frame.left} must be < right {frame.right}")
-        )
-    if not math.isfinite(frame.area_px):
-        out.append(Violation(specimen_id, "area_px", f"non-finite area {frame.area_px}"))
-    elif frame.area_px < 0:
-        out.append(Violation(specimen_id, "area_px", f"negative area {frame.area_px}"))
+def _validate_frame(specimen_id: str, row: tuple, out: list[Violation]) -> None:
+    """Append the violations of one frame, given as its Python values."""
+    camera_id, frame_index, top, bottom, left, right, area_px = row
+    if camera_id not in CAMERAS:
+        out.append(Violation(specimen_id, "camera_id", f"unknown camera {camera_id!r}"))
+    if frame_index < 0:
+        out.append(Violation(specimen_id, "frame_index", f"negative index {frame_index}"))
+    if not top < bottom:
+        out.append(Violation(specimen_id, "top", f"top {top} must be < bottom {bottom}"))
+    if not left < right:
+        out.append(Violation(specimen_id, "left", f"left {left} must be < right {right}"))
+    if not math.isfinite(area_px):
+        out.append(Violation(specimen_id, "area_px", f"non-finite area {area_px}"))
+    elif area_px < 0:
+        out.append(Violation(specimen_id, "area_px", f"negative area {area_px}"))
     else:
-        box = (frame.bottom - frame.top) * (frame.right - frame.left)
-        if box > 0 and frame.area_px > box:
+        box = (bottom - top) * (right - left)
+        if box > 0 and area_px > box:
             out.append(
-                Violation(
-                    specimen_id,
-                    "area_px",
-                    f"area {frame.area_px} exceeds crop box area {box}",
-                )
+                Violation(specimen_id, "area_px", f"area {area_px} exceeds crop box area {box}")
             )
+
+
+def _frame_flags(specimens) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """From the columns of every frame table at once, per specimen: whether
+    a frame may hold a violation, and per camera whether its indices fail to
+    increase strictly. A frame with a coordinate of 2**25 or more in
+    magnitude always may, which keeps the box areas checked here below 2**52,
+    exact in int64 and float64."""
+    frames = np.concatenate([np.empty(0, FRAME_DTYPE), *(s.frames for s in specimens)],
+                            dtype=FRAME_DTYPE)
+    owner = np.repeat(np.arange(len(specimens)), [len(s.frames) for s in specimens])
+    top, bottom, left, right, area = (frames[name] for name in FRAME_DTYPE.names[2:])
+    index, clean = frames["frame_index"], np.zeros(len(frames), dtype=bool)
+    unordered = {}
+    for camera in CAMERAS:
+        mine = frames["camera_id"] == camera
+        clean |= mine
+        idx, who = index[mine], owner[mine]
+        falls = (who[1:] == who[:-1]) & (idx[1:] <= idx[:-1])
+        unordered[camera] = np.bincount(who[1:][falls], minlength=len(specimens)) > 0
+    for column in (top, bottom, left, right):
+        clean &= (column < 2**25) & (column > -(2**25))
+    # area >= 0 fails for NaN and -inf, area <= box for NaN and +inf
+    clean &= (index >= 0) & (top < bottom) & (left < right) & (area >= 0)
+    clean &= area <= (bottom - top) * (right - left)
+    return np.bincount(owner[~clean], minlength=len(specimens)) > 0, unordered
 
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:
@@ -189,12 +211,13 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     """
     violations: list[Violation] = []
     seen_ids: set[str] = set()
-    for record in dataset.specimens:
+    suspect, unordered = _frame_flags(dataset.specimens)
+    for i, record in enumerate(dataset.specimens):
         sid = record.specimen_id
         if sid in seen_ids:
             violations.append(Violation(sid, "specimen_id", "duplicate specimen_id"))
         seen_ids.add(sid)
-        if not record.frames:
+        if len(record.frames) == 0:
             violations.append(Violation(sid, "frames", "no frames"))
         mass = record.dry_mass_ug
         if mass is not None and not mass > 0:
@@ -202,15 +225,12 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         elif mass is not None and not math.isfinite(mass):
             violations.append(Violation(sid, "dry_mass_ug", f"non-finite mass {mass}"))
         for camera in CAMERAS:
-            indices = [f.frame_index for f in record.frames if f.camera_id == camera]
-            if any(b <= a for a, b in zip(indices, indices[1:])):
-                violations.append(
-                    Violation(
-                        sid, "frame_index", f"camera {camera} indices not strictly increasing"
-                    )
-                )
-        for frame in record.frames:
-            _validate_frame(sid, frame, violations)
+            if unordered[camera][i]:
+                message = f"camera {camera} indices not strictly increasing"
+                violations.append(Violation(sid, "frame_index", message))
+        if suspect[i]:
+            for row in record.frames.tolist():
+                _validate_frame(sid, row, violations)
         stack = dataset.rasters.get(sid)
         if stack is not None:
             expected = (len(record.frames), *(dataset.raster_dims or stack.shape[1:]))

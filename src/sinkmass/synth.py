@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import write_files
 from .errors import InvalidConfig, SilhouetteTooLarge
-from .ingest import raster_name, save_raster, serialize_frame_csv
-from .records import CAMERAS, Dataset, FrameMeta, SpecimenRecord
+from .ingest import raster_names, save_raster, serialize_frame_csv
+from .records import CAMERAS, FRAME_DTYPE, Dataset, SpecimenRecord
 from .rng import substream
 
 DEFAULT_ASPECT_RANGE = (1.2, 2.2)
@@ -145,16 +145,15 @@ def rasterize_specimen(
     """
     rng = substream(seed, "rasterize", record.specimen_id)
     aspect_by_camera = {cam: rng.uniform(*aspect_range) for cam in CAMERAS}
-    stack = np.empty((len(record.frames), *dims), dtype=np.uint8)
-    for row, frame in zip(stack, record.frames):
+    frames = record.frames
+    stack = np.empty((len(frames), *dims), dtype=np.uint8)
+    for row, camera, area in zip(stack, frames["camera_id"].tolist(), frames["area_px"].tolist()):
         angle = rng.uniform(0.0, math.pi)
         jitter = (
             int(rng.integers(-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)),
             int(rng.integers(-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)),
         )
-        row[...] = _ellipse_raster(
-            frame.area_px, dims, aspect_by_camera[frame.camera_id], angle, jitter
-        )
+        row[...] = _ellipse_raster(area, dims, aspect_by_camera[camera], angle, jitter)
     return stack
 
 
@@ -174,28 +173,23 @@ def _make_specimen(
     n = max(1, min(config.n_max, n))
     box = int(math.ceil(2.0 * math.sqrt(base_area * (1.0 + 6.0 * config.area_noise_cv))))
     left = int(rng.integers(0, 3))
-    frames = []
-    for camera in CAMERAS:
-        for i in range(n):
-            top = int(round(config.cuvette_height_px - i * step))
-            noise = rng.normal(0.0, config.area_noise_cv) if config.area_noise_cv > 0 else 0.0
-            area = max(base_area * (1.0 + noise), 0.0)
-            frames.append(
-                FrameMeta(
-                    camera_id=camera,
-                    frame_index=i,
-                    top=top,
-                    bottom=top + box,
-                    left=left,
-                    right=left + box,
-                    area_px=area,
-                )
-            )
+    # one draw per frame, camera A's frames first, as in the table
+    noise = rng.normal(0.0, config.area_noise_cv, 2 * n) if config.area_noise_cv > 0 else 0.0
+    top = np.round(config.cuvette_height_px - np.arange(n) * step).astype(np.int64)
+    frames = np.empty(2 * n, dtype=FRAME_DTYPE)
+    frames["camera_id"] = np.repeat(CAMERAS, n)
+    frames["frame_index"] = np.tile(np.arange(n), 2)
+    frames["top"] = np.tile(top, 2)
+    frames["bottom"] = frames["top"] + box
+    frames["left"] = left
+    frames["right"] = left + box
+    frames["area_px"] = np.maximum(base_area * (1.0 + noise), 0.0)
+    frames.flags.writeable = False
     record = SpecimenRecord(
         specimen_id=specimen_id,
         taxon=group.name,
         dry_mass_ug=mass,
-        frames=tuple(frames),
+        frames=frames,
     )
     truth = GroundTruthEntry(density=density, volume=volume, mass=mass, true_speed=step)
     return record, truth
@@ -253,8 +247,8 @@ def _synth_files(dataset: Dataset, truth: GroundTruth, out: Path):
         if stack is not None:
             raster_rel = f"rasters/{record.specimen_id}"
             rdir = out / raster_rel
-            for frame, pixels in zip(record.frames, stack):
-                yield rdir / raster_name(frame), save_raster(pixels)
+            for name, pixels in zip(raster_names(record.frames), stack):
+                yield rdir / name, save_raster(pixels)
         manifest.append(
             {
                 "specimen_id": record.specimen_id,

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from sinkmass.records import Dataset, FrameMeta, SpecimenRecord
+from sinkmass.records import Dataset, SpecimenRecord, frame_table
 
 
 def make_frame(camera="A", index=0, top=100, box=20, area=50.0):
-    return FrameMeta(
-        camera_id=camera,
-        frame_index=index,
-        top=top,
-        bottom=top + box,
-        left=5,
-        right=5 + box,
-        area_px=area,
-    )
+    """One frame-table row: (camera_id, frame_index, top, bottom, left, right, area_px)."""
+    return (camera, index, top, top + box, 5, 5 + box, area)
 
 
 def make_specimen(sid="s1", taxon="groupA", mass=100.0, tops=(320, 240, 160, 80), area=50.0):
@@ -23,7 +16,7 @@ def make_specimen(sid="s1", taxon="groupA", mass=100.0, tops=(320, 240, 160, 80)
         for i, top in enumerate(tops):
             frames.append(make_frame(camera, i, top, area=area))
     return SpecimenRecord(
-        specimen_id=sid, taxon=taxon, dry_mass_ug=mass, frames=tuple(frames)
+        specimen_id=sid, taxon=taxon, dry_mass_ug=mass, frames=frame_table(frames)
     )
 
 

@@ -50,10 +50,10 @@ from sinkmass.neural.training import (
 )
 from sinkmass.records import (
     Dataset,
-    FrameMeta,
     PredictionEntry,
     PredictionSet,
     SpecimenRecord,
+    frame_table,
 )
 from sinkmass.rng import substream
 from sinkmass.synth import GroupSpec, SynthConfig, generate
@@ -275,8 +275,8 @@ def test_criterion_05_metadata_model_beats_image_only():
 
 def test_criterion_06_trimmed_median_robustness():
     areas = [10.0 + 0.01 * i for i in range(30)]
-    frames = tuple(
-        FrameMeta("A", i, 300 - i, 320 - i, 0, 20, a) for i, a in enumerate(areas)
+    frames = frame_table(
+        ("A", i, 300 - i, 320 - i, 0, 20, a) for i, a in enumerate(areas)
     )
     record = SpecimenRecord("s1", "t", 10.0, frames)
     model = LinearModel(FeatureSpec.AREA_ONLY, 0.0, (1.0,))
@@ -285,8 +285,8 @@ def test_criterion_06_trimmed_median_robustness():
 
     corrupt_areas = list(areas)
     corrupt_areas[-1] *= 100.0  # the corrupted value becomes the sorted maximum
-    corrupt_frames = tuple(
-        FrameMeta("A", i, 300 - i, 320 - i, 0, 2000, a)
+    corrupt_frames = frame_table(
+        ("A", i, 300 - i, 320 - i, 0, 2000, a)
         for i, a in enumerate(corrupt_areas)
     )
     corrupted = SpecimenRecord("s1", "t", 10.0, corrupt_frames)
@@ -304,6 +304,7 @@ def test_criterion_06_trimmed_median_robustness():
 
 def test_criterion_07_split_integrity():
     rng = substream(777, "split-acceptance")
+    frames = frame_table([("A", 0, 10, 20, 0, 10, 5.0)])
     for trial in range(1000):
         n_taxa = int(rng.integers(2, 7))
         n_total = int(rng.integers(max(20, 5 * n_taxa), 201))
@@ -314,8 +315,7 @@ def test_criterion_07_split_integrity():
         i = 0
         for t, count in enumerate(counts):
             for _ in range(count):
-                frame = FrameMeta("A", 0, 10, 20, 0, 10, 5.0)
-                specimens.append(SpecimenRecord(f"s{i}", f"taxon{t}", 1.0, (frame,)))
+                specimens.append(SpecimenRecord(f"s{i}", f"taxon{t}", 1.0, frames))
                 i += 1
         dataset = Dataset("rand", tuple(specimens))
         plan = make_cv_splits(dataset, k=5, seed=int(rng.integers(0, 1 << 31)))

@@ -15,10 +15,17 @@ from sinkmass import experiments
 from sinkmass.cli import _load_any_model, _predictions_csv, build_parser, main
 from sinkmass.config import config_from_dict
 from sinkmass.errors import InputError
-from sinkmass.ingest import assemble_dataset, load_manifest, save_raster, serialize_frame_csv
+from sinkmass.ingest import (
+    assemble_dataset,
+    load_manifest,
+    raster_names,
+    save_raster,
+    serialize_frame_csv,
+)
 from sinkmass.linear import load_linear_model
 from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, init_params
 from sinkmass.neural.training import TrainConfig, TrainedModel, load_checkpoint, save_checkpoint
+from sinkmass.records import frame_table
 
 from conftest import make_frame
 
@@ -1296,14 +1303,16 @@ class TestNeuralProtocolCommands:
 
 def _write_specimen(base, sid, taxon, tops, rng):
     """One weighed two-camera specimen with a frame CSV and 8x8 rasters."""
-    frames = [make_frame(camera, i, top, box=4) for camera in "AB" for i, top in enumerate(tops)]
+    frames = frame_table(
+        make_frame(camera, i, top, box=4) for camera in "AB" for i, top in enumerate(tops)
+    )
     (base / "frames").mkdir(exist_ok=True)
     (base / "frames" / f"{sid}.csv").write_bytes(serialize_frame_csv(frames))
     rdir = base / "rasters" / sid
     rdir.mkdir(parents=True)
-    for f in frames:
+    for name in raster_names(frames):
         pixels = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-        (rdir / f"{f.camera_id}_{f.frame_index}.pgm").write_bytes(save_raster(pixels))
+        (rdir / name).write_bytes(save_raster(pixels))
     return {"specimen_id": sid, "taxon": taxon, "dry_mass_ug": 40.0,
             "metadata_csv": f"frames/{sid}.csv", "raster_dir": f"rasters/{sid}"}
 

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sinkmass import ingest
 from sinkmass.errors import (
     DimensionMismatch,
     EmptyFile,
@@ -23,22 +24,24 @@ from sinkmass.ingest import (
     load_raster,
     pad_mirror,
     parse_frame_csv,
+    parse_frame_rows,
     save_raster,
     serialize_frame_csv,
 )
-from sinkmass.records import CAMERAS, FrameMeta, validate_dataset
+from sinkmass.records import CAMERAS, FRAME_DTYPE, frame_table, validate_dataset
 
 HEADER = b"camera_id,frame_index,top,bottom,left,right,area_px\n"
 
-FRAMES = st.builds(
-    FrameMeta,
-    camera_id=st.sampled_from(CAMERAS),
-    frame_index=st.integers(min_value=0),
-    top=st.integers(),
-    bottom=st.integers(),
-    left=st.integers(),
-    right=st.integers(),
-    area_px=st.floats(allow_nan=False, allow_infinity=False),
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+FRAME_INDEX = st.integers(min_value=0, max_value=2**63 - 1)
+FRAMES = st.tuples(
+    st.sampled_from(CAMERAS),
+    FRAME_INDEX,
+    INT64,
+    INT64,
+    INT64,
+    INT64,
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 
 # Letters only, without i, n and e, so that no draw spells inf, nan or an exponent.
@@ -50,7 +53,7 @@ def corrupted_csv(draw):
     """A valid frame CSV with exactly one data row corrupted, and the line
     number the parser must name for it."""
     frames = draw(st.lists(FRAMES, min_size=1, max_size=20))
-    lines = serialize_frame_csv(frames).split(b"\n")[:-1]
+    lines = serialize_frame_csv(frame_table(frames)).split(b"\n")[:-1]
     row = draw(st.integers(1, len(frames)))
     line_no = row + 1
     fields = lines[row].split(b",")
@@ -76,10 +79,71 @@ def corrupted_csv(draw):
     return b"\n".join(lines) + b"\n", line_no
 
 
+def assert_same_table(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+ODD_PADS = st.sampled_from([" ", "\t", "\x0c", "\x0b", "\u3000", "\x85", "\x1c", "\x1f", "\x01"])
+ODD_CAMERAS = st.sampled_from([" A ", "B\t", "C", "", "AB", "a", "A\x00", "\x00B"])
+ODD_INTS = st.sampled_from([
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), "+7", "-3", "-0", "07", "1_0",
+    "\u0663", "\uff17", "1.0", "1e3", "", "x",
+])
+ODD_FLOATS = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999", "1e-400", "1_0.5", "+1.5", ".5",
+    "5.", "\u0661.\u0665", "1e0_1", "0x1p3", "1e", "", "-0.0",
+])
+ODD_LINE_ENDS = st.sampled_from(["\r\n", "\r", "\n\n", "\r\r\n", "\n\x00"])
+
+
+@st.composite
+def hostile_csv(draw):
+    """A frame CSV in which a drawn share of the fields and line ends is
+    spelled oddly: padding, signs, underscores, non-ASCII digits, non-finite
+    and out-of-range numbers, control characters, NULs, wrong arity, lone
+    CRs, CRLFs, blank lines and a missing final newline."""
+    odd_percent = draw(st.sampled_from([0, 2, 10, 50]))
+
+    def pick(plain, odd):
+        return draw(odd if draw(st.integers(0, 99)) < odd_percent else plain)
+
+    def field(plain, odd):
+        return pick(st.just(""), ODD_PADS) + pick(plain, odd) + pick(st.just(""), ODD_PADS)
+
+    header = "camera_id,frame_index,top,bottom,left,right,area_px"
+    text = pick(st.just(header), st.sampled_from([header + "\r", " " + header, header[1:]]))
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [
+            field(st.sampled_from(CAMERAS), ODD_CAMERAS),
+            field(FRAME_INDEX.map(str), ODD_INTS),
+            *(field(INT64.map(str), ODD_INTS) for _ in range(4)),
+            field(st.floats(allow_nan=False, allow_infinity=False).map(repr), ODD_FLOATS),
+        ]
+        arity = pick(st.just(7), st.sampled_from([6, 8]))
+        fields = (fields + ["1"])[:arity]
+        text += pick(st.just("\n"), ODD_LINE_ENDS) + ",".join(fields)
+    text += pick(st.just("\n"), st.sampled_from(["\r\n", ""]))
+    return text.encode("utf-8")
+
+
+def parse_outcome(parse, payload):
+    """What ``parse`` does with ``payload``: the table's dtype and bytes, or
+    the error's type, line number and message."""
+    try:
+        table = parse(payload)
+    except MalformedRow as exc:
+        return "MalformedRow", exc.line_no, str(exc)
+    except EmptyFile as exc:
+        return "EmptyFile", str(exc)
+    return table.dtype, table.tobytes()
+
+
 class TestParseFrameCsv:
     def test_direct_parse(self):
         frames = parse_frame_csv(HEADER + b"A,0,10,100,5,95,2500\n")
-        assert frames == [FrameMeta("A", 0, 10, 100, 5, 95, 2500.0)]
+        assert frames.dtype == FRAME_DTYPE
+        assert frames.tolist() == [("A", 0, 10, 100, 5, 95, 2500.0)]
 
     def test_header_only_raises_empty_file(self):
         with pytest.raises(EmptyFile):
@@ -106,12 +170,13 @@ class TestParseFrameCsv:
 
     def test_frame_index_gaps_permitted(self):
         frames = parse_frame_csv(HEADER + b"A,0,10,20,0,10,1\nA,7,5,15,0,10,1\n")
-        assert [f.frame_index for f in frames] == [0, 7]
+        assert frames["frame_index"].tolist() == [0, 7]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(FRAMES, min_size=1, max_size=40))
     def test_round_trip_identity(self, frames):
-        assert parse_frame_csv(serialize_frame_csv(frames)) == frames
+        table = frame_table(frames)
+        assert_same_table(parse_frame_csv(serialize_frame_csv(table)), table)
 
     @pytest.mark.parametrize("area", [b"nan", b"NaN", b"inf", b"-inf", b"Infinity", b"1e999"])
     def test_non_finite_area_rejected(self, area):
@@ -153,12 +218,47 @@ class TestParseFrameCsv:
             parse_frame_csv(b"\xff" + HEADER + b"A,0,10,100,5,95,1\n")
         assert err.value.line_no == 1
 
-    def test_fields_have_their_annotated_types(self):
-        (frame,) = parse_frame_csv(HEADER + b"B,3,10,100,5,95,7\r\n")
-        assert type(frame.camera_id) is str
-        for name in ("frame_index", "top", "bottom", "left", "right"):
-            assert type(getattr(frame, name)) is int
-        assert type(frame.area_px) is float
+    @pytest.mark.parametrize("line", [b"B,3,10,100,5,95,7\r\n", b" B ,3,1_0,100,5,95,7\n"])
+    def test_both_paths_give_the_frame_dtype(self, line):
+        frames = parse_frame_csv(HEADER + line)
+        assert frames.dtype == FRAME_DTYPE
+        assert frames.tolist() == [("B", 3, 10, 100, 5, 95, 7.0)]
+
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b""])
+    def test_plain_file_is_read_without_the_row_parser(self, monkeypatch, ending):
+        monkeypatch.setattr(ingest, "parse_frame_rows", None)
+        frames = parse_frame_csv(HEADER + b"A,0,10,100,5,95,7\nB,0,10,100,-5,95,7.5" + ending)
+        assert frames["left"].tolist() == [5, -5]
+
+    @pytest.mark.parametrize("line", [b"A,0,10,100,5,95,7\n", b"A ,0,10,100,5,95,7\n"])
+    def test_tables_are_read_only(self, line):
+        frames = parse_frame_csv(HEADER + line)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames["area_px"][0] = 1.0
+
+    @pytest.mark.parametrize("column", range(1, 6))
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_integer_outside_int64_names_its_line(self, column, value):
+        fields = [b"A", b"1", b"10", b"100", b"5", b"95", b"7"]
+        fields[column] = b"%d" % value
+        if value < 0 and column == 1:
+            message = f"line 3: negative frame_index {value}"
+        else:
+            message = f"line 3: {FRAME_DTYPE.names[column]} {value} outside the int64 range"
+        with pytest.raises(MalformedRow) as err:
+            parse_frame_csv(HEADER + b"A,0,10,100,5,95,7\n" + b",".join(fields) + b"\n")
+        assert err.value.line_no == 3
+        assert str(err.value) == message
+
+    @settings(max_examples=400, deadline=None)
+    @given(hostile_csv())
+    @example(HEADER + b"A\x00,0,1,2,3,4,5.0\n")  # the U dtype drops trailing NULs
+    @example(HEADER + b"A,0,1,2,3,4,5.0\x1c\n")  # loadtxt strips \x1c, float() does not
+    @example(HEADER + b"A,0,1,2,3,4,5.0\n\nB,0,1,2,3,4,5.0\n")  # loadtxt skips blank lines
+    @example(HEADER + b"A,0,1,2,3,4,5.0\rB,0,1,2,3,4,5.0\n")
+    def test_columns_agree_with_the_row_parser(self, payload):
+        assert parse_outcome(parse_frame_csv, payload) == parse_outcome(parse_frame_rows, payload)
 
     @settings(max_examples=300, deadline=None)
     @given(corrupted_csv())

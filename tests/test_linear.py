@@ -21,7 +21,7 @@ from sinkmass.linear import (
     save_linear_model,
     target_to_mass,
 )
-from sinkmass.records import MASS_FLOOR_UG, SpecimenRecord
+from sinkmass.records import MASS_FLOOR_UG, SpecimenRecord, frame_table
 
 from conftest import make_frame
 
@@ -36,7 +36,7 @@ def normal_equation_fit(x, y):
 
 def specimen_with_areas(areas, speed_tops=None):
     tops = speed_tops or [300 - 10 * i for i in range(len(areas))]
-    frames = tuple(
+    frames = frame_table(
         make_frame("A", i, tops[i], area=a) for i, a in enumerate(areas)
     )
     return SpecimenRecord("s1", "t", 10.0, frames)

@@ -42,8 +42,8 @@ from sinkmass.neural.training import (
     save_checkpoint,
     train,
 )
-from sinkmass.ingest import assemble_dataset, load_manifest, load_raster, raster_name
-from sinkmass.records import MASS_FLOOR_UG, Dataset, SpecimenRecord
+from sinkmass.ingest import assemble_dataset, load_manifest, load_raster, raster_names
+from sinkmass.records import MASS_FLOOR_UG, Dataset, SpecimenRecord, frame_table
 from sinkmass.rng import substream
 from sinkmass.synth import GroupSpec, SynthConfig, generate, write_synth_output
 
@@ -127,7 +127,7 @@ class TestBuildSamples:
         samples = build_samples(dataset, train_ids, config)
         assert samples.metadata.shape[1] == 3
         record = dataset.specimen(next(iter(samples.sample_slices)))
-        assert samples.metadata[0, 0] == record.frames[0].area_px
+        assert samples.metadata[0, 0] == record.frames["area_px"][0]
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_no_samples_give_empty_uint8_images_of_the_input_size(self, raster_dataset, arch):
@@ -147,7 +147,7 @@ def frames_of(*cameras):
         seen[camera] += 1
         area = 50.0 + 10 * i + (5 if camera == "B" else 0)
         frames.append(make_frame(camera, i, top=320 - 60 * i, area=area))
-    return tuple(frames)
+    return frame_table(frames)
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ def expected_samples(dataset, ids, config, image_of, require_mass=True, taxa=Non
     """Per sample (specimen id, image, second image, metadata row, mass,
     label), built from each record's frames: a multi-view sample pairs the
     k-th frame of camera A with the k-th of camera B, and ``image_of(record,
-    frame)`` is that frame's raster."""
+    row)`` is the raster of the frame in that row of the record's table."""
     needs_speed = MetadataInput.SINKING_SPEED in config.metadata_inputs
     samples = []
     for record in dataset.specimens:
@@ -186,13 +186,14 @@ def expected_samples(dataset, ids, config, image_of, require_mass=True, taxa=Non
             continue
         if needs_speed and feats.sinking_speed is None:
             continue
+        cameras = record.frames["camera_id"].tolist()
         if config.architecture is Architecture.MULTI_VIEW:
-            pairs = list(zip(record.frames_for("A"), record.frames_for("B")))
+            pairs = list(zip(*([i for i, c in enumerate(cameras) if c == cam] for cam in "AB")))
         else:
-            pairs = [(frame, None) for frame in record.frames]
+            pairs = [(row, None) for row in range(len(cameras))]
         for first, second in pairs:
             values = {
-                MetadataInput.FRAME_AREA: first.area_px,
+                MetadataInput.FRAME_AREA: record.frames["area_px"].tolist()[first],
                 MetadataInput.MEAN_AREA: feats.mean_area_px,
                 MetadataInput.SINKING_SPEED: feats.sinking_speed,
             }
@@ -229,9 +230,7 @@ def assert_samples_match(samples, expected, config):
 
 
 def stack_row(dataset):
-    return lambda record, frame: dataset.rasters[record.specimen_id][
-        record.frames.index(frame)
-    ]
+    return lambda record, row: dataset.rasters[record.specimen_id][row]
 
 
 ALIGNMENT_MODELS = {
@@ -317,8 +316,8 @@ class TestSampleAlignment:
         bare = entries[1]["specimen_id"]
         assert set(dataset.rasters) == {e["specimen_id"] for e in entries} - {bare}
 
-        def from_file(record, frame):
-            path = tmp_path / "rasters" / record.specimen_id / raster_name(frame)
+        def from_file(record, row):
+            path = tmp_path / "rasters" / record.specimen_id / raster_names(record.frames)[row]
             return load_raster(path.read_bytes())
 
         ids = [e["specimen_id"] for e in entries if e["specimen_id"] != bare]
@@ -806,6 +805,20 @@ class TestFineTune:
         assert frames_only.rasters == {}
         with pytest.raises(IncompatibleArchitecture, match="needs a dataset with rasters"):
             fine_tune(base, frames_only, train_ids, val_ids, small_train_config())
+
+    def test_multi_view_base_needs_two_camera_data(self, raster_dataset):
+        dataset, train_ids, val_ids, _ = raster_dataset
+        config = small_model(Architecture.MULTI_VIEW)
+        base = TrainedModel(config, init_params(config, substream(0, "init")), 0, [])
+        tuned = fine_tune(base, dataset, train_ids, val_ids, small_train_config(seed=9))
+        assert tuned.config == config
+        camera_a = tuple(
+            SpecimenRecord(s.specimen_id, s.taxon, s.dry_mass_ug, s.frames_for("A"))
+            for s in dataset.specimens
+        )
+        one_camera = Dataset(dataset.name, camera_a, dataset.raster_dims, dataset.rasters)
+        with pytest.raises(IncompatibleArchitecture, match="multi-view base needs two-camera"):
+            fine_tune(base, one_camera, train_ids, val_ids, small_train_config())
 
     def test_metadata_stats_inherited(self, raster_dataset):
         dataset, train_ids, val_ids, _ = raster_dataset

@@ -3,7 +3,7 @@ import pytest
 
 from sinkmass.errors import InvalidConfig, SilhouetteTooLarge
 from sinkmass.linear import FeatureSpec, fit_ols, build_rows
-from sinkmass.records import validate_dataset
+from sinkmass.records import FRAME_DTYPE, validate_dataset
 from sinkmass.synth import (
     MASS_COEFF,
     GroupSpec,
@@ -12,6 +12,16 @@ from sinkmass.synth import (
     generate,
     rasterize_specimen,
 )
+
+
+def same_specimens(a, b):
+    """Whether two datasets hold the same specimens: ids, taxa, masses and
+    frame tables."""
+    return len(a.specimens) == len(b.specimens) and all(
+        (r.specimen_id, r.taxon, r.dry_mass_ug) == (s.specimen_id, s.taxon, s.dry_mass_ug)
+        and np.array_equal(r.frames, s.frames)
+        for r, s in zip(a.specimens, b.specimens)
+    )
 
 
 def two_group_config(**overrides):
@@ -43,12 +53,19 @@ class TestGenerate:
     def test_deterministic_per_seed(self):
         a, _ = generate(two_group_config())
         b, _ = generate(two_group_config())
-        assert a == b
+        assert same_specimens(a, b)
 
     def test_seed_changes_output(self):
         a, _ = generate(two_group_config())
         b, _ = generate(two_group_config(seed=8))
-        assert a != b
+        assert not same_specimens(a, b)
+
+    def test_frame_tables_are_read_only(self):
+        dataset, _ = generate(two_group_config())
+        frames = dataset.specimens[0].frames
+        assert frames.dtype == FRAME_DTYPE and not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames["top"][0] = 0
 
     def test_doubling_excess_density_halves_frame_count(self):
         # same size everywhere; excess density (rho - 1) doubles between groups
@@ -85,7 +102,7 @@ class TestGenerate:
     def test_zero_noise_gives_constant_areas(self):
         dataset, _ = generate(two_group_config(area_noise_cv=0.0))
         for record in dataset.specimens:
-            areas = {f.area_px for f in record.frames}
+            areas = set(record.frames["area_px"].tolist())
             assert len(areas) == 1
 
     @pytest.mark.parametrize("seed", [7, 19, 101])
@@ -144,9 +161,9 @@ class TestRasterize:
         rasters = rasterize_specimen(record, (32, 32), seed=config.seed)
         assert rasters.shape == (len(record.frames), 32, 32)
         assert np.array_equal(rasters, dataset.rasters[record.specimen_id])
-        for frame, raster in zip(record.frames, rasters):
+        for area, raster in zip(record.frames["area_px"].tolist(), rasters):
             dark = int((raster < 128).sum())
-            assert abs(dark - frame.area_px) <= max(0.02 * frame.area_px, 0.51)
+            assert abs(dark - area) <= max(0.02 * area, 0.51)
 
     def test_generate_fills_raster_store(self):
         config = SynthConfig(

@@ -3,7 +3,8 @@
 Runs each command in-process on small synthetic datasets, one of frame CSVs
 only, one with 16x16 PGM rasters and a copy of the latter whose first
 specimen's rasters are cropped to 12x12 (so ingest mirror-pads them back to
-16x16), inside a fresh temporary directory and with relative paths, so that
+16x16), and on hand-written one-specimen frame CSVs in odd spellings or with
+one violation each, inside a fresh temporary directory and with relative paths, so that
 two checkouts give comparable digests. For each invocation it prints the
 case name, the argv, the exit code, the SHA-256 of stdout and of stderr, and
 the SHA-256 of every file the invocation wrote or changed.
@@ -79,6 +80,22 @@ CONFIGS = {
 }
 # the raster side the padded copy crops its first specimen to
 CROP = 12
+# hand-written frame CSVs of one specimen, written as hand/<name>.csv with a
+# one-entry manifest hand/<name>.json: a plain file, then one change each
+HAND_ROWS = ["A,0,300,320,5,25,50.0", "A,1,260,280,5,25,52.5", "A,2,220,240,5,25,51.0",
+             "B,0,300,320,5,25,49.0", "B,1,260,280,5,25,50.5", "B,2,220,240,5,25,53.0"]
+HAND_CHANGES = {
+    "plain": {},
+    "top_not_below_bottom": {1: "A,1,280,260,5,25,52.5"},
+    "left_not_left_of_right": {2: "A,2,220,240,25,5,51.0"},
+    "negative_area": {3: "B,0,300,320,5,25,-1.0"},
+    "area_over_box": {4: "B,1,260,280,5,25,400.5"},
+    "index_not_increasing": {4: "B,2,260,280,5,25,50.5", 5: "B,1,220,240,5,25,53.0"},
+    "padded_camera": {1: " A ,1,260,280,5,25,52.5"},
+    "underscore_digits": {0: "A,0,3_00,320,5,25,50.0"},
+    "malformed_row": {1: "A,1,260,abc,5,25,52.5"},
+    "beyond_int64": {2: "A,2,220,9223372036854775808,5,25,51.0"},
+}
 # output trees with a directory at one output file name, and one with a file
 # where synth makes its frames directory
 BLOCKED_DIRS = (
@@ -277,6 +294,20 @@ CASES = [
      ("ingest", *F, "--raster-size", -5, 7, "--out", "x")),
     ("ingest_rasters_unequal_raster_size", "error",
      ("ingest", *R, "--raster-size", 16, 20, "--out", "x")),
+    # hand-written frame CSVs: accepted spellings give the plain file's
+    # features, and each frame-level violation is listed by ingest
+    ("features_hand_plain", "ok", ("features", "--manifest", "hand/plain.json")),
+    ("features_hand_crlf", "ok", ("features", "--manifest", "hand/crlf.json")),
+    ("features_hand_padded_camera", "ok", ("features", "--manifest", "hand/padded_camera.json")),
+    ("features_hand_underscore_digits", "ok",
+     ("features", "--manifest", "hand/underscore_digits.json")),
+    *(
+        (f"ingest_hand_{name}", "error",
+         ("ingest", "--manifest", f"hand/{name}.json", "--out", "x"))
+        for name in ("top_not_below_bottom", "left_not_left_of_right", "negative_area",
+                     "area_over_box", "index_not_increasing", "malformed_row")
+    ),
+    ("features_hand_beyond_int64", "error", ("features", "--manifest", "hand/beyond_int64.json")),
     # an output file name that is a directory, or a file where synth makes one
     ("evaluate_metrics_is_a_directory", "error",
      ("evaluate", *F, *LINEAR, "--out", "blocked_evaluate")),
@@ -319,6 +350,24 @@ def _write_inputs(root: Path) -> None:
         (root / name).mkdir(parents=True)
     (root / BLOCKED_FILE).parent.mkdir()
     (root / BLOCKED_FILE).write_text("")
+    _write_hand_frames(root / "hand")
+
+
+def _write_hand_frames(hand: Path) -> None:
+    """The HAND_CHANGES frame CSVs, and ``crlf``: the plain file with CRLF
+    line ends."""
+    hand.mkdir()
+    header = "camera_id,frame_index,top,bottom,left,right,area_px"
+    texts = {
+        name: "\n".join([header, *(change.get(i, row) for i, row in enumerate(HAND_ROWS))]) + "\n"
+        for name, change in HAND_CHANGES.items()
+    }
+    texts["crlf"] = texts["plain"].replace("\n", "\r\n")
+    for name, text in texts.items():
+        (hand / f"{name}.csv").write_bytes(text.encode())
+        entry = {"specimen_id": "h1", "taxon": "t", "dry_mass_ug": 10.0,
+                 "metadata_csv": f"{name}.csv", "raster_dir": None}
+        (hand / f"{name}.json").write_text(json.dumps([entry]))
 
 
 def _write_bad_mass_manifests(root: Path) -> None:
