@@ -9,7 +9,8 @@ export to this schema):
   within the ``int64`` range) and ``area_px`` a finite number (``nan`` and
   ``inf`` are rejected).
   Whitespace around the header and around each field is ignored, so a file
-  with CRLF line endings parses too.
+  with CRLF line endings parses too. ``assemble_dataset`` parses the files in
+  batches, and one by one where a batch fails, so that errors are unchanged.
 * Manifest: JSON array of objects with keys ``specimen_id``, ``taxon``,
   ``dry_mass_ug`` (nullable), ``metadata_csv``, ``raster_dir`` (nullable).
   Paths are resolved relative to the manifest file.
@@ -42,6 +43,9 @@ from .errors import (
 from .records import CAMERAS, FRAME_DTYPE, Dataset, SpecimenRecord, frame_table
 
 FRAME_CSV_HEADER = "camera_id,frame_index,top,bottom,left,right,area_px"
+_HEADER_LINE = (FRAME_CSV_HEADER + "\n").encode()
+# Frame CSVs are parsed in batches of at least this many bytes (memory bound).
+BATCH_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -279,6 +283,50 @@ def _pad_to_target(pixels: np.ndarray, target: tuple[int, int], ref: str) -> np.
     return pad_mirror(pixels, dh // 2)
 
 
+def _frame_tables(manifest: list[ManifestEntry]):
+    """(entry, frame table) for each entry in manifest order; a read or parse
+    error is raised once every earlier entry has been yielded."""
+    batch, size = [], 0
+    for i, entry in enumerate(manifest, 1):
+        try:
+            payload = entry.metadata_csv.read_bytes()
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            yield from _parse_batch(batch)
+            raise InputError(f"{entry.specimen_id}: cannot read {entry.metadata_csv}: {exc}") from None
+        batch.append((entry, payload))
+        size += len(payload)
+        if size >= BATCH_BYTES or i == len(manifest):
+            yield from _parse_batch(batch)
+            batch, size = [], 0
+
+
+def _parse_batch(batch: list[tuple[ManifestEntry, bytes]]):
+    """(entry, frame table) for each (entry, payload), in order. Payloads with
+    the exact header line, a data line and a final newline are parsed by one
+    call over their data lines, split into views by line count (a line gives
+    one row or the call raises); any other payload, or all once that call
+    raised, is parsed on its own when reached."""
+    data = [p[len(_HEADER_LINE):] if p.startswith(_HEADER_LINE) and p.endswith(b"\n")
+            and len(p) > len(_HEADER_LINE) else None for _, p in batch]
+    joined = [d for d in data if d is not None]
+    views = iter(())
+    if joined:
+        try:
+            table = parse_frame_csv(_HEADER_LINE + b"".join(joined))
+            views = iter(np.split(table, np.cumsum([d.count(b"\n") for d in joined])[:-1]))
+        except InputError:
+            pass
+    for (entry, payload), d in zip(batch, data):
+        frames = None if d is None else next(views, None)
+        if frames is None:
+            try:
+                frames = parse_frame_csv(payload)
+            except InputError as exc:
+                exc.args = (f"{entry.specimen_id}: {exc}",)
+                raise exc from None
+        yield entry, frames
+
+
 def assemble_dataset(
     manifest: list[ManifestEntry],
     name: str = "dataset",
@@ -295,14 +343,7 @@ def assemble_dataset(
     pending: list[tuple[SpecimenRecord, list[np.ndarray]]] = []
     inferred: tuple[int, int] | None = None
 
-    for entry in manifest:
-        try:
-            frames = parse_frame_csv(entry.metadata_csv.read_bytes())
-        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-            raise InputError(f"{entry.specimen_id}: cannot read {entry.metadata_csv}: {exc}") from None
-        except InputError as exc:
-            exc.args = (f"{entry.specimen_id}: {exc}",)
-            raise exc from None
+    for entry, frames in _frame_tables(manifest):
         record = SpecimenRecord(entry.specimen_id, entry.taxon, entry.dry_mass_ug, frames)
         specimens.append(record)
         if entry.raster_dir is None:

@@ -121,10 +121,16 @@ def predict_per_image(
 
 
 def median(values) -> float:
-    """Median of the values (for an even count, the mean of the central two)."""
+    """Median of the values (for an even count, the mean of the central two):
+    ``np.median``'s bits without its dispatch, so NaN if any value is NaN and
+    a zero median is +0.0, as its mean adds from +0.0."""
     if len(values) == 0:
         raise EmptyInput("cannot aggregate zero predictions")
-    return float(np.median(np.asarray(values, dtype=float)))
+    ordered = np.sort(np.asarray(values, dtype=float), axis=None).tolist()
+    n = len(ordered)
+    if math.isnan(ordered[-1]):  # NaN sorts last
+        return ordered[-1]
+    return 0.0 + ordered[n // 2] if n % 2 else (0.0 + ordered[n // 2 - 1] + ordered[n // 2]) / 2
 
 
 def predict_specimen(

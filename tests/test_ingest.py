@@ -1,6 +1,7 @@
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -454,6 +455,20 @@ class TestAssembleDataset:
         assert type(err.value) is error
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("s2_csv", ["s2.csv", "absent.csv"], ids=["malformed", "missing"])
+    def test_raster_error_comes_before_the_next_specimens_csv_error(self, tmp_path, s2_csv):
+        """s1's rasters are read before s2's frame CSV is parsed or found
+        missing, although both CSVs fall in one batch."""
+        s1 = self._write_specimen(tmp_path, "s1", b"A,0,10,20,0,10,5\n", raster=b"")
+        (tmp_path / "rasters_s1" / "A_0.pgm").unlink()
+        s2 = self._write_specimen(tmp_path, "s2", b"A,0,10,20,0,10,5\nA,1,2,3\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([s1, {**s2, "metadata_csv": s2_csv}]))
+        with pytest.raises(InputError) as err:
+            assemble_dataset(load_manifest(manifest))
+        assert type(err.value) is InputError
+        assert str(err.value).startswith(f"s1: cannot read {tmp_path / 'rasters_s1' / 'A_0.pgm'}: ")
+
     def test_small_raster_padded_to_target(self, tmp_path):
         pgm = make_pgm(2, 2, [1, 2, 3, 4])
         entry = self._write_specimen(tmp_path, "s1", b"A,0,10,20,0,10,4\n", raster=pgm)
@@ -482,6 +497,81 @@ class TestAssembleDataset:
         manifest.write_text(json.dumps([entry]))
         with pytest.raises(DimensionMismatch):
             assemble_dataset(load_manifest(manifest), raster_dims=(4, 4))
+
+
+PLAIN_CSV = st.lists(FRAMES, min_size=1, max_size=8).map(lambda f: serialize_frame_csv(frame_table(f)))
+LONE_CR_CSV = HEADER + b"A,0,1,2,3,4,5.0\rB,0,1,2,3,4,5.0\n"
+BLANK_LINE_CSV = HEADER + b"A,0,1,2,3,4,5.0\n\nB,0,1,2,3,4,5.0\n"
+
+
+def assemble_payloads(payloads):
+    """``assemble_dataset`` over a manifest of specimens s0, s1, ... whose
+    frame CSVs hold ``payloads``: each frame table's dtype and bytes, or the
+    error's type, line number and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        entries = []
+        for i, payload in enumerate(payloads):
+            (base / f"s{i}.csv").write_bytes(payload)
+            entries.append({**MANIFEST_ENTRY, "specimen_id": f"s{i}", "metadata_csv": f"s{i}.csv"})
+        (base / "manifest.json").write_text(json.dumps(entries))
+        try:
+            dataset = assemble_dataset(load_manifest(base / "manifest.json"))
+        except InputError as exc:
+            return type(exc), getattr(exc, "line_no", None), str(exc)
+    assert not any(s.frames.flags.writeable for s in dataset.specimens)
+    return [(s.frames.dtype, s.frames.tobytes()) for s in dataset.specimens]
+
+
+def parse_each(payloads):
+    """What ``assemble_payloads`` gives when each file is parsed on its own."""
+    tables = []
+    for i, payload in enumerate(payloads):
+        try:
+            tables.append(parse_frame_csv(payload))
+        except InputError as exc:
+            return type(exc), getattr(exc, "line_no", None), f"s{i}: {exc}"
+    return [(t.dtype, t.tobytes()) for t in tables]
+
+
+class TestBatchedFrameCsvs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(PLAIN_CSV | hostile_csv() | corrupted_csv().map(lambda case: case[0]),
+                 min_size=1, max_size=6),
+        st.sampled_from([1, 200, 1000, ingest.BATCH_BYTES]),
+    )
+    @example([LONE_CR_CSV, BLANK_LINE_CSV], ingest.BATCH_BYTES)
+    @example([BLANK_LINE_CSV, LONE_CR_CSV], ingest.BATCH_BYTES)
+    # no final newline: joined, the two bad lines would make one good row
+    @example([HEADER + b"A,0,1,2,3,4,", HEADER + b"5.0\nB,0,1,2,3,4,5.0\n"], ingest.BATCH_BYTES)
+    def test_batches_agree_with_parsing_each_file(self, payloads, batch_bytes):
+        """Same tables as a per-file parse, or the same first error; a lone
+        CR (one line that loadtxt could read as two rows) next to a blank
+        line (one that gives no row) must not shift the files' boundaries."""
+        with mock.patch.object(ingest, "BATCH_BYTES", batch_bytes):
+            assert assemble_payloads(payloads) == parse_each(payloads)
+
+    def test_plain_manifest_is_parsed_in_batches(self, monkeypatch):
+        payloads = [
+            serialize_frame_csv(frame_table([("A", i, 300, 320, 5, 25, 50.5), ("B", 0, 9, 19, 0, 9, 7.0)]))
+            for i in range(40)
+        ]
+        calls = []
+        parse = ingest.parse_frame_csv
+
+        def counted(payload):
+            calls.append(len(payload))
+            return parse(payload)
+
+        def never(payload):
+            raise AssertionError("a plain manifest reached the row parser")
+
+        monkeypatch.setattr(ingest, "parse_frame_csv", counted)
+        monkeypatch.setattr(ingest, "parse_frame_rows", never)
+        tables = assemble_payloads(payloads)
+        assert len(calls) < 40
+        assert tables == [(t.dtype, t.tobytes()) for t in map(parse, payloads)]
 
 
 MANIFEST_ENTRY = {

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sinkmass.config import config_from_dict, config_to_dict
@@ -200,6 +201,32 @@ class TestTrimmedMedian:
     @given(_VALUES)
     def test_equals_numpy_median(self, values):
         assert median(values) == float(np.median(values))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(
+            st.floats() | st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
+            min_size=1, max_size=40,
+        ),
+        st.integers(0, 40),
+    )
+    @example([-0.0], 0)
+    @example([-0.0, 5.0, -1.0], 1)  # even: the central two are -0.0
+    @example([-math.inf, math.inf], 0)
+    @example([1e308, 1e308], 0)
+    @example([2.0, math.nan, 1.0], 0)
+    def test_equals_numpy_median_bit_for_bit(self, values, repeats):
+        """Odd and even counts, duplicates (the first ``repeats`` values
+        again), signed zeros, infinities and NaN: the same float64 bits as
+        np.median, and NaN wherever np.median gives NaN."""
+        values = values + values[:repeats]
+        with np.errstate(all="ignore"):
+            expected = float(np.median(np.array(values)))
+        got = median(values)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)

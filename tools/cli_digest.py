@@ -308,6 +308,13 @@ CASES = [
                      "area_over_box", "index_not_increasing", "malformed_row")
     ),
     ("features_hand_beyond_int64", "error", ("features", "--manifest", "hand/beyond_int64.json")),
+    # two specimens: h1's raster is missing, and h2's frame CSV is malformed
+    # or missing; h1's raster is named, as h1 comes first
+    *(
+        (f"ingest_hand_missing_raster_then_{name}", "error",
+         ("ingest", "--manifest", f"hand/missing_raster_then_{name}.json", "--out", "x"))
+        for name in ("malformed_row", "missing_csv")
+    ),
     # an output file name that is a directory, or a file where synth makes one
     ("evaluate_metrics_is_a_directory", "error",
      ("evaluate", *F, *LINEAR, "--out", "blocked_evaluate")),
@@ -354,8 +361,9 @@ def _write_inputs(root: Path) -> None:
 
 
 def _write_hand_frames(hand: Path) -> None:
-    """The HAND_CHANGES frame CSVs, and ``crlf``: the plain file with CRLF
-    line ends."""
+    """The HAND_CHANGES frame CSVs, ``crlf``: the plain file with CRLF line
+    ends, and two-specimen manifests whose first specimen's rasters are
+    missing (``missing_raster_then_*``)."""
     hand.mkdir()
     header = "camera_id,frame_index,top,bottom,left,right,area_px"
     texts = {
@@ -363,11 +371,15 @@ def _write_hand_frames(hand: Path) -> None:
         for name, change in HAND_CHANGES.items()
     }
     texts["crlf"] = texts["plain"].replace("\n", "\r\n")
+    entry = {"specimen_id": "h1", "taxon": "t", "dry_mass_ug": 10.0, "raster_dir": None}
     for name, text in texts.items():
         (hand / f"{name}.csv").write_bytes(text.encode())
-        entry = {"specimen_id": "h1", "taxon": "t", "dry_mass_ug": 10.0,
-                 "metadata_csv": f"{name}.csv", "raster_dir": None}
-        (hand / f"{name}.json").write_text(json.dumps([entry]))
+        (hand / f"{name}.json").write_text(json.dumps([{**entry, "metadata_csv": f"{name}.csv"}]))
+    (hand / "no_rasters").mkdir()
+    first = {**entry, "metadata_csv": "plain.csv", "raster_dir": "no_rasters"}
+    for name, csv in (("malformed_row", "malformed_row.csv"), ("missing_csv", "absent.csv")):
+        second = {**entry, "specimen_id": "h2", "metadata_csv": csv}
+        (hand / f"missing_raster_then_{name}.json").write_text(json.dumps([first, second]))
 
 
 def _write_bad_mass_manifests(root: Path) -> None:
