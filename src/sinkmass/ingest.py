@@ -44,8 +44,7 @@ from .records import CAMERAS, FRAME_DTYPE, Dataset, SpecimenRecord, frame_table
 
 FRAME_CSV_HEADER = "camera_id,frame_index,top,bottom,left,right,area_px"
 _HEADER_LINE = (FRAME_CSV_HEADER + "\n").encode()
-# Frame CSVs are parsed in batches of at least this many bytes (memory bound).
-BATCH_BYTES = 64 * 1024
+BATCH_BYTES = 64 * 1024  # assemble_dataset parses frame CSVs in batches of at least this many bytes
 
 
 @dataclass(frozen=True)
@@ -284,8 +283,7 @@ def _pad_to_target(pixels: np.ndarray, target: tuple[int, int], ref: str) -> np.
 
 
 def _frame_tables(manifest: list[ManifestEntry]):
-    """(entry, frame table) for each entry in manifest order; a read or parse
-    error is raised once every earlier entry has been yielded."""
+    """(entry, frame table) for each entry, in order; errors surface in that order too."""
     batch, size = [], 0
     for i, entry in enumerate(manifest, 1):
         try:
@@ -301,23 +299,19 @@ def _frame_tables(manifest: list[ManifestEntry]):
 
 
 def _parse_batch(batch: list[tuple[ManifestEntry, bytes]]):
-    """(entry, frame table) for each (entry, payload), in order. Payloads with
-    the exact header line, a data line and a final newline are parsed by one
-    call over their data lines, split into views by line count (a line gives
-    one row or the call raises); any other payload, or all once that call
-    raised, is parsed on its own when reached."""
-    data = [p[len(_HEADER_LINE):] if p.startswith(_HEADER_LINE) and p.endswith(b"\n")
-            and len(p) > len(_HEADER_LINE) else None for _, p in batch]
-    joined = [d for d in data if d is not None]
-    views = iter(())
-    if joined:
-        try:
-            table = parse_frame_csv(_HEADER_LINE + b"".join(joined))
-            views = iter(np.split(table, np.cumsum([d.count(b"\n") for d in joined])[:-1]))
-        except InputError:
-            pass
+    """(entry, frame table) for each (entry, payload), in order. Payloads with the
+    exact header line, a data line and a final newline share one parse of their data
+    lines, cut into views by line count (a line gives one row or the parse raises);
+    any other payload, or all if that parse raised, is parsed alone when reached."""
+    data = [p[len(_HEADER_LINE):] if p.startswith(_HEADER_LINE) else b"" for _, p in batch]
+    joined = [d for d in data if d.endswith(b"\n")]
+    try:  # with nothing joined, the lone header raises EmptyFile
+        table = parse_frame_csv(_HEADER_LINE + b"".join(joined))
+        views = iter(np.split(table, np.cumsum([d.count(b"\n") for d in joined])[:-1]))
+    except InputError:
+        views = iter(())
     for (entry, payload), d in zip(batch, data):
-        frames = None if d is None else next(views, None)
+        frames = next(views, None) if d.endswith(b"\n") else None
         if frames is None:
             try:
                 frames = parse_frame_csv(payload)

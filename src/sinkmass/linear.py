@@ -121,9 +121,8 @@ def predict_per_image(
 
 
 def median(values) -> float:
-    """Median of the values (for an even count, the mean of the central two):
-    ``np.median``'s bits without its dispatch, so NaN if any value is NaN and
-    a zero median is +0.0, as its mean adds from +0.0."""
+    """Median of the values (for an even count, the mean of the central two), with
+    ``np.median``'s bits: NaN if any value is NaN, and a zero median is +0.0."""
     if len(values) == 0:
         raise EmptyInput("cannot aggregate zero predictions")
     ordered = np.sort(np.asarray(values, dtype=float), axis=None).tolist()
