@@ -23,6 +23,7 @@ export to this schema):
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -343,14 +344,17 @@ def assemble_dataset(
         if entry.raster_dir is None:
             continue
         rasters = []
+        # Path(".") / name is "name", so "." joins as ""
+        raster_dir = "" if entry.raster_dir == Path() else str(entry.raster_dir)
         for file_name in raster_names(frames):
-            fpath = entry.raster_dir / file_name
+            fpath = os.path.join(raster_dir, file_name)
             try:
-                raster = load_raster(fpath.read_bytes())
+                with open(fpath, "rb") as fh:
+                    raster = load_raster(fh.read())
             except (OSError, ValueError) as exc:
                 raise InputError(f"{entry.specimen_id}: cannot read {fpath}: {exc}") from None
             except InputError as exc:
-                exc.args = (f"{entry.specimen_id}/{fpath.name}: {exc}",)
+                exc.args = (f"{entry.specimen_id}/{file_name}: {exc}",)
                 raise exc from None
             rasters.append(raster)
             if inferred is None or raster.shape[0] > inferred[0]:

@@ -20,6 +20,19 @@ stand; a BLAS product over a whole batch rounds a row differently depending
 on how many rows share the call, so ``affine_forward`` runs one product per
 row.
 
+The 3x3 patch matrix comes from one flat copy of each sample's channel,
+with a zero row above and below and a zero element at each end. In it the
+(di, dj) neighbour of every pixel lies the same distance on, so each of the
+nine patch rows is one contiguous slice of the copy instead of H short
+strided rows. At the left and right image edges such a slice wraps round
+into the adjacent row; those entries belong to the zero padding and are
+cleared. The input gradient runs the same way back: the wrapped entries of
+the patch gradient are cleared and its nine rows are added, in the same
+order as nine strided adds would be, into a flat zero buffer. The patch
+matrix is the same array as the strided one and every product is the same,
+and each input-gradient sum only gains +0.0 terms, which leave a sum that
+starts at +0.0 unchanged; so outputs and gradients keep every bit.
+
 The conv functions take their padded input, im2col, patch-gradient and
 padded input-gradient arrays from a ``ConvScratch``. Without a ``scratch``
 argument they use a fresh one and are pure; given one, they reuse its
@@ -53,16 +66,26 @@ class ConvScratch:
         return array[: shape[0]]
 
 
+def _clear_wrapped(cols: np.ndarray, w: int) -> None:
+    """Zero the entries of a (B, C, 3, 3, H*W) patch or patch-gradient matrix
+    whose column offset takes them past the left or right image edge."""
+    grid = cols.reshape(*cols.shape[:4], -1, w)
+    grid[:, :, :, 0, :, 0] = 0
+    grid[:, :, :, 2, :, -1] = 0
+
+
 def _im2col3(x: np.ndarray, scratch: ConvScratch) -> np.ndarray:
     """(B, C, H, W) -> (B, C*9, H*W) patch matrix for a same-padded 3x3 conv."""
     b, c, h, w = x.shape
+    n = h * w
     # only the interior is ever written, so the border stays zero
-    xp = scratch.take("xp", (b, c, h + 2, w + 2), x.dtype)
-    xp[:, :, 1:-1, 1:-1] = x
-    cols = scratch.take("cols", (b, c, 9, h, w), x.dtype)
-    for k, (di, dj) in enumerate(_OFFSETS):
-        cols[:, :, k] = xp[:, :, di : di + h, dj : dj + w]
-    return cols.reshape(b, c * 9, h * w)
+    xp = scratch.take("xp", (b, c, n + 2 * w + 2), x.dtype)
+    xp[:, :, w + 1 : w + 1 + n] = x.reshape(b, c, n)
+    cols = scratch.take("cols", (b, c, 3, 3, n), x.dtype)
+    for di, dj in _OFFSETS:
+        cols[:, :, di, dj] = xp[:, :, di * w + dj : di * w + dj + n]
+    _clear_wrapped(cols, w)
+    return cols.reshape(b, c * 9, n)
 
 
 def conv3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
@@ -92,14 +115,15 @@ def conv3_backward(dout: np.ndarray, cache, *, input_grad: bool = True,
         return None, dw, db
     if scratch is None:
         scratch = ConvScratch()
-    dcols = scratch.take("dcols", (batch, c_in * 9, h * width), np.result_type(wmat, dout))
-    np.matmul(wmat.T[None, :, :], dflat, out=dcols)
-    dcols = dcols.reshape(batch, c_in, 9, h, width)
-    dxp = scratch.take("dxp", (batch, c_in, h + 2, width + 2), dout.dtype)
+    n = h * width
+    dcols = scratch.take("dcols", (batch, c_in, 3, 3, n), np.result_type(wmat, dout))
+    np.matmul(wmat.T[None, :, :], dflat, out=dcols.reshape(batch, c_in * 9, n))
+    _clear_wrapped(dcols, width)
+    dxp = scratch.take("dxp", (batch, c_in, n + 2 * width + 2), dout.dtype)
     dxp.fill(0)
-    for k, (di, dj) in enumerate(_OFFSETS):
-        dxp[:, :, di : di + h, dj : dj + width] += dcols[:, :, k]
-    dx = dxp[:, :, 1 : 1 + h, 1 : 1 + width]
+    for di, dj in _OFFSETS:
+        dxp[:, :, di * width + dj : di * width + dj + n] += dcols[:, :, di, dj]
+    dx = dxp[:, :, width + 1 : width + 1 + n].reshape(batch, c_in, h, width)
     return dx, dw, db
 
 
@@ -119,8 +143,10 @@ def _pool_views(x: np.ndarray):
 
 def maxpool2_forward(x: np.ndarray):
     """2x2 max pooling, stride 2; ties resolve to the first window element."""
-    v0, v1, v2, v3 = _pool_views(x)
-    out = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
+    # max(max(v0, v1), max(v2, v3)) of the _pool_views, the pairs taken
+    # along whole rows at once
+    pairs = np.maximum(x[..., 0::2], x[..., 1::2])
+    out = np.maximum(pairs[:, :, 0::2], pairs[:, :, 1::2])
     return out, (x, out)
 
 

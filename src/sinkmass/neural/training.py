@@ -15,12 +15,23 @@ them (``TrainedModel.net``) and turns the network outputs into float64 once,
 so ``exp`` and ``softmax`` keep float64's range. Every forward layer treats
 each sample on its own, so a specimen's prediction does not depend on which
 other specimens share its batches.
+
+That also lets inference use a second core: a mass or taxon prediction over
+at least THREADED_MIN_SAMPLES samples cuts them into two contiguous runs,
+one computed on the calling thread and one on a worker thread, each on its
+own net (so its own conv work arrays) over the same float32 parameters and
+in batches of FORWARD_BATCH // 2, so that the memory in flight stays that
+of one FORWARD_BATCH pass. NumPy releases the interpreter lock inside its
+copies, ufunc loops and BLAS calls, where most of a pass goes. The
+per-epoch validation loss inside ``train`` stays on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,6 +61,11 @@ CHECKPOINT_FORMAT_VERSION = 1
 # samples keeps its activations, im2col buffers and pool masks near one
 # core's L2 cache; 128-sample passes moved more memory for the same work.
 FORWARD_BATCH = 32
+# Inference passes over fewer samples stay on the caller's thread. A worker
+# thread allocates from a malloc arena of its own, which keeps the few MB of
+# its working set for the life of the process, while a pass this short (about
+# 0.2 s on one core) would save at most half of its time.
+THREADED_MIN_SAMPLES = 2048
 
 
 class FreezeMode(str, Enum):
@@ -159,8 +175,8 @@ def build_samples(
     needs_speed = MetadataInput.SINKING_SPEED in config.metadata_inputs
     multi_view = config.architecture is Architecture.MULTI_VIEW
 
-    images: list[np.ndarray] = []
-    images2: list[np.ndarray] = []
+    picks: list[tuple[np.ndarray, np.ndarray]] = []  # (stack, rows) of each specimen
+    picks2: list[tuple[np.ndarray, np.ndarray]] = []  # the same for the second camera
     metadata: list[list[float]] = []
     masses: list[float] = []
     labels: list[int] = []
@@ -179,12 +195,11 @@ def build_samples(
             count = min(len(rows), len(rows2))
             if count == 0:
                 continue
-            rows, rows2 = rows[:count], rows2[:count]
-            images.append(stack[rows])
-            images2.append(stack[rows2])
+            rows = rows[:count]
+            picks2.append((stack, rows2[:count]))
         else:
             rows = np.arange(len(frames))
-            images.append(stack)
+        picks.append((stack, rows))
         if config.metadata_inputs:
             for area in frames["area_px"][rows].tolist():
                 values = {
@@ -199,14 +214,26 @@ def build_samples(
         slices.setdefault(record.specimen_id, []).extend(range(start, len(masses)))
 
     return SampleSet(
-        images=(np.concatenate(images)[:, None] if images
-                else np.zeros((0, 1, side, side), dtype=np.uint8)),
-        images2=np.concatenate(images2)[:, None] if images2 else None,
+        images=_gather(picks, side),
+        images2=_gather(picks2, side) if picks2 else None,
         metadata=np.asarray(metadata, dtype=float) if metadata else None,
         masses=np.asarray(masses, dtype=float),
         labels=np.asarray(labels, dtype=int) if taxa is not None else None,
         sample_slices=slices,
     )
+
+
+def _gather(picks, side: int) -> np.ndarray:
+    """(N, 1, S, S) images: the ``rows`` of each (stack, rows) pick in turn,
+    copied straight into one array rather than through per-specimen copies
+    that would double the peak memory."""
+    dtype = picks[0][0].dtype if picks else np.uint8
+    out = np.empty((sum(len(rows) for _, rows in picks), 1, side, side), dtype)
+    at = 0
+    for stack, rows in picks:
+        np.take(stack, rows, axis=0, out=out[at : at + len(rows), 0])
+        at += len(rows)
+    return out
 
 
 def _standardization(metadata: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,15 +272,15 @@ def _make_batch(
     )
 
 
-def _outputs(net: NeuralNet, samples: SampleSet, mean, std) -> np.ndarray:
-    """Network outputs for every sample, in sample order, computed over
-    batches of FORWARD_BATCH samples in the net's dtype; ``samples`` must
-    not be empty."""
-    n = len(samples)
+def _outputs(net: NeuralNet, samples: SampleSet, mean, std, start: int = 0,
+             stop: int | None = None, step: int = FORWARD_BATCH) -> np.ndarray:
+    """Network outputs for the samples from ``start`` to ``stop`` (default:
+    all), in sample order, computed over batches of ``step`` samples in the
+    net's dtype; the range must not be empty."""
+    stop = len(samples) if stop is None else stop
     return np.concatenate([
-        net.forward(_make_batch(samples, np.arange(start, min(start + FORWARD_BATCH, n)),
-                                mean, std, net.dtype))
-        for start in range(0, n, FORWARD_BATCH)
+        net.forward(_make_batch(samples, np.arange(i, min(i + step, stop)), mean, std, net.dtype))
+        for i in range(start, stop, step)
     ])
 
 
@@ -415,14 +442,40 @@ def fine_tune(
     return train(dataset, train_ids, val_ids, base.config, train_config, taxa=base.taxa, base=base)
 
 
+def _inference_workers(n: int) -> int:
+    """Threads a forward-only pass over ``n`` samples spreads them over: two,
+    or one when the process may run on a single CPU or the pass is shorter
+    than THREADED_MIN_SAMPLES."""
+    if n < THREADED_MIN_SAMPLES:
+        return 1
+    if not hasattr(os, "sched_getaffinity"):
+        return min(2, os.cpu_count() or 1)
+    return min(2, len(os.sched_getaffinity(0)))
+
+
 def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
     """{specimen_id: float64 network outputs over its samples} for every
-    specimen the model can score, from one batched pass over all their samples."""
+    specimen the model can score, from one batched pass over all their
+    samples, split over ``_inference_workers`` threads."""
     samples = build_samples(dataset, specimen_ids, model.config, require_mass=False)
     if not samples.sample_slices:
         return {}
-    out = _outputs(model.net(), samples, model.metadata_mean, model.metadata_std)
-    out = out.astype(np.float64)
+    n = len(samples)
+    workers = min(_inference_workers(n), n)
+    nets = [model.net()]
+    nets += [NeuralNet(model.config, nets[0].params) for _ in range(1, workers)]
+    size = -(-n // workers)
+
+    def run(i: int) -> np.ndarray:
+        return _outputs(nets[i], samples, model.metadata_mean, model.metadata_std,
+                        i * size, min(n, (i + 1) * size), FORWARD_BATCH // workers)
+
+    # the caller's thread computes the first run, so one thread fewer
+    # allocates from an arena of its own
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        rest = [pool.submit(run, i) for i in range(1, workers)]
+        parts = [run(0)] + [future.result() for future in rest]
+    out = np.concatenate(parts).astype(np.float64)
     return {sid: out[idx[0] : idx[-1] + 1] for sid, idx in samples.sample_slices.items()}
 
 

@@ -359,3 +359,81 @@ class TestNetWorkBuffers:
             assert np.shares_memory(cols, first_cols[key]), key
             assert not any(np.shares_memory(cols, other)
                            for k, other in second_cols.items() if k != key), key
+
+
+def _compact_conv3(x, weights, bias, dout):
+    """(out, dx, dw, db) of a same-padded 3x3 conv from the compact im2col
+    and col2im formulation: nine strided (H, W) slices of the zero-padded
+    input stacked into a patch matrix, and nine strided adds of the patch
+    gradient into a zero-padded input gradient."""
+    batch, c_in, h, w = x.shape
+    out, cols, dx = _conv3_reference(x, weights, bias, dout)
+    dflat = dout.reshape(batch, -1, h * w)
+    dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weights.shape)
+    return out, dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@st.composite
+def conv_arrays(draw, dtype, c_in, c_out, h, w, n):
+    """(x, dout) of n samples: normal values with some entries replaced by
+    -0.0, 0.0, +-inf or nan, so signed zeros and non-finite values reach the
+    image edges and the wrapped patch entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = []
+    for shape in ((n, c_in, h, w), (n, c_out, h, w)):
+        a = rng.normal(size=shape).astype(dtype)
+        if draw(st.booleans()):
+            special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan], dtype)
+            where = rng.random(shape) < 0.05
+            a[where] = rng.choice(special, size=int(where.sum()))
+        arrays.append(a)
+    return arrays
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([np.float32, np.float64]),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3),
+       st.integers(1, 16), st.integers(1, 16),
+       st.integers(1, 16).map(lambda k: 2 * k), st.integers(1, 16).map(lambda k: 2 * k),
+       st.booleans())
+def test_conv_kernels_give_the_bits_of_the_compact_formulation(
+    data, dtype, batches, c_in, c_out, h, w, input_grad
+):
+    """Forward output and dx, dw, db of the flat-shift kernels against the
+    compact formulation, without a scratch and on one scratch serving batches
+    of several sizes in turn."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = rng.normal(size=(c_out, c_in, 3, 3)).astype(dtype)
+    bias = rng.normal(size=c_out).astype(dtype)
+    scratch = layers.ConvScratch()
+    with np.errstate(all="ignore"):
+        for n in batches:
+            x, dout = data.draw(conv_arrays(dtype, c_in, c_out, h, w, n))
+            want = _compact_conv3(x, weights, bias, dout)
+            for kwargs in ({}, {"scratch": scratch}):
+                out, cache = layers.conv3_forward(x, weights, bias, **kwargs)
+                dx, dw, db = layers.conv3_backward(dout, cache, input_grad=input_grad, **kwargs)
+                assert _bits(out) == _bits(want[0])
+                if input_grad:
+                    assert _bits(dx) == _bits(want[1])
+                else:
+                    assert dx is None
+                assert _bits(dw) == _bits(want[2])
+                assert _bits(db) == _bits(want[3])
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 8), st.integers(1, 8),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_maxpool2_forward_gives_the_bits_of_the_window_views(b, c, h, w, dtype, seed):
+    """max(max(v0, v1), max(v2, v3)) over the four window views, with
+    signed zeros and nans, so that which tied element wins shows in the bits."""
+    values = np.array([-1.0, -0.0, 0.0, 1.0, np.nan], dtype)
+    x = np.random.default_rng(seed).choice(values, size=(b, c, 2 * h, 2 * w))
+    v0, v1, v2, v3 = layers._pool_views(x)
+    out, _ = layers.maxpool2_forward(x)
+    assert _bits(out) == _bits(np.maximum(np.maximum(v0, v1), np.maximum(v2, v3)))

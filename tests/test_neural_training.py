@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -508,6 +510,97 @@ class TestBatchedInference:
         classifier = untrained_model(dataset, small_model(n_classes=len(taxa)), 0, taxa)
         assert predict_specimen_masses(regressor, dataset, ids) == {}
         assert predict_taxa(classifier, dataset, ids) == {}
+
+
+def counted_dataset(n, multi_view):
+    """Random 16x16 rasters of specimens with up to 5 samples each and n in
+    all; a multi-view specimen's cameras alternate A, B."""
+    sizes = [5] * (n // 5) + ([n % 5] if n % 5 else [])
+    records = tuple(
+        SpecimenRecord(f"s{i}", "ab"[i % 2], 10.0 + i, frames_of(*("AB" if multi_view else "A") * k))
+        for i, k in enumerate(sizes)
+    )
+    rng = np.random.default_rng(n)
+    rasters = {r.specimen_id: rng.integers(0, 256, size=(len(r.frames), 16, 16), dtype=np.uint8)
+               for r in records}
+    return Dataset("counted", records, raster_dims=(16, 16), rasters=rasters)
+
+
+class TestInferenceWorkers:
+    MODELS = {
+        "single_view": small_model(),
+        "multi_view": small_model(Architecture.MULTI_VIEW),
+        "metadata_aware": small_model(
+            Architecture.METADATA_AWARE,
+            metadata_inputs=(MetadataInput.FRAME_AREA, MetadataInput.MEAN_AREA),
+        ),
+    }
+
+    @pytest.mark.parametrize("arch", list(MODELS))
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+    def test_one_and_two_workers_give_the_same_bits(self, monkeypatch, arch, n):
+        config = self.MODELS[arch]
+        dataset = counted_dataset(n, config.architecture is Architecture.MULTI_VIEW)
+        ids = [s.specimen_id for s in dataset.specimens]
+        assert len(build_samples(dataset, ids, config, require_mass=False)) == n
+        taxa = ("a", "b")
+        regressor = untrained_model(dataset, config, 4)
+        classifier = untrained_model(dataset, dataclasses.replace(config, n_classes=2), 4, taxa)
+        for model in (regressor, classifier):
+            if model.metadata_std is not None:  # one sample has a zero spread
+                model.metadata_std = np.where(model.metadata_std > 0, model.metadata_std, 1.0)
+        calls = []
+        real_forward = NeuralNet.forward_cached
+
+        def spy(self, batch):
+            calls.append((threading.get_ident(), len(batch)))
+            return real_forward(self, batch)
+
+        monkeypatch.setattr(NeuralNet, "forward_cached", spy)
+        results = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(training, "_inference_workers", lambda n, k=workers: k)
+            calls.clear()
+            threads = threading.active_count()
+            outputs = training._specimen_outputs(regressor, dataset, ids)
+            assert len({ident for ident, _ in calls}) == min(workers, n)
+            results[workers] = (
+                {sid: out.tobytes() for sid, out in outputs.items()},
+                predict_specimen_masses(regressor, dataset, ids),
+                predict_taxa(classifier, dataset, ids),
+            )
+            assert threading.active_count() == threads
+            assert max(size for _, size in calls) <= FORWARD_BATCH // min(workers, n)
+        assert results[1] == results[2]
+        assert set(results[1][1]) == set(ids)
+
+    def test_an_error_in_the_second_worker_reaches_the_caller(self, monkeypatch):
+        class WorkerError(Exception):
+            pass
+
+        dataset = counted_dataset(17, multi_view=False)
+        ids = [s.specimen_id for s in dataset.specimens]
+        model = untrained_model(dataset, small_model(), 0)
+        real_forward = NeuralNet.forward_cached
+
+        def forward(self, batch):
+            if threading.current_thread() is not threading.main_thread():
+                raise WorkerError("second worker failed")
+            return real_forward(self, batch)
+
+        monkeypatch.setattr(NeuralNet, "forward_cached", forward)
+        monkeypatch.setattr(training, "_inference_workers", lambda n: 2)
+        threads = threading.active_count()
+        with pytest.raises(WorkerError, match="^second worker failed$"):
+            predict_specimen_masses(model, dataset, ids)
+        assert threading.active_count() == threads
+
+    def test_short_passes_and_single_cpus_get_one_worker(self, monkeypatch):
+        cpus = min(2, len(os.sched_getaffinity(0)))
+        assert training._inference_workers(training.THREADED_MIN_SAMPLES - 1) == 1
+        assert training._inference_workers(training.THREADED_MIN_SAMPLES) == cpus
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert training._inference_workers(training.THREADED_MIN_SAMPLES) == 1
 
 
 def random_step(arch, head, loss_kind, n, seed):
