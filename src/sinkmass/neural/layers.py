@@ -20,18 +20,12 @@ stand; a BLAS product over a whole batch rounds a row differently depending
 on how many rows share the call, so ``affine_forward`` runs one product per
 row.
 
-The 3x3 patch matrix comes from one flat copy of each sample's channel,
-with a zero row above and below and a zero element at each end. In it the
-(di, dj) neighbour of every pixel lies the same distance on, so each of the
-nine patch rows is one contiguous slice of the copy instead of H short
-strided rows. At the left and right image edges such a slice wraps round
-into the adjacent row; those entries belong to the zero padding and are
-cleared. The input gradient runs the same way back: the wrapped entries of
-the patch gradient are cleared and its nine rows are added, in the same
-order as nine strided adds would be, into a flat zero buffer. The patch
-matrix is the same array as the strided one and every product is the same,
-and each input-gradient sum only gains +0.0 terms, which leave a sum that
-starts at +0.0 unchanged; so outputs and gradients keep every bit.
+The 3x3 patch matrix takes each of its nine offsets as one contiguous slice
+of a flat, zero-bordered copy of each channel, not as H short rows; slice
+entries that wrap round an image edge into the next row are cleared. The
+input gradient clears the same patch-gradient entries and adds its rows the
+same way, in the strided order, into a flat zero buffer: its sums start at
++0.0 and gain only +0.0 terms, so they keep their bits, as outputs do.
 
 The conv functions take their padded input, im2col, patch-gradient and
 padded input-gradient arrays from a ``ConvScratch``. Without a ``scratch``
@@ -143,8 +137,7 @@ def _pool_views(x: np.ndarray):
 
 def maxpool2_forward(x: np.ndarray):
     """2x2 max pooling, stride 2; ties resolve to the first window element."""
-    # max(max(v0, v1), max(v2, v3)) of the _pool_views, the pairs taken
-    # along whole rows at once
+    # max(max(v0, v1), max(v2, v3)) of _pool_views, column pairs over whole rows first
     pairs = np.maximum(x[..., 0::2], x[..., 1::2])
     out = np.maximum(pairs[:, :, 0::2], pairs[:, :, 1::2])
     return out, (x, out)

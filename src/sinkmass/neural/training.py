@@ -16,14 +16,9 @@ so ``exp`` and ``softmax`` keep float64's range. Every forward layer treats
 each sample on its own, so a specimen's prediction does not depend on which
 other specimens share its batches.
 
-That also lets inference use a second core: a mass or taxon prediction over
-at least THREADED_MIN_SAMPLES samples cuts them into two contiguous runs,
-one computed on the calling thread and one on a worker thread, each on its
-own net (so its own conv work arrays) over the same float32 parameters and
-in batches of FORWARD_BATCH // 2, so that the memory in flight stays that
-of one FORWARD_BATCH pass. NumPy releases the interpreter lock inside its
-copies, ufunc loops and BLAS calls, where most of a pass goes. The
-per-epoch validation loss inside ``train`` stays on the calling thread.
+Mass and taxon prediction over at least THREADED_MIN_SAMPLES samples run two
+contiguous halves on two threads, each on its own net in batches of
+FORWARD_BATCH // 2; validation inside ``train`` stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -61,10 +55,8 @@ CHECKPOINT_FORMAT_VERSION = 1
 # samples keeps its activations, im2col buffers and pool masks near one
 # core's L2 cache; 128-sample passes moved more memory for the same work.
 FORWARD_BATCH = 32
-# Inference passes over fewer samples stay on the caller's thread. A worker
-# thread allocates from a malloc arena of its own, which keeps the few MB of
-# its working set for the life of the process, while a pass this short (about
-# 0.2 s on one core) would save at most half of its time.
+# Shorter inference passes stay on one thread: a second thread keeps a malloc
+# arena of several MB for the life of the process, and would save under 0.1 s.
 THREADED_MIN_SAMPLES = 2048
 
 
@@ -225,10 +217,8 @@ def build_samples(
 
 def _gather(picks, side: int) -> np.ndarray:
     """(N, 1, S, S) images: the ``rows`` of each (stack, rows) pick in turn,
-    copied straight into one array rather than through per-specimen copies
-    that would double the peak memory."""
-    dtype = picks[0][0].dtype if picks else np.uint8
-    out = np.empty((sum(len(rows) for _, rows in picks), 1, side, side), dtype)
+    copied straight into one array, not through per-specimen copies."""
+    out = np.empty((sum(len(rows) for _, rows in picks), 1, side, side), np.uint8)
     at = 0
     for stack, rows in picks:
         np.take(stack, rows, axis=0, out=out[at : at + len(rows), 0])
@@ -443,14 +433,10 @@ def fine_tune(
 
 
 def _inference_workers(n: int) -> int:
-    """Threads a forward-only pass over ``n`` samples spreads them over: two,
-    or one when the process may run on a single CPU or the pass is shorter
-    than THREADED_MIN_SAMPLES."""
-    if n < THREADED_MIN_SAMPLES:
-        return 1
-    if not hasattr(os, "sched_getaffinity"):
-        return min(2, os.cpu_count() or 1)
-    return min(2, len(os.sched_getaffinity(0)))
+    """Threads for a forward-only pass over ``n`` samples: one below
+    THREADED_MIN_SAMPLES, else two if the process may run on two CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 1 if n < THREADED_MIN_SAMPLES else min(2, cpus or 1)
 
 
 def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
@@ -470,11 +456,15 @@ def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
         return _outputs(nets[i], samples, model.metadata_mean, model.metadata_std,
                         i * size, min(n, (i + 1) * size), FORWARD_BATCH // workers)
 
-    # the caller's thread computes the first run, so one thread fewer
-    # allocates from an arena of its own
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        rest = [pool.submit(run, i) for i in range(1, workers)]
-        parts = [run(0)] + [future.result() for future in rest]
+    if workers == 1:
+        parts = [run(0)]
+    else:  # the executor module (0.4 MB) loads only for a threaded pass
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the calling thread takes the first run: one worker arena fewer
+        with ThreadPoolExecutor(workers - 1) as pool:
+            rest = [pool.submit(run, i) for i in range(1, workers)]
+            parts = [run(0)] + [future.result() for future in rest]
     out = np.concatenate(parts).astype(np.float64)
     return {sid: out[idx[0] : idx[-1] + 1] for sid, idx in samples.sample_slices.items()}
 
