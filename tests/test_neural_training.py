@@ -516,10 +516,9 @@ def counted_dataset(n, multi_view):
     """Random 16x16 rasters of specimens with up to 5 samples each and n in
     all; a multi-view specimen's cameras alternate A, B."""
     sizes = [5] * (n // 5) + ([n % 5] if n % 5 else [])
-    records = tuple(
-        SpecimenRecord(f"s{i}", "ab"[i % 2], 10.0 + i, frames_of(*("AB" if multi_view else "A") * k))
-        for i, k in enumerate(sizes)
-    )
+    cameras = "AB" if multi_view else "A"
+    records = tuple(SpecimenRecord(f"s{i}", "ab"[i % 2], 10.0 + i, frames_of(*cameras * k))
+                    for i, k in enumerate(sizes))
     rng = np.random.default_rng(n)
     rasters = {r.specimen_id: rng.integers(0, 256, size=(len(r.frames), 16, 16), dtype=np.uint8)
                for r in records}
