@@ -450,11 +450,11 @@ def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
     workers = min(_inference_workers(n), n)
     nets = [model.net()]
     nets += [NeuralNet(model.config, nets[0].params) for _ in range(1, workers)]
-    size = -(-n // workers)
+    bounds = [i * n // workers for i in range(workers + 1)]
 
     def run(i: int) -> np.ndarray:
         return _outputs(nets[i], samples, model.metadata_mean, model.metadata_std,
-                        i * size, min(n, (i + 1) * size), FORWARD_BATCH // workers)
+                        bounds[i], bounds[i + 1], FORWARD_BATCH // workers)
 
     if workers == 1:
         parts = [run(0)]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -536,8 +537,8 @@ class TestInferenceWorkers:
     }
 
     @pytest.mark.parametrize("arch", list(MODELS))
-    @pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
-    def test_one_and_two_workers_give_the_same_bits(self, monkeypatch, arch, n):
+    @pytest.mark.parametrize("n", [1, 5, 15, 16, 17, 33])
+    def test_worker_counts_give_the_same_bits(self, monkeypatch, arch, n):
         config = self.MODELS[arch]
         dataset = counted_dataset(n, config.architecture is Architecture.MULTI_VIEW)
         ids = [s.specimen_id for s in dataset.specimens]
@@ -557,20 +558,26 @@ class TestInferenceWorkers:
 
         monkeypatch.setattr(NeuralNet, "forward_cached", spy)
         results = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(training, "_inference_workers", lambda n, k=workers: k)
-            calls.clear()
-            threads = threading.active_count()
-            outputs = training._specimen_outputs(regressor, dataset, ids)
-            assert len({ident for ident, _ in calls}) == min(workers, n)
-            results[workers] = (
-                {sid: out.tobytes() for sid, out in outputs.items()},
-                predict_specimen_masses(regressor, dataset, ids),
-                predict_taxa(classifier, dataset, ids),
-            )
-            assert threading.active_count() == threads
-            assert max(size for _, size in calls) <= FORWARD_BATCH // min(workers, n)
-        assert results[1] == results[2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            for workers in (1, 2, 4):  # four is more workers than the host has CPUs
+                monkeypatch.setattr(training, "_inference_workers", lambda n, k=workers: k)
+                calls.clear()
+                threads = threading.active_count()
+                outputs = training._specimen_outputs(regressor, dataset, ids)
+                used = len({ident for ident, _ in calls})
+                assert used == min(workers, n) if workers < 4 else min(2, n) <= used <= min(workers, n)
+                results[workers] = (
+                    {sid: out.tobytes() for sid, out in outputs.items()},
+                    predict_specimen_masses(regressor, dataset, ids),
+                    predict_taxa(classifier, dataset, ids),
+                )
+                assert threading.active_count() == threads
+                assert max(size for _, size in calls) <= FORWARD_BATCH // min(workers, n)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1] == results[2] == results[4]
         assert set(results[1][1]) == set(ids)
 
     def test_an_error_in_the_second_worker_reaches_the_caller(self, monkeypatch):
