@@ -16,7 +16,7 @@ so ``exp`` and ``softmax`` keep float64's range. Every forward layer treats
 each sample on its own, so a specimen's prediction does not depend on which
 other specimens share its batches.
 
-Mass and taxon prediction over at least THREADED_MIN_SAMPLES samples run two
+Mass and taxon predictions over at least THREADED_MIN_SAMPLES samples run two
 contiguous halves on two threads, each on its own net in batches of
 FORWARD_BATCH // 2; validation inside ``train`` stays on the calling thread.
 """

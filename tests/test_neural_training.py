@@ -602,9 +602,9 @@ class TestInferenceWorkers:
         assert threading.active_count() == threads
 
     def test_short_passes_and_single_cpus_get_one_worker(self, monkeypatch):
-        cpus = min(2, len(os.sched_getaffinity(0)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert training._inference_workers(training.THREADED_MIN_SAMPLES - 1) == 1
-        assert training._inference_workers(training.THREADED_MIN_SAMPLES) == cpus
+        assert training._inference_workers(training.THREADED_MIN_SAMPLES) == 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert training._inference_workers(training.THREADED_MIN_SAMPLES) == 1
 
