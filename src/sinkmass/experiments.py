@@ -4,7 +4,9 @@ end-to-end classify-then-estimate pipeline."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
@@ -30,7 +32,7 @@ from .linear import (
     predict_specimen,
 )
 from .neural.model import ModelConfig
-from .neural.training import TrainConfig, TrainedModel, predict_specimen_masses, train
+from .neural.training import TrainConfig, TrainedModel, predict_specimen_masses, train, usable_cpus
 from .records import Dataset, PredictionEntry, PredictionSet
 from .rng import derive_seed, substream
 
@@ -39,6 +41,7 @@ from .rng import derive_seed, substream
 class LinearEstimator:
     """OLS on area, or on area and sinking speed (see ``linear``)."""
 
+    THREADED_FOLDS = False  # an OLS fit takes milliseconds: a thread costs memory, not time
     feature_spec: FeatureSpec
     target_space: TargetSpace = TargetSpace.RAW
     per_image: bool = True
@@ -57,6 +60,7 @@ class LinearEstimator:
 class NeuralEstimator:
     """A CNN of ``model_config`` trained under ``train_config``."""
 
+    THREADED_FOLDS = True  # each fold trains for seconds to minutes
     model_config: ModelConfig
     train_config: TrainConfig
 
@@ -146,12 +150,19 @@ def crossval(
 ) -> CrossvalResult:
     """k-fold protocol: fit on each fold's train split (and validation split)
     with a fold-derived seed, score its test fold, then pool the test
-    predictions. Neural folds keep their validation-loss histories."""
+    predictions. Neural folds keep their validation-loss histories.
+
+    A THREADED_FOLDS estimator fits on up to two threads (``_fit_folds``);
+    the calling thread then scores the folds in order and raises a fold's
+    fit error in its place, so results and errors are a serial loop's."""
     plan = make_cv_splits(dataset, k=k, seed=seed)
+    models = _fit_folds(dataset, estimator, plan.folds, seed)
     fold_sets = []
     histories = []
     for f, fold in enumerate(plan.folds):
-        model = estimator.fit(dataset, fold.train, fold.val, derive_seed(seed, "fold", f))
+        model = models[f]
+        if isinstance(model, Exception):
+            raise model
         if hasattr(model, "val_loss_history"):
             histories.append(tuple(model.val_loss_history))
         fold_sets.append(predict(model, dataset, fold.test))
@@ -163,6 +174,40 @@ def crossval(
         pooled_predictions=pooled,
         fold_val_histories=tuple(histories),
     )
+
+
+def _fit_folds(dataset: Dataset, estimator, folds, seed: int) -> dict:
+    """{fold index: its fitted model, or the exception its fit raised}. The
+    calling thread, and one worker for a THREADED_FOLDS estimator on two
+    usable CPUs, take folds in order from one iterator and start none once a
+    fit has failed, so every fold missing from the result follows a failed one."""
+    results, pending, lock, stop = {}, enumerate(folds), threading.Lock(), threading.Event()
+
+    def fit_folds() -> None:
+        while not stop.is_set():
+            with lock:
+                f, fold = next(pending, (None, None))
+            if fold is None:
+                return
+            try:
+                results[f] = estimator.fit(dataset, fold.train, fold.val, derive_seed(seed, "fold", f))
+            except Exception as exc:
+                results[f] = exc
+                stop.set()
+
+    if not (estimator.THREADED_FOLDS and usable_cpus() >= 2):
+        fit_folds()
+        return results
+    with contextlib.suppress(ValueError):  # a frameless specimen: the fits raise it in order
+        dataset.features  # once here, not by both threads queued on cached_property's lock
+    worker = threading.Thread(target=fit_folds, name="sinkmass-folds")
+    worker.start()
+    try:
+        fit_folds()
+    finally:
+        stop.set()  # after an interrupt here, the worker starts no further fold
+        worker.join()
+    return results
 
 
 def crossval_linear(

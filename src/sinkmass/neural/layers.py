@@ -27,11 +27,13 @@ input gradient clears the same patch-gradient entries and adds its rows the
 same way, in the strided order, into a flat zero buffer: its sums start at
 +0.0 and gain only +0.0 terms, so they keep their bits, as outputs do.
 
-The conv functions take their padded input, im2col, patch-gradient and
-padded input-gradient arrays from a ``ConvScratch``. Without a ``scratch``
+The conv functions take their padded input, im2col and padded
+input-gradient arrays from a ``ConvScratch``. Without a ``scratch``
 argument they use a fresh one and are pure; given one, they reuse its
 arrays and give the same bits, but the cache's patch matrix and the
 returned ``dx`` then live in the scratch and hold only until its next call.
+The backward call writes the patch gradient over the cache's patch matrix
+(``dw`` is done with it by then), so such a cache serves one backward call.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def conv3_backward(dout: np.ndarray, cache, *, input_grad: bool = True,
     if scratch is None:
         scratch = ConvScratch()
     n = h * width
-    dcols = scratch.take("dcols", (batch, c_in, 3, 3, n), np.result_type(wmat, dout))
+    dcols = scratch.take("cols", (batch, c_in, 3, 3, n), np.result_type(wmat, dout))
     np.matmul(wmat.T[None, :, :], dflat, out=dcols.reshape(batch, c_in * 9, n))
     _clear_wrapped(dcols, width)
     dxp = scratch.take("dxp", (batch, c_in, n + 2 * width + 2), dout.dtype)

@@ -231,8 +231,9 @@ class NeuralNet:
         """Returns (output, cache); output is (B,) for regression models and
         (B, n_classes) logits for classifiers.
 
-        The cache lends from the net's conv work arrays, so it is valid for
-        ``backward`` only until the next forward call on the same net. The
+        The cache lends from the net's conv work arrays, so it serves one
+        ``backward`` call, made before the next forward call on the same
+        net: backward overwrites the conv patch matrices it reads. The
         output is the caller's own."""
         self._check_batch(batch)
         inputs = {"enc": batch.images, "enc2": batch.images2, "meta": batch.metadata}

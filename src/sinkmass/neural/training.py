@@ -19,6 +19,9 @@ other specimens share its batches.
 Mass and taxon predictions over at least THREADED_MIN_SAMPLES samples run two
 contiguous halves on two threads, each on its own net in batches of
 FORWARD_BATCH // 2; validation inside ``train`` stays on the calling thread.
+``train`` itself is single-threaded and writes no shared state, so
+``experiments.crossval`` may run two folds' ``train`` calls at once; it
+predicts only after both threads are done, so threads never nest.
 """
 
 from __future__ import annotations
@@ -432,11 +435,16 @@ def fine_tune(
     return train(dataset, train_ids, val_ids, base.config, train_config, taxa=base.taxa, base=base)
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def _inference_workers(n: int) -> int:
     """Threads for a forward-only pass over ``n`` samples: one below
     THREADED_MIN_SAMPLES, else two if the process may run on two CPUs."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return 1 if n < THREADED_MIN_SAMPLES else min(2, cpus or 1)
+    return 1 if n < THREADED_MIN_SAMPLES else min(2, usable_cpus())
 
 
 def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):

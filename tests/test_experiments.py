@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,9 +10,11 @@ import pytest
 from sinkmass import experiments, features
 from sinkmass.errors import InvalidConfig, TaxonTooSmall, UnknownTaxon
 from sinkmass.linear import FeatureSpec, TargetSpace
-from sinkmass.neural.model import HeadKind, ModelConfig
+from sinkmass.neural import training
+from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, NeuralNet
 from sinkmass.neural.training import TrainConfig
 from sinkmass.records import PredictionSet
+from sinkmass.rng import derive_seed
 from sinkmass.synth import GroupSpec, SynthConfig, generate
 
 
@@ -212,3 +218,160 @@ class TestBadProtocolRejectedBeforeTraining:
     def test_valid_protocol_trains_once_per_fold(self, raster_dataset, train_calls):
         experiments.crossval(raster_dataset, self.neural_estimator(), k=2)
         assert len(train_calls) == 2
+
+
+def allow_cpus(monkeypatch, n):
+    """Make the process look allowed on ``n`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class FoldError(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class ScriptedEstimator:
+    """Area-only OLS whose folds go on threads; ``before_fit(fold)`` runs
+    before each fit of a crossval with ``seed`` SEED."""
+
+    before_fit: object
+    THREADED_FOLDS = True
+    SEED = 3
+
+    def fit(self, dataset, train_ids, val_ids=None, seed=0):
+        fold = next(f for f in range(10) if derive_seed(self.SEED, "fold", f) == seed)
+        self.before_fit(fold)
+        return experiments.LinearEstimator(FeatureSpec.AREA_ONLY).fit(dataset, train_ids)
+
+
+class TestThreadedFolds:
+    @pytest.fixture(scope="class")
+    def raster_dataset(self):
+        config = SynthConfig(
+            groups=(GroupSpec("light", (1.3, 1.5), (1.6, 0.12), 9, aspect_range=(1.2, 1.6)),
+                    GroupSpec("dense", (2.4, 2.8), (1.6, 0.12), 9, aspect_range=(1.2, 1.6))),
+            seed=8,
+            raster_dims=(16, 16),
+        )
+        return generate(config)[0]
+
+    @staticmethod
+    def neural_estimator(arch):
+        metadata = (MetadataInput.FRAME_AREA, MetadataInput.SINKING_SPEED)
+        model = ModelConfig(architecture=arch, encoder_channels=(2,), head=HeadKind.ONE_LAYER,
+                            input_size=16,
+                            metadata_inputs=metadata if arch is Architecture.METADATA_AWARE else ())
+        return experiments.NeuralEstimator(model, TrainConfig(epochs=2, batch_size=16))
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_threads_give_the_serial_results(self, raster_dataset, monkeypatch, arch):
+        estimator = self.neural_estimator(arch)
+        fit_threads = set()
+        real_train = experiments.train
+
+        def train(*args, **kwargs):
+            fit_threads.add(threading.get_ident())
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", train)
+        results = []
+        interval = sys.getswitchinterval()
+        # one CPU, two, and two with the interpreter lock handed over as often as it can be
+        for cpus, switch in ((1, interval), (2, interval), (2, 1e-6)):
+            allow_cpus(monkeypatch, cpus)
+            fit_threads.clear()
+            threads = threading.active_count()
+            sys.setswitchinterval(switch)
+            try:
+                result = experiments.crossval(raster_dataset, estimator, k=3, seed=5)
+            finally:
+                sys.setswitchinterval(interval)
+            assert threading.active_count() == threads
+            assert len(fit_threads) == cpus
+            assert len(result.fold_val_histories) == 3
+            results.append(repr(result))
+        assert results[0] == results[1] == results[2]
+
+    def test_the_first_failing_fold_raises_not_the_first_failure(
+        self, metadata_dataset, monkeypatch
+    ):
+        allow_cpus(monkeypatch, 2)
+        started = []
+        fold3_failed = threading.Event()
+
+        def before_fit(fold):
+            started.append(fold)
+            if fold == 1:
+                assert fold3_failed.wait(timeout=30)
+                raise FoldError(1)
+            if fold == 3:
+                fold3_failed.set()
+                raise FoldError(3)
+
+        predicted = []
+        real_predict = experiments.predict
+
+        def predict(model, dataset, ids):
+            predicted.append(threading.get_ident())
+            return real_predict(model, dataset, ids)
+
+        monkeypatch.setattr(experiments, "predict", predict)
+        threads = threading.active_count()
+        with pytest.raises(FoldError) as raised:
+            experiments.crossval(metadata_dataset, ScriptedEstimator(before_fit), k=5,
+                                 seed=ScriptedEstimator.SEED)
+        assert raised.value.args == (1,)
+        assert sorted(started) == [0, 1, 2, 3]  # no fold starts after fold 3 failed
+        assert predicted == [threading.get_ident()]  # fold 0's, as in a serial loop
+        assert threading.active_count() == threads
+
+    def test_a_predict_error_beats_a_later_fit_error(self, metadata_dataset, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+
+        def before_fit(fold):
+            if fold == 1:
+                raise FoldError("fit")
+
+        def predict(model, dataset, ids):
+            raise FoldError("predict")
+
+        monkeypatch.setattr(experiments, "predict", predict)
+        with pytest.raises(FoldError, match="^predict$"):
+            experiments.crossval(metadata_dataset, ScriptedEstimator(before_fit), k=2,
+                                 seed=ScriptedEstimator.SEED)
+
+    def test_linear_folds_start_no_thread(self, metadata_dataset, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+
+        def start(thread):
+            raise AssertionError("linear crossval started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        estimator = experiments.LinearEstimator(FeatureSpec.AREA_PLUS_SPEED)
+        assert experiments.crossval(metadata_dataset, estimator, seed=4).pooled_report.n == 120
+
+    def test_threaded_inference_does_not_nest_in_threaded_folds(
+        self, raster_dataset, monkeypatch
+    ):
+        allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(training, "THREADED_MIN_SAMPLES", 1)  # every test fold exceeds it
+        workers = []
+        real_workers = training._inference_workers
+
+        def inference_workers(n):
+            workers.append(real_workers(n))
+            return workers[-1]
+
+        monkeypatch.setattr(training, "_inference_workers", inference_workers)
+        active = []
+        real_forward = NeuralNet.forward_cached
+
+        def forward_cached(self, batch):
+            active.append(threading.active_count())
+            return real_forward(self, batch)
+
+        monkeypatch.setattr(NeuralNet, "forward_cached", forward_cached)
+        threads = threading.active_count()
+        experiments.crossval(raster_dataset, self.neural_estimator(Architecture.SINGLE_VIEW), k=3)
+        assert workers == [2, 2, 2]  # each test fold's predictions ran on two threads
+        assert max(active) == threads + 1

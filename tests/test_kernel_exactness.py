@@ -243,9 +243,10 @@ def test_conv_with_and_without_scratch_give_the_reference_bits(batches, c_in, c_
         want_out, want_cols, want_dx = _conv3_reference(x, weights, bias, dout)
         for kwargs in ({}, {"scratch": scratch}):
             out, cache = layers.conv3_forward(x, weights, bias, **kwargs)
+            cols = cache[1].copy()  # the backward call writes over a scratch's patch matrix
             dx, _, _ = layers.conv3_backward(dout, cache, **kwargs)
             assert cache[0] == x.shape
-            for got, want in ((out, want_out), (cache[1], want_cols), (dx, want_dx)):
+            for got, want in ((out, want_out), (cols, want_cols), (dx, want_dx)):
                 assert got.dtype == want.dtype == dtype
                 np.testing.assert_array_equal(got, want)
 

@@ -145,6 +145,10 @@ CASES = [
     ("crossval_neural", "ok",
      ("crossval", *R, "--model", "neural", "--config", "meta.json", "--folds", 2, "--seed", 3,
       "--out", "cv_neural")),
+    # an odd fold count: on two CPUs one fold-fitting thread takes two folds
+    ("crossval_neural_three_folds", "ok",
+     ("crossval", *R, "--model", "neural", "--config", "multi_view.json", "--folds", 3,
+      "--seed", 3, "--out", "cv_neural_three")),
     ("ood_linear", "ok",
      ("ood", *F, "--model", "linear-area", "--holdout", "dense", "--seed", 3,
       "--out", "ood_linear")),
