@@ -53,8 +53,8 @@ class ManifestEntry:
     specimen_id: str
     taxon: str
     dry_mass_ug: float | None
-    metadata_csv: Path
-    raster_dir: Path | None = None
+    metadata_csv: str
+    raster_dir: str | None = None
 
 
 def parse_frame_csv(payload: bytes) -> np.ndarray:
@@ -243,6 +243,11 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
     if not isinstance(raw, list):
         raise InputError("manifest must be a JSON array")
     base = path.parent
+    prefix = "" if base == Path() else os.path.join(base, "")  # Path(".") / "a" is "a"
+
+    def join(rel) -> str:  # str(base / rel), joined as strings where pathlib would not normalise
+        plain = isinstance(rel, str) and not {"", "."} & set(rel.split("/"))
+        return prefix + rel if plain else str(base / rel)
     entries, ids = [], set()
     for i, obj in enumerate(raw):
         try:
@@ -262,8 +267,8 @@ def load_manifest(path: Path | str) -> list[ManifestEntry]:
                     specimen_id=obj["specimen_id"],
                     taxon=obj["taxon"],
                     dry_mass_ug=None if mass is None else float(mass),
-                    metadata_csv=base / obj["metadata_csv"],
-                    raster_dir=None if obj.get("raster_dir") is None else base / obj["raster_dir"],
+                    metadata_csv=join(obj["metadata_csv"]),
+                    raster_dir=None if obj.get("raster_dir") is None else join(obj["raster_dir"]),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -288,7 +293,8 @@ def _frame_tables(manifest: list[ManifestEntry]):
     batch, size = [], 0
     for i, entry in enumerate(manifest, 1):
         try:
-            payload = entry.metadata_csv.read_bytes()
+            with open(entry.metadata_csv, "rb") as fh:
+                payload = fh.read()
         except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
             yield from _parse_batch(batch)
             raise InputError(f"{entry.specimen_id}: cannot read {entry.metadata_csv}: {exc}") from None
@@ -345,7 +351,7 @@ def assemble_dataset(
             continue
         rasters = []
         # Path(".") / name is "name", so "." joins as ""
-        raster_dir = "" if entry.raster_dir == Path() else str(entry.raster_dir)
+        raster_dir = "" if entry.raster_dir == "." else entry.raster_dir
         for file_name in raster_names(frames):
             fpath = os.path.join(raster_dir, file_name)
             try:

@@ -9,8 +9,9 @@ The frame count is the time to cross the cuvette at that speed, so
 heavier-per-area specimens produce fewer frames, mirroring the imaging device.
 
 With ``raster_dims`` set, each specimen also gets one ``uint8`` stack of
-silhouettes, a row per frame, and ``write_synth_output`` writes one PGM per
-row under the ingest file name.
+silhouettes, a row per frame, painted with array ops on at most
+PAINT_CHUNK_PIXELS pixels at a time; each row has the bits of a per-frame stable
+argsort. ``write_synth_output`` writes one PGM per row under the ingest file name.
 
 Density is invisible in the rasters by construction (silhouettes depend only
 on area), so any advantage a metadata-aware model shows over an image-only
@@ -33,6 +34,7 @@ from .rng import substream
 
 DEFAULT_ASPECT_RANGE = (1.2, 2.2)
 CENTER_JITTER_PX = 2
+PAINT_CHUNK_PIXELS = 1 << 16  # pixels of the frames whose silhouettes one pass paints
 MASS_COEFF = 0.05
 AREA_COEFF = 0.6
 SPEED_COEFF = 0.32
@@ -94,41 +96,47 @@ class GroundTruth:
     entries: dict[str, GroundTruthEntry]
 
 
-def _ellipse_raster(
-    area_px: float,
-    dims: tuple[int, int],
-    aspect: float,
-    angle: float,
-    jitter: tuple[int, int],
-) -> np.ndarray:
-    """Paint the round(area_px) most-central pixels of an oriented ellipse.
-
-    Ranking pixels by their elliptical radius and painting exactly the
-    target count keeps the thresholded pixel count equal to the requested
-    area regardless of discretization.
-    """
+def _ellipse_stack(dims: tuple[int, int], frames: list[tuple]) -> np.ndarray:
+    """A row per ``(area_px, aspect, angle, (jitter_y, jitter_x))`` painting the
+    round(area_px) most-central pixels of an oriented ellipse, so that the
+    thresholded pixel count is the requested area regardless of discretization.
+    The first frame that does not fit raises, its capacity checked first."""
     h, w = dims
-    target = int(round(area_px))
-    if target > h * w:
-        raise SilhouetteTooLarge(f"area {area_px} exceeds {h}x{w} raster capacity")
-    a = math.sqrt(area_px * aspect / math.pi)
-    b = math.sqrt(area_px / (math.pi * aspect))
-    cy = (h - 1) / 2.0 + jitter[0]
-    cx = (w - 1) / 2.0 + jitter[1]
-    if a + CENTER_JITTER_PX + 1 > min(h, w) / 2.0:
-        raise SilhouetteTooLarge(
-            f"ellipse with area {area_px} and aspect {aspect} does not fit in {h}x{w}"
-        )
-    dy = (np.arange(h) - cy)[:, None]
-    dx = np.arange(w) - cx
-    cos_t, sin_t = math.cos(angle), math.sin(angle)
-    u = (dx * cos_t + dy * sin_t) / a
-    v = (-dx * sin_t + dy * cos_t) / b
-    metric = (u * u + v * v).ravel()
-    order = np.argsort(metric, kind="stable")
-    pixels = np.full(h * w, 255, dtype=np.uint8)
-    pixels[order[:target]] = 0
-    return pixels.reshape(h, w)
+    params = []
+    for area_px, aspect, angle, (jy, jx) in frames:
+        target = int(round(area_px))
+        if target > h * w:
+            raise SilhouetteTooLarge(f"area {area_px} exceeds {h}x{w} raster capacity")
+        a = math.sqrt(area_px * aspect / math.pi)
+        b = math.sqrt(area_px / (math.pi * aspect))
+        if a + CENTER_JITTER_PX + 1 > min(h, w) / 2.0:
+            raise SilhouetteTooLarge(f"ellipse with area {area_px} and aspect {aspect} "
+                                     f"does not fit in {h}x{w}")
+        params.append((target, a, b, (h - 1) / 2.0 + jy, (w - 1) / 2.0 + jx,
+                       math.cos(angle), math.sin(angle)))
+    target, a, b, cy, cx, cos_t, sin_t = np.array(params).reshape(-1, 7, 1, 1).swapaxes(0, 1)
+    stack = np.empty((len(params), h, w), dtype=np.uint8)
+    step = max(1, PAINT_CHUNK_PIXELS // (h * w))
+    for rows in (slice(i, i + step) for i in range(0, len(stack), step)):
+        dy, dx = np.arange(h)[:, None] - cy[rows], np.arange(w) - cx[rows]
+        # u * u + v * v for the pixel's offsets u and v along the axes, in semi-axes
+        metric = np.square((dx * cos_t[rows] + dy * sin_t[rows]) / a[rows])
+        metric += np.square((-dx * sin_t[rows] + dy * cos_t[rows]) / b[rows])
+        dark = _most_central(metric.reshape(len(metric), -1), target[rows].astype(int).ravel())
+        stack[rows] = ~dark.reshape(metric.shape) * np.uint8(255)
+    return stack
+
+
+def _most_central(metric: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Mask of each row's ``target`` smallest metrics, as a stable argsort ranks them."""
+    kth = np.sort(metric, axis=1)[np.arange(len(metric)), target - 1, None]
+    kth[target == 0] = -np.inf
+    dark = metric < kth
+    ties = np.flatnonzero(metric == kth)
+    row = ties // metric.shape[1]
+    rank = np.arange(len(ties)) - np.searchsorted(row, row)
+    dark.ravel()[ties] = rank < (target - np.count_nonzero(dark, axis=1))[row]
+    return dark
 
 
 def rasterize_specimen(
@@ -145,16 +153,12 @@ def rasterize_specimen(
     """
     rng = substream(seed, "rasterize", record.specimen_id)
     aspect_by_camera = {cam: rng.uniform(*aspect_range) for cam in CAMERAS}
-    frames = record.frames
-    stack = np.empty((len(frames), *dims), dtype=np.uint8)
-    for row, camera, area in zip(stack, frames["camera_id"].tolist(), frames["area_px"].tolist()):
-        angle = rng.uniform(0.0, math.pi)
-        jitter = (
-            int(rng.integers(-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)),
-            int(rng.integers(-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)),
-        )
-        row[...] = _ellipse_raster(area, dims, aspect_by_camera[camera], angle, jitter)
-    return stack
+    jitter = (-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)
+    return _ellipse_stack(dims, [  # per frame, the angle, then y and x jitter, in draw order
+        (area, aspect_by_camera[camera], rng.uniform(0.0, math.pi),
+         (int(rng.integers(*jitter)), int(rng.integers(*jitter))))
+        for camera, area in record.frames[["camera_id", "area_px"]].tolist()
+    ])
 
 
 def _make_specimen(
@@ -177,9 +181,9 @@ def _make_specimen(
     noise = rng.normal(0.0, config.area_noise_cv, 2 * n) if config.area_noise_cv > 0 else 0.0
     top = np.round(config.cuvette_height_px - np.arange(n) * step).astype(np.int64)
     frames = np.empty(2 * n, dtype=FRAME_DTYPE)
-    frames["camera_id"] = np.repeat(CAMERAS, n)
-    frames["frame_index"] = np.tile(np.arange(n), 2)
-    frames["top"] = np.tile(top, 2)
+    frames["camera_id"][:n], frames["camera_id"][n:] = CAMERAS
+    frames["frame_index"][:n] = frames["frame_index"][n:] = np.arange(n)
+    frames["top"][:n] = frames["top"][n:] = top
     frames["bottom"] = frames["top"] + box
     frames["left"] = left
     frames["right"] = left + box

@@ -658,3 +658,77 @@ class TestManifest:
         text = json.dumps([MANIFEST_ENTRY]).replace("12.5", "1" * 5000)
         with pytest.raises(InputError, match="cannot read manifest"):
             self._assemble(text)
+
+
+class TestManifestPaths:
+    """Manifest paths are joined as strings, but name what pathlib would: the
+    same entry paths and, when a file cannot be read, the same message."""
+
+    CSV_SPELLINGS = [
+        "s1.csv", "./s1.csv", ".//s1.csv", "sub/../s1.csv", "sub//../s1.csv", "sub/./../s1.csv",
+        "missing.csv", "./missing.csv", "sub/", "sub//", "sub/.", "", ".", "./", "s1.csv/",
+    ]
+    RASTER_SPELLINGS = ["r", "r/", "./r", "r//", "r/.", "sub/../r", ".", "", "./", "missing"]
+
+    @pytest.fixture(params=["cwd", "dot", "relative", "absolute"])
+    def manifest(self, request, tmp_path, monkeypatch):
+        """Where the manifest lies and how it is named: in the working
+        directory, as ``./manifest.json``, under a relative directory, or by
+        an absolute path."""
+        base = tmp_path / "data"
+        (base / "sub").mkdir(parents=True)
+        (base / "r").mkdir()
+        (base / "s1.csv").write_bytes(HEADER + b"A,0,10,20,0,10,5\n")
+        (base / "b.csv").write_bytes(HEADER + b"B,0,10,20,0,10,5\n")  # no B_0.pgm anywhere
+        for folder in (base, base / "r"):
+            (folder / "A_0.pgm").write_bytes(make_pgm(2, 2, range(4)))
+        monkeypatch.chdir(base if request.param in ("cwd", "dot") else tmp_path)
+        return {
+            "cwd": "manifest.json",
+            "dot": "./manifest.json",
+            "relative": "data/manifest.json",
+            "absolute": str(base / "manifest.json"),
+        }[request.param]
+
+    @staticmethod
+    def _outcome(manifest, entry):
+        """The error message of assembling a one-entry manifest, or None."""
+        Path(manifest).write_text(json.dumps([{**MANIFEST_ENTRY, **entry}]))
+        try:
+            assemble_dataset(load_manifest(manifest))
+        except InputError as exc:
+            return str(exc)
+        return None
+
+    def test_csv_paths_match_pathlib(self, manifest):
+        for rel in self.CSV_SPELLINGS:
+            expected = Path(manifest).parent / rel
+            Path(manifest).write_text(json.dumps([{**MANIFEST_ENTRY, "metadata_csv": rel}]))
+            assert load_manifest(manifest)[0].metadata_csv == str(expected), rel
+            try:
+                expected.read_bytes()
+                message = None
+            except OSError as exc:
+                message = f"s1: cannot read {expected}: {exc}"
+            assert self._outcome(manifest, {"metadata_csv": rel}) == message, rel
+
+    @pytest.mark.parametrize("csv", ["s1.csv", "b.csv"])
+    def test_raster_dirs_match_pathlib(self, manifest, csv):
+        for rel in self.RASTER_SPELLINGS:
+            expected = Path(manifest).parent / rel
+            Path(manifest).write_text(json.dumps([{**MANIFEST_ENTRY, "raster_dir": rel}]))
+            assert load_manifest(manifest)[0].raster_dir == str(expected), rel
+            # Path(".") / "A_0.pgm" is "A_0.pgm"
+            pgm = expected / ("A_0.pgm" if csv == "s1.csv" else "B_0.pgm")
+            message = None if pgm.exists() else (
+                f"s1: cannot read {pgm}: [Errno 2] No such file or directory: '{pgm}'"
+            )
+            assert self._outcome(manifest, {"metadata_csv": csv, "raster_dir": rel}) == message, rel
+
+    @pytest.mark.parametrize("value", [5, 2.5, True, [], {"a": 1}])
+    def test_mistyped_path_names_pathlib_type_error(self, manifest, value):
+        with pytest.raises(TypeError) as expected:
+            Path(manifest).parent / value
+        for key in ("metadata_csv", "raster_dir"):
+            message = self._outcome(manifest, {key: value})
+            assert message == f"manifest entry 0: {expected.value}"

@@ -1,17 +1,65 @@
+import math
+
 import numpy as np
 import pytest
 
+from sinkmass import synth
 from sinkmass.errors import InvalidConfig, SilhouetteTooLarge
 from sinkmass.linear import FeatureSpec, fit_ols, build_rows
 from sinkmass.records import FRAME_DTYPE, validate_dataset
 from sinkmass.synth import (
+    CENTER_JITTER_PX,
     MASS_COEFF,
     GroupSpec,
     SynthConfig,
-    _ellipse_raster,
+    _ellipse_stack,
+    _most_central,
     generate,
     rasterize_specimen,
 )
+
+
+def reference_raster(area_px, dims, aspect, angle, jitter):
+    """One frame painted on its own: the round(area_px) pixels first in a
+    stable argsort of their elliptical radii. The oracle for the stack painter."""
+    h, w = dims
+    target = int(round(area_px))
+    if target > h * w:
+        raise SilhouetteTooLarge(f"area {area_px} exceeds {h}x{w} raster capacity")
+    a = math.sqrt(area_px * aspect / math.pi)
+    b = math.sqrt(area_px / (math.pi * aspect))
+    cy = (h - 1) / 2.0 + jitter[0]
+    cx = (w - 1) / 2.0 + jitter[1]
+    if a + CENTER_JITTER_PX + 1 > min(h, w) / 2.0:
+        raise SilhouetteTooLarge(
+            f"ellipse with area {area_px} and aspect {aspect} does not fit in {h}x{w}"
+        )
+    dy = (np.arange(h) - cy)[:, None]
+    dx = np.arange(w) - cx
+    cos_t, sin_t = math.cos(angle), math.sin(angle)
+    u = (dx * cos_t + dy * sin_t) / a
+    v = (-dx * sin_t + dy * cos_t) / b
+    metric = (u * u + v * v).ravel()
+    order = np.argsort(metric, kind="stable")
+    pixels = np.full(h * w, 255, dtype=np.uint8)
+    pixels[order[:target]] = 0
+    return pixels.reshape(h, w)
+
+
+def random_frames(rng, side, count, aspect_range=(1.0, 2.2)):
+    """``count`` painter frames that fit a ``side``-square raster. Aspect 1.0,
+    an angle of 0 or pi/2 and the half-integer centres of an even side give
+    exact metric ties; areas under 0.5 paint nothing."""
+    frames = []
+    for _ in range(count):
+        aspect = float(rng.choice([1.0, 1.5, rng.uniform(*aspect_range)]))
+        angle = float(rng.choice([0.0, math.pi / 2, rng.uniform(0.0, math.pi)]))
+        # just under the largest area whose major semi-axis fits
+        fit = 0.999 * math.pi * (side / 2.0 - CENTER_JITTER_PX - 1) ** 2 / aspect
+        area = float(rng.choice([0.3, rng.integers(1, max(fit, 2)), rng.uniform(0.0, fit)]))
+        jitter = tuple(int(j) for j in rng.integers(-CENTER_JITTER_PX, CENTER_JITTER_PX + 1, 2))
+        frames.append((area, aspect, angle, jitter))
+    return frames
 
 
 def same_specimens(a, b):
@@ -141,18 +189,18 @@ class TestGenerate:
 
 class TestRasterize:
     def test_thresholded_pixel_count_matches_area(self):
-        raster = _ellipse_raster(100.0, (32, 32), aspect=1.5, angle=0.3, jitter=(1, -1))
+        raster = _ellipse_stack((32, 32), [(100.0, 1.5, 0.3, (1, -1))])[0]
         dark = int((raster < 128).sum())
         assert 98 <= dark <= 102
 
     def test_equal_area_different_density_can_look_identical(self):
-        a = _ellipse_raster(80.0, (32, 32), aspect=1.5, angle=0.0, jitter=(0, 0))
-        b = _ellipse_raster(80.0, (32, 32), aspect=1.5, angle=0.0, jitter=(0, 0))
+        a = _ellipse_stack((32, 32), [(80.0, 1.5, 0.0, (0, 0))])[0]
+        b = _ellipse_stack((32, 32), [(80.0, 1.5, 0.0, (0, 0))])[0]
         assert np.array_equal(a, b)
 
     def test_too_large_area_rejected(self):
         with pytest.raises(SilhouetteTooLarge):
-            _ellipse_raster(1100.0, (32, 32), aspect=1.2, angle=0.0, jitter=(0, 0))
+            _ellipse_stack((32, 32), [(1100.0, 1.2, 0.0, (0, 0))])
 
     def test_rasterize_specimen_counts_match_frame_areas(self):
         config = two_group_config(raster_dims=(32, 32))
@@ -178,3 +226,94 @@ class TestRasterize:
             assert stack.shape == (len(record.frames), 32, 32)
             assert stack.dtype == np.uint8
         assert validate_dataset(dataset).ok
+
+
+class TestStackPainter:
+    """The stack painter gives each frame the bits of the per-frame oracle."""
+
+    @staticmethod
+    def reference_stack(dims, frames):
+        return np.stack([reference_raster(area, dims, aspect, angle, jitter)
+                         for area, aspect, angle, jitter in frames])
+
+    @pytest.mark.parametrize("side", [8, 16, 17, 32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_equals_per_frame_painter(self, side, seed):
+        frames = random_frames(np.random.default_rng([seed, side]), side, 40)
+        stack = _ellipse_stack((side, side), frames)
+        assert stack.dtype == np.uint8 and stack.shape == (40, side, side)
+        assert np.array_equal(stack, self.reference_stack((side, side), frames))
+
+    def test_exact_ties_take_the_lower_index(self):
+        # a circle about a half-integer centre: mirrored pixels tie exactly,
+        # so an odd area splits a tied pair
+        frames = [(float(area), 1.0, 0.0, (0, 0)) for area in range(1, 60, 2)]
+        stack = _ellipse_stack((16, 16), frames)
+        assert np.array_equal(stack, self.reference_stack((16, 16), frames))
+        assert [int((row == 0).sum()) for row in stack] == list(range(1, 60, 2))
+
+    def test_area_that_rounds_to_zero_paints_nothing(self):
+        frames = [(0.3, 1.5, 0.2, (0, 0)), (0.0, 1.0, 0.0, (1, 1)), (2.0, 1.0, 0.0, (0, 0))]
+        with np.errstate(divide="ignore", invalid="ignore"):  # area 0 has zero semi-axes
+            stack = _ellipse_stack((8, 8), frames)
+            reference = self.reference_stack((8, 8), frames)
+        assert np.array_equal(stack, reference)
+        assert (stack[:2] == 255).all() and int((stack[2] == 0).sum()) == 2
+
+    def test_empty_frame_list_gives_an_empty_stack(self):
+        assert _ellipse_stack((8, 8), []).shape == (0, 8, 8)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 64])
+    def test_rows_take_their_target_smallest_like_a_stable_argsort(self, n):
+        rng = np.random.default_rng(n)
+        # few distinct values, so most rows hold ties at their cut
+        metric = rng.integers(0, 6, (30, n)).astype(float)
+        target = rng.integers(0, n + 1, 30)
+        target[:2] = 0, n
+        dark = _most_central(metric, target)
+        for row, t, mask in zip(metric, target, dark):
+            expected = np.zeros(n, dtype=bool)
+            expected[np.argsort(row, kind="stable")[:t]] = True
+            assert np.array_equal(mask, expected)
+
+    @pytest.mark.parametrize("frames_per_chunk", [1, 3, 7])
+    @pytest.mark.parametrize("count", [1, 6, 7, 8, 22])
+    def test_chunks_stay_under_the_cap(self, monkeypatch, frames_per_chunk, count):
+        side = 12
+        cap = frames_per_chunk * side * side + side  # not a whole number of frames
+        monkeypatch.setattr(synth, "PAINT_CHUNK_PIXELS", cap)
+        chunks = []
+
+        def spy(metric, target):
+            chunks.append(metric.size)
+            return _most_central(metric, target)
+
+        monkeypatch.setattr(synth, "_most_central", spy)
+        frames = random_frames(np.random.default_rng(count), side, count)
+        stack = _ellipse_stack((side, side), frames)
+        assert np.array_equal(stack, self.reference_stack((side, side), frames))
+        assert max(chunks) <= cap and sum(chunks) == count * side * side
+        assert len(chunks) == -(-count // frames_per_chunk)
+
+    def test_a_frame_larger_than_the_cap_is_painted_alone(self, monkeypatch):
+        monkeypatch.setattr(synth, "PAINT_CHUNK_PIXELS", 10)
+        frames = random_frames(np.random.default_rng(5), 16, 3)
+        assert np.array_equal(_ellipse_stack((16, 16), frames),
+                              self.reference_stack((16, 16), frames))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(300.0, 1.0, 0.0, (0, 0)), (60.0, 2.0, 0.0, (0, 0)), (1e6, 1.0, 0.0, (0, 0))],
+        ids=["over_capacity", "does_not_fit", "both"],
+    )
+    def test_first_failing_frame_raises_the_per_frame_message(self, bad):
+        """Capacity is checked before fit, and frame by frame: a later frame
+        that fails the other check is not reached."""
+        good = (20.0, 1.2, 0.5, (1, 0))
+        later = (400.0, 3.0, 0.0, (0, 0))
+        with pytest.raises(SilhouetteTooLarge) as expected:
+            reference_raster(bad[0], (16, 16), *bad[1:])
+        with pytest.raises(SilhouetteTooLarge) as err:
+            _ellipse_stack((16, 16), [good, good, bad, later])
+        assert str(err.value) == str(expected.value)
+        assert ("capacity" in str(err.value)) == (bad[0] > 256)

@@ -77,6 +77,11 @@ CONFIGS = {
     "one_density_bound.json": {
         "groups": [{**GROUPS[0], "density_range": [1.3]}], "dt": 8.0, "n_max": 6,
     },
+    # silhouettes of about 110 pixels, whose ellipses cannot fit a 16x16 raster
+    "silhouette_too_large.json": {
+        "groups": [{**GROUPS[0], "name": "huge", "size_lognormal": [2.6, 0.05]}],
+        "dt": 8.0, "n_max": 6, "raster_dims": [16, 16],
+    },
 }
 # the raster side the padded copy crops its first specimen to
 CROP = 12
@@ -270,6 +275,8 @@ CASES = [
      ("synth", "--seed", 1, "--config", "non_square_rasters.json", "--out", "x")),
     ("synth_one_density_bound", "error",
      ("synth", "--seed", 1, "--config", "one_density_bound.json", "--out", "x")),
+    ("synth_silhouette_too_large", "error",
+     ("synth", "--seed", 1, "--config", "silhouette_too_large.json", "--out", "x")),
     ("train_duplicate_id", "error",
      ("train", "--manifest", "dup.json", "--config", "train.json", "--seed", 4, "--out", "x")),
     ("pipeline_regressor_with_taxa", "error",
