@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import contextlib
 import math
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .errors import EmptyPredictions, UnknownTaxon, ZeroVariance
 from .evaluation import (
@@ -32,7 +32,9 @@ from .linear import (
     predict_specimen,
 )
 from .neural.model import ModelConfig
-from .neural.training import TrainConfig, TrainedModel, predict_specimen_masses, train, usable_cpus
+from .neural.training import (
+    TrainConfig, TrainedModel, predict_specimen_masses, run_in_order, thread_count, train,
+)
 from .records import Dataset, PredictionEntry, PredictionSet
 from .rng import derive_seed, substream
 
@@ -152,15 +154,19 @@ def crossval(
     with a fold-derived seed, score its test fold, then pool the test
     predictions. Neural folds keep their validation-loss histories.
 
-    A THREADED_FOLDS estimator fits on up to two threads (``_fit_folds``);
-    the calling thread then scores the folds in order and raises a fold's
-    fit error in its place, so results and errors are a serial loop's."""
+    Fold fits go through ``run_in_order`` (``thread_count(k)`` threads for a
+    THREADED_FOLDS estimator, else one); the folds are then scored in order and
+    a fold's fit error raised in its place, so results and errors are a serial loop's."""
     plan = make_cv_splits(dataset, k=k, seed=seed)
-    models = _fit_folds(dataset, estimator, plan.folds, seed)
+    with contextlib.suppress(ValueError):  # a frameless specimen: the fits raise it in order
+        dataset.features  # once here, not by both threads queued on cached_property's lock
+    models = run_in_order((
+        partial(estimator.fit, dataset, fold.train, fold.val, derive_seed(seed, "fold", f))
+        for f, fold in enumerate(plan.folds)
+    ), thread_count(k) if estimator.THREADED_FOLDS else 1)
     fold_sets = []
     histories = []
-    for f, fold in enumerate(plan.folds):
-        model = models[f]
+    for fold, model in zip(plan.folds, models):  # a fold missing from models follows a failed one
         if isinstance(model, Exception):
             raise model
         if hasattr(model, "val_loss_history"):
@@ -174,40 +180,6 @@ def crossval(
         pooled_predictions=pooled,
         fold_val_histories=tuple(histories),
     )
-
-
-def _fit_folds(dataset: Dataset, estimator, folds, seed: int) -> dict:
-    """{fold index: its fitted model, or the exception its fit raised}. The
-    calling thread, and one worker for a THREADED_FOLDS estimator on two
-    usable CPUs, take folds in order from one iterator and start none once a
-    fit has failed, so every fold missing from the result follows a failed one."""
-    results, pending, lock, stop = {}, enumerate(folds), threading.Lock(), threading.Event()
-
-    def fit_folds() -> None:
-        while not stop.is_set():
-            with lock:
-                f, fold = next(pending, (None, None))
-            if fold is None:
-                return
-            try:
-                results[f] = estimator.fit(dataset, fold.train, fold.val, derive_seed(seed, "fold", f))
-            except Exception as exc:
-                results[f] = exc
-                stop.set()
-
-    if not (estimator.THREADED_FOLDS and usable_cpus() >= 2):
-        fit_folds()
-        return results
-    with contextlib.suppress(ValueError):  # a frameless specimen: the fits raise it in order
-        dataset.features  # once here, not by both threads queued on cached_property's lock
-    worker = threading.Thread(target=fit_folds, name="sinkmass-folds")
-    worker.start()
-    try:
-        fit_folds()
-    finally:
-        stop.set()  # after an interrupt here, the worker starts no further fold
-        worker.join()
-    return results
 
 
 def crossval_linear(

@@ -16,12 +16,12 @@ so ``exp`` and ``softmax`` keep float64's range. Every forward layer treats
 each sample on its own, so a specimen's prediction does not depend on which
 other specimens share its batches.
 
-Mass and taxon predictions over at least THREADED_MIN_SAMPLES samples run two
-contiguous halves on two threads, each on its own net in batches of
-FORWARD_BATCH // 2; validation inside ``train`` stays on the calling thread.
-``train`` itself is single-threaded and writes no shared state, so
-``experiments.crossval`` may run two folds' ``train`` calls at once; it
-predicts only after both threads are done, so threads never nest.
+Threads come from one runner, ``run_in_order``, sized by ``thread_count``.
+Mass and taxon predictions cut their samples into ``thread_count(n)``
+contiguous slices, each on its own net in batches of FORWARD_BATCH // threads;
+validation inside ``train`` stays on the calling thread. ``train`` is
+single-threaded and writes no shared state, so ``experiments.crossval`` may run
+folds' ``train`` calls at once; it predicts once they are done, so threads never nest.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +60,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 # samples keeps its activations, im2col buffers and pool masks near one
 # core's L2 cache; 128-sample passes moved more memory for the same work.
 FORWARD_BATCH = 32
-# Shorter inference passes stay on one thread: a second thread keeps a malloc
-# arena of several MB for the life of the process, and would save under 0.1 s.
-THREADED_MIN_SAMPLES = 2048
 
 
 class FreezeMode(str, Enum):
@@ -435,44 +434,62 @@ def fine_tune(
     return train(dataset, train_ids, val_ids, base.config, train_config, taxa=base.taxa, base=base)
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
+def thread_count(n: int) -> int:
+    """Threads for ``n`` tasks: at most two, at most the CPUs this process may
+    run on, at most ``n``, and at least one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return cpus or 1
+    return max(1, min(2, cpus or 1, n))
 
 
-def _inference_workers(n: int) -> int:
-    """Threads for a forward-only pass over ``n`` samples: one below
-    THREADED_MIN_SAMPLES, else two if the process may run on two CPUs."""
-    return 1 if n < THREADED_MIN_SAMPLES else min(2, usable_cpus())
+def run_in_order(tasks, threads: int) -> list:
+    """Each started task's result, or the exception it raised, in task order.
+    The calling thread and ``threads - 1`` workers take tasks in order from one
+    iterator and start none once a task has raised, so the list is a prefix of
+    the tasks that ends after every failure; the workers have ended on return."""
+    results, pending, lock, failed = {}, enumerate(tasks), threading.Lock(), threading.Event()
+
+    def work() -> None:
+        while not failed.is_set():
+            with lock:
+                i, task = next(pending, (None, None))
+            if task is None:
+                return
+            try:
+                results[i] = task()
+            except Exception as exc:
+                results[i] = exc
+                failed.set()
+
+    workers = [threading.Thread(target=work, name="sinkmass-worker") for _ in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        failed.set()  # after an interrupt here, the workers start no further task
+        for worker in workers:
+            worker.join()
+    return [results[i] for i in range(len(results))]
 
 
 def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
     """{specimen_id: float64 network outputs over its samples} for every
     specimen the model can score, from one batched pass over all their
-    samples, split over ``_inference_workers`` threads."""
+    samples, cut into ``thread_count`` contiguous slices; the first slice
+    that raised raises here."""
     samples = build_samples(dataset, specimen_ids, model.config, require_mass=False)
     if not samples.sample_slices:
         return {}
     n = len(samples)
-    workers = min(_inference_workers(n), n)
-    nets = [model.net()]
-    nets += [NeuralNet(model.config, nets[0].params) for _ in range(1, workers)]
-    bounds = [i * n // workers for i in range(workers + 1)]
-
-    def run(i: int) -> np.ndarray:
-        return _outputs(nets[i], samples, model.metadata_mean, model.metadata_std,
-                        bounds[i], bounds[i + 1], FORWARD_BATCH // workers)
-
-    if workers == 1:
-        parts = [run(0)]
-    else:  # the executor module (0.4 MB) loads only for a threaded pass
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the calling thread takes the first run: one worker arena fewer
-        with ThreadPoolExecutor(workers - 1) as pool:
-            rest = [pool.submit(run, i) for i in range(1, workers)]
-            parts = [run(0)] + [future.result() for future in rest]
+    threads = thread_count(n)
+    bounds = [i * n // threads for i in range(threads + 1)]
+    parts = run_in_order((  # each slice on its own net, whose conv scratch is its own
+        partial(_outputs, model.net(), samples, model.metadata_mean,
+                model.metadata_std, bounds[i], bounds[i + 1], FORWARD_BATCH // threads)
+        for i in range(threads)
+    ), threads)
+    if errors := [part for part in parts if isinstance(part, Exception)]:
+        raise errors[0]
     out = np.concatenate(parts).astype(np.float64)
     return {sid: out[idx[0] : idx[-1] + 1] for sid, idx in samples.sample_slices.items()}
 

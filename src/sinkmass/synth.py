@@ -120,8 +120,9 @@ def _ellipse_stack(dims: tuple[int, int], frames: list[tuple]) -> np.ndarray:
     for rows in (slice(i, i + step) for i in range(0, len(stack), step)):
         dy, dx = np.arange(h)[:, None] - cy[rows], np.arange(w) - cx[rows]
         # u * u + v * v for the pixel's offsets u and v along the axes, in semi-axes
-        metric = np.square((dx * cos_t[rows] + dy * sin_t[rows]) / a[rows])
-        metric += np.square((-dx * sin_t[rows] + dy * cos_t[rows]) / b[rows])
+        with np.errstate(divide="ignore", invalid="ignore"):  # area 0: target 0, paints nothing
+            metric = np.square((dx * cos_t[rows] + dy * sin_t[rows]) / a[rows])
+            metric += np.square((-dx * sin_t[rows] + dy * cos_t[rows]) / b[rows])
         dark = _most_central(metric.reshape(len(metric), -1), target[rows].astype(int).ravel())
         stack[rows] = ~dark.reshape(metric.shape) * np.uint8(255)
     return stack

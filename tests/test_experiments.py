@@ -2,7 +2,7 @@ import os
 import sys
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from sinkmass.linear import FeatureSpec, TargetSpace
 from sinkmass.neural import training
 from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, NeuralNet
 from sinkmass.neural.training import TrainConfig
-from sinkmass.records import PredictionSet
+from sinkmass.records import PredictionSet, frame_table
 from sinkmass.rng import derive_seed
 from sinkmass.synth import GroupSpec, SynthConfig, generate
 
@@ -350,19 +350,35 @@ class TestThreadedFolds:
         estimator = experiments.LinearEstimator(FeatureSpec.AREA_PLUS_SPEED)
         assert experiments.crossval(metadata_dataset, estimator, seed=4).pooled_report.n == 120
 
+    @pytest.mark.parametrize("neural", [False, True])
+    def test_a_frameless_specimen_raises_the_serial_error(self, raster_dataset, monkeypatch,
+                                                          neural):
+        first = raster_dataset.specimens[0]
+        specimens = (replace(first, frames=frame_table([])), *raster_dataset.specimens[1:])
+        rasters = {**raster_dataset.rasters, first.specimen_id: np.empty((0, 16, 16), np.uint8)}
+        estimator = (self.neural_estimator(Architecture.SINGLE_VIEW) if neural
+                     else experiments.LinearEstimator(FeatureSpec.AREA_ONLY))
+        for cpus in (1, 2):
+            allow_cpus(monkeypatch, cpus)
+            # a fresh dataset each time, so that no features are cached yet
+            dataset = replace(raster_dataset, specimens=specimens, rasters=rasters)
+            threads = threading.active_count()
+            with pytest.raises(ValueError, match="^mean_area needs at least one frame$"):
+                experiments.crossval(dataset, estimator, k=3, seed=5)
+            assert threading.active_count() == threads
+
     def test_threaded_inference_does_not_nest_in_threaded_folds(
         self, raster_dataset, monkeypatch
     ):
         allow_cpus(monkeypatch, 2)
-        monkeypatch.setattr(training, "THREADED_MIN_SAMPLES", 1)  # every test fold exceeds it
         workers = []
-        real_workers = training._inference_workers
+        real_thread_count = training.thread_count
 
-        def inference_workers(n):
-            workers.append(real_workers(n))
+        def thread_count(n):
+            workers.append(real_thread_count(n))
             return workers[-1]
 
-        monkeypatch.setattr(training, "_inference_workers", inference_workers)
+        monkeypatch.setattr(training, "thread_count", thread_count)
         active = []
         real_forward = NeuralNet.forward_cached
 

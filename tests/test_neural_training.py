@@ -3,6 +3,8 @@ import json
 import os
 import sys
 import threading
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -526,6 +528,66 @@ def counted_dataset(n, multi_view):
     return Dataset("counted", records, raster_dims=(16, 16), rasters=rasters)
 
 
+class TaskError(Exception):
+    pass
+
+
+class TestRunInOrder:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_results_come_back_in_task_order(self, threads):
+        def task(i):
+            if i % 10 == 0:  # uneven lengths, so tasks end out of order
+                time.sleep(0.002 * (i // 10 % 4))
+            return i * i
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+        try:
+            results = training.run_in_order((partial(task, i) for i in range(200)), threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [i * i for i in range(200)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_no_task_starts_once_one_has_raised(self, threads):
+        started, lock = [], threading.Lock()
+
+        def task(i):
+            with lock:
+                started.append(i)
+            if i > 4:
+                time.sleep(0.05)  # a task in flight outlasts task 4's raise
+            if i >= 4:
+                raise TaskError(i)
+            time.sleep(0.002)
+            return i
+
+        before = threading.active_count()
+        results = training.run_in_order((partial(task, i) for i in range(12)), threads)
+        assert threading.active_count() == before
+        assert sorted(started) == list(range(len(results)))  # a prefix of every started task
+        assert len(results) <= 4 + threads  # task 4, and one in flight per other thread
+        assert results[:4] == [0, 1, 2, 3]
+        assert [r.args for r in results[4:]] == [(i,) for i in range(4, len(results))]
+
+    def test_a_raise_on_the_calling_thread_leaves_no_worker_behind(self):
+        caller_raised = threading.Event()
+
+        def task(i):
+            if threading.current_thread() is threading.main_thread():
+                caller_raised.set()
+                raise TaskError(i)
+            assert caller_raised.wait(timeout=30)
+            return i
+
+        before = threading.active_count()
+        results = training.run_in_order((partial(task, i) for i in range(6)), 2)
+        assert threading.active_count() == before
+        assert [type(r) for r in results].count(TaskError) == 1
+
+
 class TestInferenceWorkers:
     MODELS = {
         "single_view": small_model(),
@@ -562,12 +624,12 @@ class TestInferenceWorkers:
         sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
         try:
             for workers in (1, 2, 4):  # four is more workers than the host has CPUs
-                monkeypatch.setattr(training, "_inference_workers", lambda n, k=workers: k)
+                monkeypatch.setattr(training, "thread_count", lambda n, k=workers: min(k, n))
                 calls.clear()
                 threads = threading.active_count()
                 outputs = training._specimen_outputs(regressor, dataset, ids)
-                used = len({ident for ident, _ in calls})
-                assert used == min(workers, n) if workers < 4 else min(2, n) <= used <= min(workers, n)
+                # one thread may take every slice before another starts
+                assert 1 <= len({ident for ident, _ in calls}) <= min(workers, n)
                 results[workers] = (
                     {sid: out.tobytes() for sid, out in outputs.items()},
                     predict_specimen_masses(regressor, dataset, ids),
@@ -580,6 +642,39 @@ class TestInferenceWorkers:
         assert results[1] == results[2] == results[4]
         assert set(results[1][1]) == set(ids)
 
+    @pytest.mark.parametrize("arch", list(MODELS))
+    def test_a_two_thread_pass_runs_on_two_threads(self, monkeypatch, arch):
+        config = self.MODELS[arch]
+        dataset = counted_dataset(17, config.architecture is Architecture.MULTI_VIEW)
+        ids = [s.specimen_id for s in dataset.specimens]
+        model = untrained_model(dataset, config, 4)
+        if model.metadata_std is not None:
+            model.metadata_std = np.where(model.metadata_std > 0, model.metadata_std, 1.0)
+        monkeypatch.setattr(training, "thread_count", lambda n: 1)
+        serial = training._specimen_outputs(model, dataset, ids)
+        entered, lock = {}, threading.Lock()
+        both_in = threading.Event()
+        real_forward = NeuralNet.forward_cached
+
+        def spy(self, batch):
+            with lock:
+                first = threading.get_ident() not in entered
+                entered[threading.get_ident()] = True
+                if len(entered) == 2:
+                    both_in.set()
+            if first:  # hold each thread's first pass until another thread is in a pass
+                assert both_in.wait(timeout=30)
+            return real_forward(self, batch)
+
+        monkeypatch.setattr(NeuralNet, "forward_cached", spy)
+        monkeypatch.setattr(training, "thread_count", lambda n: 2)
+        threads = threading.active_count()
+        outputs = training._specimen_outputs(model, dataset, ids)
+        assert len(entered) == 2
+        assert threading.active_count() == threads
+        assert {sid: out.tobytes() for sid, out in outputs.items()} == {
+            sid: out.tobytes() for sid, out in serial.items()}
+
     def test_an_error_in_the_second_worker_reaches_the_caller(self, monkeypatch):
         class WorkerError(Exception):
             pass
@@ -588,25 +683,27 @@ class TestInferenceWorkers:
         ids = [s.specimen_id for s in dataset.specimens]
         model = untrained_model(dataset, small_model(), 0)
         real_forward = NeuralNet.forward_cached
+        worker_in = threading.Event()
 
         def forward(self, batch):
             if threading.current_thread() is not threading.main_thread():
+                worker_in.set()
                 raise WorkerError("second worker failed")
+            assert worker_in.wait(timeout=30)  # so the calling thread cannot take both slices
             return real_forward(self, batch)
 
         monkeypatch.setattr(NeuralNet, "forward_cached", forward)
-        monkeypatch.setattr(training, "_inference_workers", lambda n: 2)
+        monkeypatch.setattr(training, "thread_count", lambda n, k=2: min(k, n))
         threads = threading.active_count()
         with pytest.raises(WorkerError, match="^second worker failed$"):
             predict_specimen_masses(model, dataset, ids)
         assert threading.active_count() == threads
 
-    def test_short_passes_and_single_cpus_get_one_worker(self, monkeypatch):
+    def test_thread_count_takes_at_most_two_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert training._inference_workers(training.THREADED_MIN_SAMPLES - 1) == 1
-        assert training._inference_workers(training.THREADED_MIN_SAMPLES) == 2
+        assert [training.thread_count(n) for n in (1, 2, 5)] == [1, 2, 2]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert training._inference_workers(training.THREADED_MIN_SAMPLES) == 1
+        assert training.thread_count(5) == 1
 
 
 def random_step(arch, head, loss_kind, n, seed):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from sinkmass import synth
 from sinkmass.errors import InvalidConfig, SilhouetteTooLarge
 from sinkmass.linear import FeatureSpec, fit_ols, build_rows
-from sinkmass.records import FRAME_DTYPE, validate_dataset
+from sinkmass.records import CAMERAS, FRAME_DTYPE, validate_dataset
+from sinkmass.rng import substream
 from sinkmass.synth import (
     CENTER_JITTER_PX,
     MASS_COEFF,
@@ -259,6 +261,26 @@ class TestStackPainter:
             reference = self.reference_stack((8, 8), frames)
         assert np.array_equal(stack, reference)
         assert (stack[:2] == 255).all() and int((stack[2] == 0).sum()) == 2
+
+    def test_frames_clamped_to_zero_area_paint_without_a_warning(self):
+        # large area noise clamps some frames' areas to 0, whose semi-axes are 0
+        group = GroupSpec("light", (1.3, 1.5), (1.6, 0.12), 12, aspect_range=(1.2, 1.5))
+        config = SynthConfig(groups=(group,), dt=8.0, n_max=6, area_noise_cv=0.6,
+                             raster_dims=(16, 16), seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dataset, _ = generate(config)
+        assert any((s.frames["area_px"] == 0).any() for s in dataset.specimens)
+        jitter = (-CENTER_JITTER_PX, CENTER_JITTER_PX + 1)
+        for record in dataset.specimens:  # rasterize_specimen's draws, in its order
+            rng = substream(config.seed, "rasterize", record.specimen_id)
+            aspects = {camera: rng.uniform(*group.aspect_range) for camera in CAMERAS}
+            frames = [(area, aspects[camera], rng.uniform(0.0, math.pi),
+                       (int(rng.integers(*jitter)), int(rng.integers(*jitter))))
+                      for camera, area in record.frames[["camera_id", "area_px"]].tolist()]
+            with np.errstate(divide="ignore", invalid="ignore"):  # the oracle divides by 0
+                reference = self.reference_stack((16, 16), frames)
+            assert np.array_equal(dataset.rasters[record.specimen_id], reference)
 
     def test_empty_frame_list_gives_an_empty_stack(self):
         assert _ellipse_stack((8, 8), []).shape == (0, 8, 8)

@@ -10,9 +10,9 @@ case name, the argv, the exit code, the SHA-256 of stdout and of stderr, and
 the SHA-256 of every file the invocation wrote or changed.
 
 Cases marked ``ok`` are the success path; the script exits 1 if any of them
-exits non-zero. The other cases are bad flags, bad inputs and output paths
-that cannot be written, digested so that a change to the CLI contract shows
-up as a differing line.
+exits non-zero or writes anything to stderr. The other cases are bad flags,
+bad inputs and output paths that cannot be written, digested so that a
+change to the CLI contract shows up as a differing line.
 
     PYTHONPATH=src python3 tools/cli_digest.py > change.jsonl
     PYTHONPATH=<parent checkout>/src python3 tools/cli_digest.py > parent.jsonl
@@ -77,6 +77,11 @@ CONFIGS = {
     "one_density_bound.json": {
         "groups": [{**GROUPS[0], "density_range": [1.3]}], "dt": 8.0, "n_max": 6,
     },
+    # area noise that clamps some frames' areas to 0, painted as blank rasters
+    "zero_area.json": {
+        "groups": [GROUPS[0]], "dt": 8.0, "n_max": 6, "raster_dims": [16, 16],
+        "area_noise_cv": 0.6,
+    },
     # silhouettes of about 110 pixels, whose ellipses cannot fit a 16x16 raster
     "silhouette_too_large.json": {
         "groups": [{**GROUPS[0], "name": "huge", "size_lognormal": [2.6, 0.05]}],
@@ -128,6 +133,8 @@ CASES = [
      ("synth", "--seed", 21, "--config", "rasters.json", "--out", "rasters", "--threads", 1)),
     ("synth_other_seed", "ok",
      ("synth", "--seed", 12, "--config", "frames.json", "--out", "frames12")),
+    ("synth_zero_area", "ok",
+     ("synth", "--seed", 1, "--config", "zero_area.json", "--out", "zero_area")),
     ("ingest_frames", "ok", ("ingest", *F, "--out", "ingest_frames")),
     ("ingest_rasters", "ok",
      ("ingest", *R, "--name", "r", "--raster-size", 16, 16, "--out", "ingest_rasters")),
@@ -496,7 +503,8 @@ def main() -> int:
             digests = run_cases(Path(tmp))
         finally:
             os.chdir(cwd)
-    failed = [d["case"] for d in digests if d["expect"] == "ok" and d["exit"] != 0]
+    failed = [d["case"] for d in digests
+              if d["expect"] == "ok" and (d["exit"] != 0 or d["stderr"] != _sha(b""))]
     for d in digests:
         print(json.dumps(d, sort_keys=True))
     if failed:
