@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -138,8 +139,9 @@ class TestBuildSamples:
     def test_no_samples_give_empty_uint8_images_of_the_input_size(self, raster_dataset, arch):
         samples = build_samples(raster_dataset[0], [], small_model(arch))
         assert len(samples) == 0
-        assert samples.images.shape == (0, 1, 16, 16)
-        assert samples.images.dtype == np.uint8
+        images = samples.images[np.arange(len(samples))]
+        assert images.shape == (0, 1, 16, 16)
+        assert images.dtype == np.uint8
 
 
 def frames_of(*cameras):
@@ -215,14 +217,17 @@ def expected_samples(dataset, ids, config, image_of, require_mass=True, taxa=Non
 
 def assert_samples_match(samples, expected, config):
     assert len(samples) == len(expected)
+    everything = np.arange(len(samples))
+    images = samples.images[everything]
+    images2 = None if samples.images2 is None else samples.images2[everything]
     slices = {}
     for i, (sid, image, image2, meta, mass, label) in enumerate(expected):
         slices.setdefault(sid, []).append(i)
-        assert np.array_equal(samples.images[i, 0], image), (i, sid)
+        assert np.array_equal(images[i, 0], image), (i, sid)
         if image2 is None:
             assert samples.images2 is None
         else:
-            assert np.array_equal(samples.images2[i, 0], image2), (i, sid)
+            assert np.array_equal(images2[i, 0], image2), (i, sid)
         if config.metadata_inputs:
             assert samples.metadata[i].tolist() == meta, (i, sid)
         assert samples.masses[i] == mass
@@ -230,7 +235,7 @@ def assert_samples_match(samples, expected, config):
             assert samples.labels[i] == label
     if not config.metadata_inputs:
         assert samples.metadata is None
-    assert samples.images.dtype == np.uint8
+    assert images.dtype == np.uint8
     assert samples.sample_slices == slices
 
 
@@ -258,11 +263,13 @@ class TestMakeBatch:
         dataset = raster_dataset[0]
         ids = [s.specimen_id for s in dataset.specimens]
         samples = build_samples(dataset, ids, small_model(Architecture.MULTI_VIEW))
-        assert samples.images.dtype == samples.images2.dtype == np.uint8
+        everything = np.arange(len(samples))
+        images, images2 = samples.images[everything], samples.images2[everything]
+        assert images.dtype == images2.dtype == np.uint8
         as_float = dataclasses.replace(
             samples,
-            images=samples.images.astype(np.float64),
-            images2=samples.images2.astype(np.float64),
+            images=images.astype(np.float64),
+            images2=images2.astype(np.float64),
         )
         idx = substream(3, "make_batch").permutation(len(samples))[:40]
         got, want = (
@@ -273,6 +280,98 @@ class TestMakeBatch:
             assert view.dtype == reference.dtype == dtype
             assert view.shape == (len(idx), 1, 16, 16)
             assert view.tobytes() == reference.tobytes()
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def gather(picks, side):
+    """Oracle: the pixel copy ``build_samples`` once made, the ``rows`` of
+    each (stack, rows) pick in turn, in one (N, 1, S, S) ``uint8`` array."""
+    out = np.empty((sum(len(rows) for _, rows in picks), 1, side, side), np.uint8)
+    at = 0
+    for stack, rows in picks:
+        np.take(stack, rows, axis=0, out=out[at : at + len(rows), 0])
+        at += len(rows)
+    return out
+
+
+def oracle_images(dataset, samples, camera=None):
+    """``gather`` over the specimens of ``samples`` in sample order: all of
+    each one's frames, or its first frames of ``camera``, one per sample."""
+    picks = []
+    for sid, idx in samples.sample_slices.items():
+        cameras = dataset.specimen(sid).frames["camera_id"]
+        rows = np.arange(len(cameras)) if camera is None else np.flatnonzero(cameras == camera)
+        picks.append((dataset.rasters[sid], rows[: len(idx)]))
+    return gather(picks, 16)
+
+
+class TestGather:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        arch=st.sampled_from(list(Architecture)),
+        policy=st.sampled_from(list(AugmentPolicy)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batches_hold_the_rows_of_the_pixel_copy(
+        self, raster_dataset, data, arch, policy, dtype, seed
+    ):
+        """Shuffled, repeated and empty index arrays over any subset of the
+        specimens gather the oracle's rows, and ``_make_batch`` gives the bits
+        it gives on the oracle's arrays."""
+        dataset = raster_dataset[0]
+        ids = data.draw(st.lists(st.sampled_from([s.specimen_id for s in dataset.specimens]),
+                                 unique=True))
+        samples = build_samples(dataset, ids, small_model(arch))
+        n = len(samples)
+        idx = np.asarray(data.draw(st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.integers(0, n - 1), max_size=70) if n else st.just([]),
+        )), dtype=int)
+        multi_view = arch is Architecture.MULTI_VIEW
+        copy = dataclasses.replace(
+            samples,
+            images=oracle_images(dataset, samples, "A" if multi_view else None),
+            images2=oracle_images(dataset, samples, "B") if multi_view and n else None,
+        )
+        assert (samples.images2 is None) is (copy.images2 is None)
+        for stored, oracle in ((samples.images, copy.images), (samples.images2, copy.images2)):
+            if stored is not None:
+                assert len(stored) == n
+                assert _bits(stored[idx]) == _bits(oracle[idx])
+        mean = std = None
+        if samples.metadata is not None:
+            mean, std = training._standardization(samples.metadata)
+        got, want = (
+            training._make_batch(s, idx, mean, std, dtype, policy, np.random.default_rng(seed))
+            for s in (samples, copy)
+        )
+        assert _bits(got.images) == _bits(want.images)
+        assert got.images2 is want.images2 is None or _bits(got.images2) == _bits(want.images2)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_samples_allocate_under_a_tenth_of_the_raster_bytes(self, arch):
+        """A sample set indexes the rasters in place; a copy of the pixels it
+        reads would take at least half of them."""
+        config = SynthConfig(
+            groups=(GroupSpec("g", (1.3, 2.8), (1.6, 0.12), 12),),
+            dt=8.0, n_max=8, seed=4, raster_dims=(64, 64),
+        )
+        dataset, _ = generate(config)
+        raster_bytes = sum(stack.nbytes for stack in dataset.rasters.values())
+        ids = [s.specimen_id for s in dataset.specimens]
+        tracemalloc.start()
+        try:
+            samples = build_samples(dataset, ids, small_model(arch, input_size=64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) * 64 * 64 >= raster_bytes / 2
+        assert peak < raster_bytes / 10, (peak, raster_bytes)
 
 
 class TestSampleAlignment:
@@ -469,7 +568,8 @@ def one_specimen_outputs(model, dataset, sid):
     metadata = None
     if samples.metadata is not None:
         metadata = ((samples.metadata - model.metadata_mean) / model.metadata_std).astype(net.dtype)
-    images, images2 = (None if a is None else a.astype(net.dtype) / 255.0
+    everything = np.arange(len(samples))
+    images, images2 = (None if a is None else a[everything].astype(net.dtype) / 255.0
                        for a in (samples.images, samples.images2))
     return net.forward(Batch(images, images2, metadata)).astype(np.float64)
 
