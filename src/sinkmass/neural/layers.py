@@ -20,12 +20,13 @@ stand; a BLAS product over a whole batch rounds a row differently depending
 on how many rows share the call, so ``affine_forward`` runs one product per
 row.
 
-The 3x3 patch matrix takes each of its nine offsets as one contiguous slice
-of a flat, zero-bordered copy of each channel, not as H short rows; slice
-entries that wrap round an image edge into the next row are cleared. The
-input gradient clears the same patch-gradient entries and adds its rows the
-same way, in the strided order, into a flat zero buffer: its sums start at
-+0.0 and gain only +0.0 terms, so they keep their bits, as outputs do.
+The 3x3 patch matrix is one strided copy (one NumPy call, not nine) from a
+flat, zero-bordered copy of each channel, in which offset (di, dj) is the
+contiguous slice from di * W + dj; entries that wrap round an image edge
+into the next row are cleared. The input gradient clears the same
+patch-gradient entries and adds its rows the same way, in the strided
+order, into a flat zero buffer: its sums start at +0.0 and gain only +0.0
+terms, so they keep their bits, as outputs do.
 
 The conv functions take their padded input, im2col and padded
 input-gradient arrays from a ``ConvScratch``. Without a ``scratch``
@@ -39,8 +40,6 @@ The backward call writes the patch gradient over the cache's patch matrix
 from __future__ import annotations
 
 import numpy as np
-
-_OFFSETS = [(di, dj) for di in range(3) for dj in range(3)]
 
 
 class ConvScratch:
@@ -78,8 +77,9 @@ def _im2col3(x: np.ndarray, scratch: ConvScratch) -> np.ndarray:
     xp = scratch.take("xp", (b, c, n + 2 * w + 2), x.dtype)
     xp[:, :, w + 1 : w + 1 + n] = x.reshape(b, c, n)
     cols = scratch.take("cols", (b, c, 3, 3, n), x.dtype)
-    for di, dj in _OFFSETS:
-        cols[:, :, di, dj] = xp[:, :, di * w + dj : di * w + dj + n]
+    sb, sc, se = xp.strides  # view[:, :, di, dj] is xp[:, :, di * w + dj : di * w + dj + n]
+    # the ndarray constructor checks the view stays in xp, at a seventh of as_strided's cost
+    np.copyto(cols, np.ndarray((b, c, 3, 3, n), x.dtype, xp, 0, (sb, sc, w * se, se, se)))
     _clear_wrapped(cols, w)
     return cols.reshape(b, c * 9, n)
 
@@ -117,7 +117,7 @@ def conv3_backward(dout: np.ndarray, cache, *, input_grad: bool = True,
     _clear_wrapped(dcols, width)
     dxp = scratch.take("dxp", (batch, c_in, n + 2 * width + 2), dout.dtype)
     dxp.fill(0)
-    for di, dj in _OFFSETS:
+    for di, dj in np.ndindex(3, 3):
         dxp[:, :, di * width + dj : di * width + dj + n] += dcols[:, :, di, dj]
     dx = dxp[:, :, width + 1 : width + 1 + n].reshape(batch, c_in, h, width)
     return dx, dw, db

@@ -203,7 +203,7 @@ def build_samples(
     stacks: list[np.ndarray] = []  # the raster stack of each specimen taken
     picks: list[np.ndarray] = []  # the rows each specimen's samples take from its stack
     picks2: list[np.ndarray] = []  # the same for the second camera
-    metadata: list[list[float]] = []
+    metadata: list[np.ndarray] = []  # each specimen's (samples, metadata inputs) block
     masses: list[float] = []
     labels: list[int] = []
     slices: dict[str, list[int]] = {}
@@ -228,13 +228,13 @@ def build_samples(
         stacks.append(stack)
         picks.append(rows)
         if config.metadata_inputs:
-            for area in frames["area_px"][rows].tolist():
-                values = {
-                    MetadataInput.FRAME_AREA: area,
-                    MetadataInput.MEAN_AREA: feats.mean_area_px,
-                    MetadataInput.SINKING_SPEED: feats.sinking_speed,
-                }
-                metadata.append([values[m] for m in config.metadata_inputs])
+            values = {
+                MetadataInput.FRAME_AREA: frames["area_px"][rows],
+                MetadataInput.MEAN_AREA: feats.mean_area_px,
+                MetadataInput.SINKING_SPEED: feats.sinking_speed,
+            }
+            metadata.append(np.stack(
+                [np.broadcast_to(values[m], rows.shape) for m in config.metadata_inputs], axis=1))
         start = len(masses)
         masses += [record.dry_mass_ug or 0.0] * len(rows)
         labels += [taxa.index(record.taxon) if taxa is not None else 0] * len(rows)
@@ -249,7 +249,7 @@ def build_samples(
     return SampleSet(
         images=stack_rows(picks),
         images2=stack_rows(picks2) if picks2 else None,
-        metadata=np.asarray(metadata, dtype=float) if metadata else None,
+        metadata=np.concatenate(metadata, dtype=float) if masses and metadata else None,
         masses=np.asarray(masses, dtype=float),
         labels=np.asarray(labels, dtype=int) if taxa is not None else None,
         sample_slices=slices,

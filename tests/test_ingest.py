@@ -336,6 +336,117 @@ class TestLoadRaster:
         assert raster.ndim == 2 and raster.shape[0] == raster.shape[1]
 
 
+def pgm_tokens_byte_loop(payload):
+    """The PGM header reader as a byte loop: four whitespace-separated
+    tokens, comments skipped, and the offset one past the single whitespace
+    byte that ends the last token."""
+    tokens = []
+    i = 0
+    n = len(payload)
+    while len(tokens) < 4:
+        while i < n and payload[i : i + 1].isspace():
+            i += 1
+        if i < n and payload[i : i + 1] == b"#":
+            while i < n and payload[i : i + 1] != b"\n":
+                i += 1
+            continue
+        start = i
+        while i < n and not payload[i : i + 1].isspace():
+            i += 1
+        if start == i:
+            raise UnsupportedFormat("truncated PGM header")
+        tokens.append(payload[start:i])
+        i += 1
+    return tuple(tokens), i
+
+
+def load_raster_byte_loop(payload):
+    """``load_raster`` over ``pgm_tokens_byte_loop``."""
+    if len(payload) < 2 or payload[:2] != b"P5":
+        raise UnsupportedFormat("not a binary PGM (P5) payload")
+    tokens, offset = pgm_tokens_byte_loop(payload)
+    try:
+        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError:
+        raise UnsupportedFormat("non-numeric PGM header field") from None
+    if maxval != 255:
+        raise UnsupportedFormat(f"maxval {maxval} not supported, expected 255")
+    if width <= 0 or height <= 0:
+        raise UnsupportedFormat(f"bad dimensions {width}x{height}")
+    if height != width:
+        raise NonSquareRaster(f"{width}x{height} raster; square input required")
+    body = payload[offset : offset + height * width]
+    if len(body) != height * width:
+        raise UnsupportedFormat(
+            f"payload holds {len(body)} pixels, header promises {height * width}"
+        )
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width).copy()
+
+
+def outcome(function, payload):
+    """What ``function(payload)`` returns, or its exception's type and message."""
+    try:
+        return function(payload)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+HEADER_FRAGMENTS = (
+    st.just(b"P5")
+    | st.sampled_from([b"2", b"3", b"255", b"0", b"-1", b"007"])
+    | st.integers(0, 300).map(lambda k: b"%d" % k)
+    | st.sampled_from([bytes([c]) for c in b" \t\n\r\x0b\x0c"])
+    | st.binary(max_size=4).map(lambda text: b"#" + text)  # a comment, ended or not
+    | st.sampled_from([b"\0", b"\xff"])
+)
+# P5 first, most of the time, so that some draws decode
+HEADER_PAYLOADS = st.tuples(
+    st.sampled_from([b"P5", b"P5\n", b""]),
+    st.lists(HEADER_FRAGMENTS, max_size=14),
+    st.binary(max_size=12),
+).map(lambda parts: parts[0] + b"".join(parts[1]) + parts[2])
+
+
+class TestHeaderRegex:
+    @settings(max_examples=2000, deadline=None)
+    @given(HEADER_PAYLOADS)
+    @example(b"P5 2 2 255#")
+    @example(b"P5 2 2 255 #c")
+    @example(b"P5#c\n2#c\n2 255")
+    @example(b"P5 2 2 255")
+    @example(b"P5 1 1 255\n\xff")
+    @example(b"P5 1 1 2#5\n\0")
+    def test_tokens_and_offset_match_the_byte_loop(self, payload):
+        assert outcome(ingest._pgm_tokens, payload) == outcome(pgm_tokens_byte_loop, payload)
+        got, want = outcome(load_raster, payload), outcome(load_raster_byte_loop, payload)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(PGMS)
+    def test_saved_rasters_match_the_byte_loop(self, payload):
+        assert np.array_equal(load_raster(payload), load_raster_byte_loop(payload))
+
+
+class TestReadFile:
+    @pytest.mark.parametrize("name", ["missing", "folder", "nul\0byte", "empty", "full"])
+    def test_reads_and_raises_as_open_does(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        Path("folder").mkdir()
+        Path("empty").write_bytes(b"")
+        Path("full").write_bytes(bytes(range(256)) * 300)
+        results = []
+        for read in (ingest._read_file, lambda path: open(path, "rb").read()):
+            try:
+                results.append(read(name))
+            except (OSError, ValueError) as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1]
+
+
 class TestPadMirror:
     def test_448_to_464(self):
         padded = pad_mirror(np.zeros((448, 448), dtype=np.uint8), 8)

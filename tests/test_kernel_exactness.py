@@ -454,3 +454,37 @@ def test_maxpool2_forward_gives_the_bits_of_the_window_views(b, c, h, w, dtype, 
     v0, v1, v2, v3 = layers._pool_views(x)
     out, _ = layers.maxpool2_forward(x)
     assert _bits(out) == _bits(np.maximum(np.maximum(v0, v1), np.maximum(v2, v3)))
+
+
+def _im2col3_nine_slices(x, scratch):
+    """The patch matrix as nine slice copies, one per 3x3 offset, each from
+    the flat zero-bordered copy of each channel, before the wrap clearing."""
+    b, c, h, w = x.shape
+    n = h * w
+    xp = scratch.take("xp", (b, c, n + 2 * w + 2), x.dtype)
+    xp[:, :, w + 1 : w + 1 + n] = x.reshape(b, c, n)
+    cols = scratch.take("cols", (b, c, 3, 3, n), x.dtype)
+    for di, dj in np.ndindex(3, 3):
+        cols[:, :, di, dj] = xp[:, :, di * w + dj : di * w + dj + n]
+    layers._clear_wrapped(cols, w)
+    return cols.reshape(b, c * 9, n)
+
+
+SPECIAL_VALUES = st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([np.float32, np.float64]),
+       st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       st.integers(1, 4), st.integers(1, 9))
+def test_im2col_copy_gives_the_bits_of_the_nine_slices(data, dtype, batches, c, side):
+    """One strided copy makes the patch matrix of the nine slice copies,
+    NaN payloads and signed zeros included, on one scratch per formulation
+    serving growing and shrinking batches in turn."""
+    width = 32 if dtype == np.float32 else 64
+    values = st.floats(width=width) | SPECIAL_VALUES
+    scratch, oracle_scratch = layers.ConvScratch(), layers.ConvScratch()
+    for b in batches:
+        x = data.draw(hnp.arrays(dtype, (b, c, side, side), elements=values))
+        want = _bits(_im2col3_nine_slices(x, oracle_scratch))
+        assert _bits(layers._im2col3(x, scratch)) == want

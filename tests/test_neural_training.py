@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -372,6 +373,81 @@ class TestGather:
             tracemalloc.stop()
         assert len(samples) * 64 * 64 >= raster_bytes / 2
         assert peak < raster_bytes / 10, (peak, raster_bytes)
+
+
+def metadata_per_sample(dataset, ids, config, require_mass=True):
+    """The metadata matrix as ``build_samples`` once built it: a dict and a
+    list of floats per sample, in ``config.metadata_inputs`` order, made into
+    one float64 array (None without samples)."""
+    id_set = set(ids)
+    needs_speed = MetadataInput.SINKING_SPEED in config.metadata_inputs
+    metadata = []
+    for record in dataset.specimens:
+        if record.specimen_id not in id_set or (require_mass and record.dry_mass_ug is None):
+            continue
+        feats = dataset.features[record.specimen_id]
+        if needs_speed and feats.sinking_speed is None:
+            continue
+        for area in record.frames["area_px"].tolist():
+            values = {
+                MetadataInput.FRAME_AREA: area,
+                MetadataInput.MEAN_AREA: feats.mean_area_px,
+                MetadataInput.SINKING_SPEED: feats.sinking_speed,
+            }
+            metadata.append([values[m] for m in config.metadata_inputs])
+    return np.asarray(metadata, dtype=float) if metadata else None
+
+
+# every non-empty subset of the metadata inputs, in every order
+METADATA_ORDERS = [
+    order for k in range(1, len(MetadataInput) + 1)
+    for order in itertools.permutations(MetadataInput, k)
+]
+
+
+class TestMetadataColumns:
+    @pytest.mark.parametrize("require_mass", [True, False])
+    @pytest.mark.parametrize("order", METADATA_ORDERS, ids=lambda o: "+".join(m.value for m in o))
+    def test_columns_give_the_bits_of_the_per_sample_rows(self, mixed_dataset, order, require_mass):
+        config = small_model(Architecture.METADATA_AWARE, metadata_inputs=order)
+        for ids in (
+            [s.specimen_id for s in mixed_dataset.specimens if s.specimen_id != "no_rasters"],
+            ["no_speed", "unweighed", "even"],
+            ["unweighed"],  # no sample when masses are required
+            [],
+        ):
+            got = build_samples(mixed_dataset, ids, config, require_mass=require_mass).metadata
+            want = metadata_per_sample(mixed_dataset, ids, config, require_mass)
+            assert (got is None) is (want is None), ids
+            if want is not None:
+                assert _bits(got) == _bits(want), ids
+
+    @pytest.mark.parametrize("order", [
+        (MetadataInput.FRAME_AREA,),
+        (MetadataInput.SINKING_SPEED, MetadataInput.FRAME_AREA, MetadataInput.MEAN_AREA),
+    ])
+    def test_columns_allocate_at_most_three_copies_of_their_bytes(self, order):
+        """Beyond what a single-view sample set allocates, a metadata-aware one
+        allocates its (samples, inputs) float64 matrix, the per-specimen blocks
+        it concatenates and little else; a Python list of floats per sample
+        took about 120 bytes more per sample."""
+        config = SynthConfig(
+            groups=(GroupSpec("g", (1.3, 2.8), (1.6, 0.12), 12),),
+            dt=1.0, n_max=40, seed=4, raster_dims=(16, 16),
+        )
+        dataset, _ = generate(config)
+        ids = [s.specimen_id for s in dataset.specimens]
+        peaks = []
+        for model in (small_model(), small_model(Architecture.METADATA_AWARE, metadata_inputs=order)):
+            build_samples(dataset, ids, model)  # warm the features cache
+            tracemalloc.start()
+            try:
+                samples = build_samples(dataset, ids, model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(samples) >= 500
+        assert peaks[1] - peaks[0] < 3 * samples.metadata.nbytes, peaks
 
 
 class TestSampleAlignment:

@@ -9,6 +9,11 @@ two checkouts give comparable digests. For each invocation it prints the
 case name, the argv, the exit code, the SHA-256 of stdout and of stderr, and
 the SHA-256 of every file the invocation wrote or changed.
 
+The first line names the NumPy version and the OpenBLAS core (kernel) that
+NumPy's BLAS runs, since the bits of the linear and neural cases depend on
+both; digests from hosts that print different first lines are not expected
+to match.
+
 Cases marked ``ok`` are the success path; the script exits 1 if any of them
 exits non-zero or writes anything to stderr. The other cases are bad flags,
 bad inputs and output paths that cannot be written, digested so that a
@@ -18,12 +23,13 @@ change to the CLI contract shows up as a differing line.
     PYTHONPATH=<parent checkout>/src python3 tools/cli_digest.py > parent.jsonl
     diff parent.jsonl change.jsonl
 
-Only the standard library and sinkmass are used.
+Only the standard library, NumPy and sinkmass are used.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -32,6 +38,8 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from sinkmass import cli
 from sinkmass.ingest import load_raster, save_raster
@@ -452,6 +460,30 @@ def _write_padded_copy(root: Path) -> None:
         path.write_bytes(save_raster(pixels[margin : margin + CROP, margin : margin + CROP]))
 
 
+# OpenBLAS's core-name functions, by the symbol suffixes of its builds
+CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename")
+
+
+def blas_line() -> dict:
+    """The NumPy version and the core of the OpenBLAS that NumPy's core
+    module loaded, looked up through that module's dependencies; the core
+    is "unknown" when that BLAS exports none of ``CORENAME_SYMBOLS``."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    core = "unknown"
+    for symbol in CORENAME_SYMBOLS:
+        corename = getattr(lib, symbol, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+            break
+    return {"blas_core": core, "numpy": np.__version__}
+
+
 def _invoke(argv) -> tuple[int, bytes, bytes]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -505,6 +537,7 @@ def main() -> int:
             os.chdir(cwd)
     failed = [d["case"] for d in digests
               if d["expect"] == "ok" and (d["exit"] != 0 or d["stderr"] != _sha(b""))]
+    print(json.dumps(blas_line(), sort_keys=True))
     for d in digests:
         print(json.dumps(d, sort_keys=True))
     if failed:
