@@ -35,6 +35,9 @@ arrays and give the same bits, but the cache's patch matrix and the
 returned ``dx`` then live in the scratch and hold only until its next call.
 The backward call writes the patch gradient over the cache's patch matrix
 (``dw`` is done with it by then), so such a cache serves one backward call.
+``maxpool2_backward`` is pure too unless given ``out``; the net passes the
+cached conv output, as each window view is read before it is written and no
+two views overlap, so a pool cache also serves one backward call.
 """
 
 from __future__ import annotations
@@ -145,13 +148,14 @@ def maxpool2_forward(x: np.ndarray):
     return out, (x, out)
 
 
-def maxpool2_backward(dout: np.ndarray, cache) -> np.ndarray:
-    x, out = cache
-    dx = np.empty_like(x)
-    unclaimed = np.ones(out.shape, dtype=bool)
-    winner = np.empty(out.shape, dtype=bool)
+def maxpool2_backward(dout: np.ndarray, cache, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Input gradient of a maxpool2_forward call, written into ``out`` if given."""
+    x, pooled = cache
+    dx = np.empty_like(x) if out is None else out
+    unclaimed = np.ones(pooled.shape, dtype=bool)
+    winner = np.empty(pooled.shape, dtype=bool)
     for view, dview in zip(_pool_views(x), _pool_views(dx)):
-        np.equal(view, out, out=winner)
+        np.equal(view, pooled, out=winner)
         winner &= unclaimed
         np.multiply(dout, winner, out=dview)
         unclaimed ^= winner

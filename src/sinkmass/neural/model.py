@@ -199,7 +199,8 @@ class NeuralNet:
         for i in reversed(range(len(blocks))):
             conv_cache, pool_cache, mask = blocks[i]
             dx = layers.relu_backward(dx, mask)
-            dx = layers.maxpool2_backward(dx, pool_cache)
+            # the conv output is read only here, so its gradient overwrites it
+            dx = layers.maxpool2_backward(dx, pool_cache, out=pool_cache[0])
             dx, dw, db = layers.conv3_backward(
                 dx, conv_cache, input_grad=i > 0, scratch=self._scratch[prefix, i]
             )
@@ -233,8 +234,8 @@ class NeuralNet:
 
         The cache lends from the net's conv work arrays, so it serves one
         ``backward`` call, made before the next forward call on the same
-        net: backward overwrites the conv patch matrices it reads. The
-        output is the caller's own."""
+        net: backward overwrites the conv patch matrices and conv outputs it
+        reads. The output is the caller's own."""
         self._check_batch(batch)
         inputs = {"enc": batch.images, "enc2": batch.images2, "meta": batch.metadata}
         parts, branch_caches = [], []
@@ -261,6 +262,8 @@ class NeuralNet:
         ``dout`` is the loss gradient w.r.t. the network output; ``frozen``
         names branches of ``config.branches``. A frozen branch's backward
         pass is skipped, and the result holds no key for its parameters.
+        Each max-pool gradient is written over its block's conv output in
+        ``cache``, which no later backward call can then use.
         """
         branch_caches, head_cache, widths = cache
         if dout.ndim == 1:

@@ -8,12 +8,11 @@ stable across platforms and process invocations.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
 def _name_key(name: str) -> int:
+    import hashlib  # loads OpenSSL, which commands that derive no substream never need
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 

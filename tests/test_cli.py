@@ -1504,6 +1504,27 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_commands_that_derive_no_substream_leave_openssl_unloaded(synth_dir, tmp_path):
+    # hashlib loads OpenSSL, about 4 MB of RSS, for substream names alone
+    manifest, model = synth_dir / "manifest.json", tmp_path / "fit" / "linear_model.json"
+    commands = [
+        ["fit-linear", "--manifest", manifest, "--features", "area", "--out", tmp_path / "fit"],
+        ["evaluate", "--manifest", manifest, "--model", model, "--out", tmp_path / "eval"],
+        ["evaluate", "--manifest", manifest, "--model", model, "--bootstrap", 10, "--seed", 1,
+         "--out", tmp_path / "boot"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from sinkmass.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    print('_hashlib' in sys.modules)\n"
+    )
+    out = _subprocess("-c", script, json.dumps([list(map(str, argv)) for argv in commands]))
+    assert out.stdout.split() == ["False", "False", "True"]
+
+
 def test_train_checkpoint_identical_across_thread_counts(raster_dir, tmp_path):
     config = tmp_path / "train.json"
     config.write_text(

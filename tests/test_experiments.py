@@ -6,6 +6,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinkmass import experiments, features
 from sinkmass.errors import InvalidConfig, TaxonTooSmall, UnknownTaxon
@@ -391,3 +393,103 @@ class TestThreadedFolds:
         experiments.crossval(raster_dataset, self.neural_estimator(Architecture.SINGLE_VIEW), k=3)
         assert workers == [2, 2, 2]  # each test fold's predictions ran on two threads
         assert max(active) == threads + 1
+
+
+@st.composite
+def protocol_cases(draw):
+    """(dataset, k, seed, frameless ids): 1-3 taxa of 2-8 frame-CSV specimens,
+    a few of them unweighed or down to one frame (so without a sinking
+    speed), and up to two of them frameless."""
+    counts = draw(st.lists(st.integers(2, 8), min_size=1, max_size=3))
+    config = SynthConfig(
+        groups=tuple(GroupSpec(f"t{i}", (1.2 + i, 1.4 + i), (2.1, 0.25), n)
+                     for i, n in enumerate(counts)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    dataset, _ = generate(config)
+    n = len(dataset.specimens)
+    changes = draw(st.dictionaries(st.integers(0, n - 1),
+                                   st.sampled_from(["unweighed", "one_frame", "frameless"]),
+                                   max_size=3))
+    specimens = list(dataset.specimens)
+    for i, change in changes.items():
+        s = specimens[i]
+        specimens[i] = (replace(s, dry_mass_ug=None) if change == "unweighed"
+                        else replace(s, frames=s.frames[: 1 if change == "one_frame" else 0]))
+    frameless = {specimens[i].specimen_id for i, c in changes.items() if c == "frameless"}
+    k = draw(st.integers(2, min(counts)))
+    return replace(dataset, specimens=tuple(specimens)), k, draw(st.integers(0, 2**16)), frameless
+
+
+@dataclass(frozen=True)
+class StubNeuralModel:
+    seed: int
+    val_loss_history: tuple[float, ...] = (1.0, 0.5)
+
+
+def stub_masses(model, dataset, ids):
+    """Each id's mean area times a factor of its fold's seed, so a pooled
+    mass shows which fold's model made it."""
+    features = dataset.features
+    return {sid: features[sid].mean_area_px * (1 + model.seed % 97) for sid in ids}
+
+
+PROTOCOL_ESTIMATORS = {
+    "area": experiments.LinearEstimator(FeatureSpec.AREA_ONLY),
+    "area_speed": experiments.LinearEstimator(FeatureSpec.AREA_PLUS_SPEED),
+    "neural": experiments.NeuralEstimator(ModelConfig(input_size=16), TrainConfig(epochs=1)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol_cases(), st.sampled_from(sorted(PROTOCOL_ESTIMATORS)))
+def test_crossval_fits_apart_from_each_test_fold_and_pools_each_specimen_once(case, name):
+    """With a spy on the ids each fit receives, at one CPU and at two: no fit
+    sees its fold's test ids, the pooled predictions hold each scorable
+    specimen once, and results (or the error raised) are the same at both.
+    The neural fits are stubbed, and a stub model reads the features as a
+    CNN's metadata does."""
+    dataset, k, seed, frameless = case
+    estimator = PROTOCOL_ESTIMATORS[name]
+    runs = []
+    for cpus in (1, 2):
+        fits = []
+
+        def spy(*args, _fit=experiments.LinearEstimator.fit):
+            fits.append((args[4], set(args[2]), set(args[3])))  # seed, train, val
+            return _fit(*args)
+
+        def train(dataset, train_ids, val_ids, model_config, train_config):
+            fits.append((train_config.seed, set(train_ids), set(val_ids)))
+            return StubNeuralModel(train_config.seed)
+
+        with pytest.MonkeyPatch.context() as m:
+            allow_cpus(m, cpus)
+            m.setattr(experiments.LinearEstimator, "fit", spy)
+            m.setattr(experiments, "train", train)
+            m.setattr(experiments, "predict_specimen_masses", stub_masses)
+            try:
+                result = experiments.crossval(replace(dataset), estimator, k=k, seed=seed)
+            except Exception as exc:
+                result = exc
+        runs.append((result, fits))
+    (result, fits), (threaded, threaded_fits) = runs
+    assert repr(threaded) == repr(result)
+    if frameless:
+        assert isinstance(result, ValueError)
+        assert str(result) == "mean_area needs at least one frame"
+    if isinstance(result, Exception):
+        return  # a serial loop and two threads may have started different fits
+    fold_of = {derive_seed(seed, "fold", f): f for f in range(k)}
+    assert sorted(fits, key=repr) == sorted(threaded_fits, key=repr)
+    assert sorted(fold_of[fit_seed] for fit_seed, _, _ in fits) == list(range(k))
+    for fit_seed, train_ids, val_ids in fits:
+        assert not (train_ids | val_ids) & set(result.plan.folds[fold_of[fit_seed]].test)
+    features = dataset.features
+    scorable = {
+        s.specimen_id for s in dataset.specimens
+        if s.dry_mass_ug is not None
+        and not (name == "area_speed" and features[s.specimen_id].sinking_speed is None)
+    }
+    assert Counter(e.specimen_id for e in result.pooled_predictions.entries) == dict.fromkeys(
+        scorable, 1)

@@ -6,6 +6,8 @@ often and pre-activations hit zero, the cases where reordering pooling and
 ReLU or rewriting the pooling backward could go wrong.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from sinkmass.neural.model import (
     NeuralNet,
     init_params,
 )
-from sinkmass.neural.training import FORWARD_BATCH
+from sinkmass.neural.training import FORWARD_BATCH, FreezeMode
 
 VALUES = st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5])
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -280,18 +282,33 @@ def random_batch(net, n, seed):
     )
 
 
-def gradients(net, batch):
+def output_gradient(out):
+    return np.linspace(-1, 1, out.size, dtype=out.dtype).reshape(out.shape)
+
+
+def gradients(net, batch, frozen=()):
     out, cache = net.forward_cached(batch)
-    return out, net.backward(cache, np.linspace(-1, 1, out.size, dtype=out.dtype).reshape(out.shape))
+    return out, net.backward(cache, output_gradient(out), frozen)
 
 
 def pure_layers(monkeypatch):
-    """Route the net's conv calls to the layer functions without scratch."""
-    for name in ("conv3_forward", "conv3_backward"):
+    """Route the net's conv and max-pool backward calls to the layer
+    functions without a scratch or an ``out`` array."""
+    for name, work in (("conv3_forward", "scratch"), ("conv3_backward", "scratch"),
+                       ("maxpool2_backward", "out")):
         original = getattr(layers, name)
-        monkeypatch.setattr(
-            layers, name, lambda *args, scratch=None, _f=original, **kwargs: _f(*args, **kwargs)
-        )
+        monkeypatch.setattr(layers, name, lambda *args, _f=original, _work=work, **kwargs: _f(
+            *args, **{k: v for k, v in kwargs.items() if k != _work}))
+
+
+def conv_outputs(net, cache):
+    """{(branch, block): the conv output} of a forward_cached cache, which
+    the block's max-pool cache holds."""
+    return {
+        (prefix, i): block[1][0]
+        for prefix, branch_cache in zip(net.config.branches, cache[0]) if prefix != "meta"
+        for i, block in enumerate(branch_cache[0])
+    }
 
 
 def conv_cols(net, cache):
@@ -360,6 +377,68 @@ class TestNetWorkBuffers:
             assert np.shares_memory(cols, first_cols[key]), key
             assert not any(np.shares_memory(cols, other)
                            for k, other in second_cols.items() if k != key), key
+
+    @pytest.mark.parametrize("freeze", list(FreezeMode))
+    def test_pool_gradients_overwrite_their_own_conv_outputs(self, arch, freeze, monkeypatch):
+        """On a warmed net, each trained block's max-pool gradient is written
+        over that block's conv output and no other, and the gradients keep
+        the bits of a net whose layers allocate every array afresh."""
+        net = scratch_net(arch)
+        for n, seed in ((32, 1), (7, 2)):
+            gradients(net, random_batch(net, n, seed))
+        batch = random_batch(net, 32, 3)
+        out, cache = net.forward_cached(batch)
+        conv_out = conv_outputs(net, cache)
+        written = []
+        original = layers.maxpool2_backward
+
+        def spy(dout, pool_cache, **kwargs):
+            written.append(original(dout, pool_cache, **kwargs))
+            return written[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(layers, "maxpool2_backward", spy)
+            grads = net.backward(cache, output_gradient(out), freeze.branches)
+        blocks = len(net.config.encoder_channels)
+        trained = [(prefix, i) for prefix in net.config.branches
+                   if prefix != "meta" and prefix not in freeze.branches
+                   for i in reversed(range(blocks))]
+        assert len(written) == len(trained)
+        for key, dx in zip(trained, written):
+            for other, conv in conv_out.items():
+                assert np.shares_memory(dx, conv) is (other == key), (key, other)
+        with monkeypatch.context() as m:
+            pure_layers(m)
+            pure_out, pure = gradients(scratch_net(arch), batch, freeze.branches)
+        np.testing.assert_array_equal(out, pure_out)
+        assert grads.keys() == pure.keys()
+        for name in grads:
+            assert _bits(grads[name]) == _bits(pure[name]), name
+
+
+@pytest.mark.parametrize("arch", list(Architecture))
+def test_warm_backward_peaks_below_the_first_conv_output(arch):
+    """At the benchmark's model size, a warmed 32-sample backward allocates
+    less than block 0's conv output, which a fresh max-pool gradient alone
+    would take."""
+    config = ModelConfig(
+        architecture=arch, encoder_channels=(8, 16), head_hidden=64, input_size=32,
+        metadata_inputs=tuple(MetadataInput) if arch is Architecture.METADATA_AWARE else (),
+    )
+    params = init_params(config, np.random.default_rng(0))
+    net = NeuralNet(config, {k: v.astype(np.float32) for k, v in params.items()})
+    for seed in (1, 2):
+        gradients(net, random_batch(net, FORWARD_BATCH, seed))
+    out, cache = net.forward_cached(random_batch(net, FORWARD_BATCH, 3))
+    dout = output_gradient(out)
+    first_conv_bytes = conv_outputs(net, cache)["enc", 0].nbytes
+    tracemalloc.start()
+    try:
+        net.backward(cache, dout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < first_conv_bytes, (peak, first_conv_bytes)
 
 
 def _compact_conv3(x, weights, bias, dout):
@@ -488,3 +567,24 @@ def test_im2col_copy_gives_the_bits_of_the_nine_slices(data, dtype, batches, c, 
         x = data.draw(hnp.arrays(dtype, (b, c, side, side), elements=values))
         want = _bits(_im2col3_nine_slices(x, oracle_scratch))
         assert _bits(layers._im2col3(x, scratch)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([np.float32, np.float64]),
+       st.integers(1, 7), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5))
+def test_maxpool2_backward_over_its_input_gives_the_fresh_bits(data, dtype, b, c, h, w):
+    """The input gradient written over the cached input has the bits of a
+    fresh one, NaN payloads included, with ties, signed zeros, infinities
+    and NaNs in both ``x`` and ``dout``; the fresh call leaves ``x`` as it
+    was."""
+    values = st.floats(width=32 if dtype == np.float32 else 64) | SPECIAL_VALUES
+    ties = st.sampled_from([-1.0, 1.0]) | SPECIAL_VALUES
+    x = data.draw(hnp.arrays(dtype, (b, c, 2 * h, 2 * w), elements=ties | values))
+    dout = data.draw(hnp.arrays(dtype, (b, c, h, w), elements=values))
+    x_bits = _bits(x)
+    _, cache = layers.maxpool2_forward(x)
+    with np.errstate(invalid="ignore"):  # an inf times an unclaimed 0
+        fresh = layers.maxpool2_backward(dout, cache)
+        assert _bits(x) == x_bits
+        assert layers.maxpool2_backward(dout, cache, out=x) is x
+    assert _bits(x) == _bits(fresh)
