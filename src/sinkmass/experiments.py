@@ -258,15 +258,19 @@ def run_pipeline(
     ``predicted_taxa`` and ``predicted_masses`` map the id of every weighed
     specimen to its predicted taxon and mass. Groups are formed by the
     *predicted* taxon, so misclassified specimens stay in the group the
-    classifier put them in. Group statistics are the two-sample KS test
-    between the group's predicted and true masses plus Pearson's r on log
-    masses; degenerate groups report None.
+    classifier put them in; ``taxa`` (by default every true and predicted
+    taxon, sorted) must hold every predicted taxon. Group statistics are the
+    two-sample KS test between the group's predicted and true masses plus
+    Pearson's r on log masses; degenerate groups report None.
     """
     records = [s for s in dataset.specimens if s.dry_mass_ug is not None]
     if not records:
         raise EmptyPredictions("pipeline needs weighed specimens")
+    predicted = {predicted_taxa[r.specimen_id] for r in records}
     if taxa is None:
-        taxa = tuple(sorted({r.taxon for r in records}))
+        taxa = tuple(sorted(predicted | {r.taxon for r in records}))
+    if unknown := predicted - set(taxa):
+        raise UnknownTaxon(f"predicted taxa {sorted(unknown)} are not among {list(taxa)}")
     entries = []
     for record in records:
         sid = record.specimen_id

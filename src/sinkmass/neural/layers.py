@@ -28,16 +28,16 @@ patch-gradient entries and adds its rows the same way, in the strided
 order, into a flat zero buffer: its sums start at +0.0 and gain only +0.0
 terms, so they keep their bits, as outputs do.
 
-The conv functions take their padded input, im2col and padded
-input-gradient arrays from a ``ConvScratch``. Without a ``scratch``
-argument they use a fresh one and are pure; given one, they reuse its
-arrays and give the same bits, but the cache's patch matrix and the
-returned ``dx`` then live in the scratch and hold only until its next call.
+The conv functions take their padded input, im2col, output and padded
+input-gradient arrays from a ``ConvScratch``. Without a ``scratch`` argument
+they use a fresh one and are pure; given one, they allocate no array and
+give the same bits, but the returned output and ``dx`` and the cache's patch
+matrix live in the scratch and hold only until its next call.
 The backward call writes the patch gradient over the cache's patch matrix
 (``dw`` is done with it by then), so such a cache serves one backward call.
 ``maxpool2_backward`` is pure too unless given ``out``; the net passes the
-cached conv output, as each window view is read before it is written and no
-two views overlap, so a pool cache also serves one backward call.
+conv output its scratch lent, as each window view is read before it is written
+and no two views overlap, so a pool cache also serves one backward call.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 
 class ConvScratch:
-    """Work arrays of one conv layer, reused from call to call.
+    """Work arrays of one conv layer, its output included, reused from call to call.
 
     Each named array grows to the largest batch it has been asked for and
     lends its leading rows; it is zero when made and otherwise holds what
@@ -92,9 +92,11 @@ def conv3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, *,
     """3x3 same conv. w: (C_out, C_in, 3, 3), b: (C_out,)."""
     batch, c_in, h, width = x.shape
     c_out = w.shape[0]
-    cols = _im2col3(x, ConvScratch() if scratch is None else scratch)
+    scratch = ConvScratch() if scratch is None else scratch
+    cols = _im2col3(x, scratch)
     wmat = w.reshape(c_out, c_in * 9)
-    out = np.matmul(wmat[None, :, :], cols).reshape(batch, c_out, h, width)
+    out = scratch.take("out", (batch, c_out, h * width), np.result_type(wmat, cols))
+    out = np.matmul(wmat[None, :, :], cols, out=out).reshape(batch, c_out, h, width)
     out += b[None, :, None, None]
     cache = (x.shape, cols, wmat)
     return out, cache

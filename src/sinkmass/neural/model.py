@@ -141,17 +141,19 @@ class NeuralNet:
     """Config + parameters with exact reverse-mode gradients.
 
     The net owns one ``layers.ConvScratch`` per encoder block of each
-    branch, so the conv work arrays are made once, grow to the largest
-    batch the net has served and are reused by every later call.
+    branch, so the conv work arrays and outputs are made once, grow to the
+    largest batch the net has served and are reused by every later call; a
+    ``forward_only`` net (for inference) shares each block's between branches.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray], *, forward_only=False):
         self.config = config
         self.params = params
+        blocks = [layers.ConvScratch() for _ in config.encoder_channels]
         self._scratch = {
-            (prefix, i): layers.ConvScratch()
+            (prefix, i): scratch if forward_only else layers.ConvScratch()
             for prefix in config.branches if prefix != "meta"
-            for i in range(len(config.encoder_channels))
+            for i, scratch in enumerate(blocks)
         }
 
     @property
@@ -233,9 +235,9 @@ class NeuralNet:
         (B, n_classes) logits for classifiers.
 
         The cache lends from the net's conv work arrays, so it serves one
-        ``backward`` call, made before the next forward call on the same
-        net: backward overwrites the conv patch matrices and conv outputs it
-        reads. The output is the caller's own."""
+        ``backward`` call (none on a ``forward_only`` net), made before the
+        next forward call on the same net: backward overwrites the conv patch
+        matrices and conv outputs it reads. The output is the caller's own."""
         self._check_batch(batch)
         inputs = {"enc": batch.images, "enc2": batch.images2, "meta": batch.metadata}
         parts, branch_caches = [], []

@@ -23,7 +23,7 @@ not with the number of samples.
 
 Threads come from one runner, ``run_in_order``, sized by ``thread_count``.
 Mass and taxon predictions cut their samples into ``thread_count(n)``
-contiguous slices, each on its own net in batches of FORWARD_BATCH // threads;
+contiguous slices, each on its own forward-only net in batches of FORWARD_BATCH;
 validation inside ``train`` stays on the calling thread. ``train`` is
 single-threaded and writes no shared state, so ``experiments.crossval`` may run
 folds' ``train`` calls at once; it predicts once they are done, so threads never nest.
@@ -61,9 +61,9 @@ from .model import Architecture, Batch, MetadataInput, ModelConfig, NeuralNet, i
 from .optim import AdamWState, adamw_step, cosine_lr
 
 CHECKPOINT_FORMAT_VERSION = 1
-# Samples per forward pass, in training and inference alike. A pass over 32
-# samples keeps its activations, im2col buffers and pool masks near one
-# core's L2 cache; 128-sample passes moved more memory for the same work.
+# Samples per forward pass, in training and on every inference thread alike. A
+# pass over 32 samples keeps its activations, im2col buffers and pool masks near
+# one core's L2 cache; 64- and 128-sample passes moved more memory for the same work.
 FORWARD_BATCH = 32
 
 
@@ -115,8 +115,8 @@ class TrainedModel:
     taxa: tuple[str, ...] | None = None
 
     def net(self) -> NeuralNet:
-        """The network on float32 copies of the parameters, for inference."""
-        return NeuralNet(self.config, _float32(self.params))
+        """The forward-only network on float32 copies of the parameters."""
+        return NeuralNet(self.config, _float32(self.params), forward_only=True)
 
 
 @dataclass(frozen=True)
@@ -293,14 +293,15 @@ def _make_batch(
 
 
 def _outputs(net: NeuralNet, samples: SampleSet, mean, std, start: int = 0,
-             stop: int | None = None, step: int = FORWARD_BATCH) -> np.ndarray:
+             stop: int | None = None) -> np.ndarray:
     """Network outputs for the samples from ``start`` to ``stop`` (default:
-    all), in sample order, computed over batches of ``step`` samples in the
-    net's dtype; the range must not be empty."""
+    all), in sample order, computed over batches of FORWARD_BATCH samples in
+    the net's dtype; the range must not be empty."""
     stop = len(samples) if stop is None else stop
     return np.concatenate([
-        net.forward(_make_batch(samples, np.arange(i, min(i + step, stop)), mean, std, net.dtype))
-        for i in range(start, stop, step)
+        net.forward(_make_batch(samples, np.arange(i, min(i + FORWARD_BATCH, stop)), mean, std,
+                                net.dtype))
+        for i in range(start, stop, FORWARD_BATCH)
     ])
 
 
@@ -513,7 +514,7 @@ def _specimen_outputs(model: TrainedModel, dataset: Dataset, specimen_ids):
     bounds = [i * n // threads for i in range(threads + 1)]
     parts = run_in_order((  # each slice on its own net, whose conv scratch is its own
         partial(_outputs, model.net(), samples, model.metadata_mean,
-                model.metadata_std, bounds[i], bounds[i + 1], FORWARD_BATCH // threads)
+                model.metadata_std, bounds[i], bounds[i + 1])
         for i in range(threads)
     ), threads)
     if errors := [part for part in parts if isinstance(part, Exception)]:

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinkmass import experiments, features
-from sinkmass.errors import InvalidConfig, TaxonTooSmall, UnknownTaxon
+from sinkmass.errors import (
+    EmptyPredictions, InvalidConfig, SinkmassError, TaxonTooSmall, UnknownTaxon,
+)
 from sinkmass.linear import FeatureSpec, TargetSpace
 from sinkmass.neural import training
 from sinkmass.neural.model import Architecture, HeadKind, MetadataInput, ModelConfig, NeuralNet
@@ -167,6 +169,19 @@ class TestPipeline:
         assert by_taxon[first.taxon].n == sum(
             1 for s in metadata_dataset.specimens if s.taxon == first.taxon
         ) - 1
+
+
+    def test_a_taxon_only_predicted_gets_its_group(self, metadata_dataset):
+        first = metadata_dataset.specimens[0]
+        predicted = {**true_taxa(metadata_dataset), first.specimen_id: "krill"}
+        masses = true_masses(metadata_dataset)
+        report = experiments.run_pipeline(metadata_dataset, predicted, masses)
+        assert [(g.taxon, g.n, g.n_misclassified) for g in report.groups
+                if g.taxon == "krill"] == [("krill", 1, 1)]
+        assert sum(g.n for g in report.groups) == len(metadata_dataset.specimens)
+        with pytest.raises(UnknownTaxon, match="krill"):
+            experiments.run_pipeline(metadata_dataset, predicted, masses,
+                                     taxa=tuple(sorted(metadata_dataset.taxon_set)))
 
 
 class TestBadProtocolRejectedBeforeTraining:
@@ -493,3 +508,93 @@ def test_crossval_fits_apart_from_each_test_fold_and_pools_each_specimen_once(ca
     }
     assert Counter(e.specimen_id for e in result.pooled_predictions.entries) == dict.fromkeys(
         scorable, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol_cases(), st.sampled_from(sorted(PROTOCOL_ESTIMATORS)), st.data())
+def test_ood_fits_on_the_other_taxa_and_predicts_only_the_holdout(case, name, data):
+    """With a spy on the ids each fit receives, at one CPU and at two: the one
+    fit sees no holdout-taxon id, the predictions hold every scorable holdout
+    specimen once and nothing else, and results (or the error raised) are
+    the same at both. The neural fits are stubbed, as in the crossval test."""
+    dataset, _, seed, frameless = case
+    holdout = data.draw(st.sampled_from(sorted(dataset.taxon_set)))
+    estimator = PROTOCOL_ESTIMATORS[name]
+    runs = []
+    for cpus in (1, 2):
+        fits = []
+
+        def spy(self, dataset, train_ids, val_ids=None, seed=0,
+                _fit=experiments.LinearEstimator.fit):
+            fits.append(set(train_ids) | set(val_ids or ()))
+            return _fit(self, dataset, train_ids, val_ids, seed)
+
+        def train(dataset, train_ids, val_ids, model_config, train_config):
+            fits.append(set(train_ids) | set(val_ids))
+            return StubNeuralModel(train_config.seed)
+
+        with pytest.MonkeyPatch.context() as m:
+            allow_cpus(m, cpus)
+            m.setattr(experiments.LinearEstimator, "fit", spy)
+            m.setattr(experiments, "train", train)
+            m.setattr(experiments, "predict_specimen_masses", stub_masses)
+            try:
+                result = experiments.ood(replace(dataset), holdout, estimator, seed=seed)
+            except Exception as exc:
+                result = exc
+        runs.append((result, fits))
+    (result, fits), (threaded, threaded_fits) = runs
+    assert repr(threaded) == repr(result)
+    held = {s.specimen_id for s in dataset.specimens if s.taxon == holdout}
+    assert fits == threaded_fits
+    assert len(fits) == 1 and not fits[0] & held
+    assert fits[0] <= {s.specimen_id for s in dataset.specimens} - held
+    if frameless:
+        assert isinstance(result, ValueError)
+        assert str(result) == "mean_area needs at least one frame"
+    if isinstance(result, Exception):
+        assert frameless or isinstance(result, SinkmassError), repr(result)
+        return
+    report, predictions = result
+    features = dataset.features
+    scorable = {
+        sid for sid in held
+        if dataset.specimen(sid).dry_mass_ug is not None
+        and not (name == "area_speed" and features[sid].sinking_speed is None)
+    }
+    assert {e.specimen_id for e in predictions.entries} == scorable
+    assert all(e.taxon == holdout for e in predictions.entries)
+    assert report.n == len(predictions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(protocol_cases(), st.data())
+def test_pipeline_groups_partition_the_weighed_specimens(case, data):
+    """Drawn classifier outputs (any drawn taxon, including one no weighed
+    specimen belongs to) and masses, with the classifier's taxa given or
+    left to the default: the groups partition the predictions by predicted
+    taxon, their sizes sum to the weighed specimens, and accuracy is the
+    share of matches."""
+    dataset = case[0]
+    weighed = [s for s in dataset.specimens if s.dry_mass_ug is not None]
+    names = sorted(dataset.taxon_set | {"t9"})
+    predicted = {s.specimen_id: data.draw(st.sampled_from(names)) for s in weighed}
+    masses = {s.specimen_id: data.draw(st.floats(1e-3, 1e4)) for s in weighed}
+    taxa = data.draw(st.sampled_from([None, tuple(names)]))
+    if not weighed:
+        with pytest.raises(EmptyPredictions):
+            experiments.run_pipeline(dataset, predicted, masses, taxa=taxa)
+        return
+    report = experiments.run_pipeline(dataset, predicted, masses, taxa=taxa)
+    entries = report.predictions.entries
+    assert [e.specimen_id for e in entries] == [s.specimen_id for s in weighed]
+    assert all(e.predicted_taxon == predicted[e.specimen_id] for e in entries)
+    assert len({g.taxon for g in report.groups}) == len(report.groups)
+    assert set(predicted.values()) <= {g.taxon for g in report.groups}
+    for group in report.groups:
+        members = [e for e in entries if e.predicted_taxon == group.taxon]
+        assert group.n == len(members)
+        assert group.n_misclassified == sum(e.taxon != group.taxon for e in members)
+    assert sum(g.n for g in report.groups) == len(weighed)
+    matches = sum(e.taxon == e.predicted_taxon for e in entries)
+    assert report.accuracy == matches / len(weighed)

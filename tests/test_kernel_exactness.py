@@ -26,7 +26,7 @@ from sinkmass.neural.model import (
     NeuralNet,
     init_params,
 )
-from sinkmass.neural.training import FORWARD_BATCH, FreezeMode
+from sinkmass.neural.training import FORWARD_BATCH, FreezeMode, TrainedModel
 
 VALUES = st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5])
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -439,6 +439,52 @@ def test_warm_backward_peaks_below_the_first_conv_output(arch):
     finally:
         tracemalloc.stop()
     assert peak < first_conv_bytes, (peak, first_conv_bytes)
+
+
+def test_warm_inference_pass_allocates_less_than_its_conv_outputs():
+    """At the benchmark's model size, a warmed 32-sample multi-view pass on
+    the inference net allocates less than its two branches' conv outputs
+    together: they live in the conv scratch, which the branches share."""
+    config = ModelConfig(architecture=Architecture.MULTI_VIEW, encoder_channels=(8, 16),
+                         head_hidden=64, input_size=32)
+    params = init_params(config, np.random.default_rng(0))
+    net = TrainedModel(config, params, 0, [1.0]).net()
+    for seed in (1, 2):
+        net.forward(random_batch(net, FORWARD_BATCH, seed))
+    batch = random_batch(net, FORWARD_BATCH, 3)
+    side, bytes_per_value = config.input_size, np.dtype(net.dtype).itemsize
+    conv_bytes = 0
+    for i, channels in enumerate(config.encoder_channels):  # block i runs at side / 2**i
+        conv_bytes += FORWARD_BATCH * channels * (side >> i) ** 2 * bytes_per_value
+    tracemalloc.start()
+    try:
+        net.forward(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * conv_bytes, (peak, 2 * conv_bytes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([np.float32, np.float64]),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3),
+       st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 6).map(lambda k: 2 * k), st.integers(1, 6).map(lambda k: 2 * k))
+def test_conv_forward_lends_its_output_from_the_scratch(data, dtype, batches, c_in, c_out, h, w):
+    """Given a scratch, conv3_forward writes its output into the scratch and
+    returns the bits of the call without one, NaN entries' bits included, on
+    one scratch serving batches of several sizes in turn."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weights = rng.normal(size=(c_out, c_in, 3, 3)).astype(dtype)
+    bias = rng.normal(size=c_out).astype(dtype)
+    scratch = layers.ConvScratch()
+    with np.errstate(all="ignore"):
+        for n in batches:
+            x, _ = data.draw(conv_arrays(dtype, c_in, c_out, h, w, n))
+            pure, _ = layers.conv3_forward(x, weights, bias)
+            lent, _ = layers.conv3_forward(x, weights, bias, scratch=scratch)
+            assert _bits(lent) == _bits(pure)
+            assert np.shares_memory(lent, scratch.take("out", (n, c_out, h * w), dtype))
 
 
 def _compact_conv3(x, weights, bias, dout):

@@ -812,7 +812,14 @@ class TestInferenceWorkers:
                     predict_taxa(classifier, dataset, ids),
                 )
                 assert threading.active_count() == threads
-                assert max(size for _, size in calls) <= FORWARD_BATCH // min(workers, n)
+                # every pass of a slice is FORWARD_BATCH samples but its last;
+                # three calls above, each over the same slices
+                k = min(workers, n)
+                bounds = [i * n // k for i in range(k + 1)]
+                passes = [min(FORWARD_BATCH, stop - i) for start, stop in zip(bounds, bounds[1:])
+                          for i in range(start, stop, FORWARD_BATCH)]
+                assert max(size for _, size in calls) <= FORWARD_BATCH
+                assert sorted(size for _, size in calls) == sorted(3 * passes)
         finally:
             sys.setswitchinterval(interval)
         assert results[1] == results[2] == results[4]
@@ -850,6 +857,37 @@ class TestInferenceWorkers:
         assert threading.active_count() == threads
         assert {sid: out.tobytes() for sid, out in outputs.items()} == {
             sid: out.tobytes() for sid, out in serial.items()}
+
+    @pytest.mark.parametrize("arch", list(MODELS))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_scratch_gives_the_bits_of_fresh_per_branch_nets(
+        self, monkeypatch, arch, workers
+    ):
+        """An inference net shares each block's conv scratch between its
+        branches and reuses it from pass to pass; running each pass on a
+        fresh net whose branches own their scratch gives the same bits."""
+        config = self.MODELS[arch]
+        n = 2 * FORWARD_BATCH + 11  # full and short passes on either thread count
+        dataset = counted_dataset(n, config.architecture is Architecture.MULTI_VIEW)
+        ids = [s.specimen_id for s in dataset.specimens]
+        model = untrained_model(dataset, config, 5)
+        if model.metadata_std is not None:
+            model.metadata_std = np.where(model.metadata_std > 0, model.metadata_std, 1.0)
+        samples = build_samples(dataset, ids, config, require_mass=False)
+        params = {k: v.astype(np.float32) for k, v in model.params.items()}
+        bounds = [i * n // workers for i in range(workers + 1)]
+        want = np.concatenate([
+            NeuralNet(config, params).forward(training._make_batch(
+                samples, np.arange(i, min(i + FORWARD_BATCH, stop)),
+                model.metadata_mean, model.metadata_std, np.float32))
+            for start, stop in zip(bounds, bounds[1:])
+            for i in range(start, stop, FORWARD_BATCH)
+        ]).astype(np.float64)
+        monkeypatch.setattr(training, "thread_count", lambda n, k=workers: min(k, n))
+        got = training._specimen_outputs(model, dataset, ids)
+        assert {sid: out.tobytes() for sid, out in got.items()} == {
+            sid: want[idx[0] : idx[-1] + 1].tobytes()
+            for sid, idx in samples.sample_slices.items()}
 
     def test_an_error_in_the_second_worker_reaches_the_caller(self, monkeypatch):
         class WorkerError(Exception):
